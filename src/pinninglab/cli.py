@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--config", required=True, help="path to the JSON config")
     pr.add_argument("--out", default=None, help="output directory for record and CSVs")
     pr.add_argument("--seed", type=int, default=None, help="override the config seed")
-    pr.add_argument("--threads", type=int, default=1,
-                    help="worker hint; results are independent of it")
     pr.set_defaults(func=_cmd_run)
 
     pa = sub.add_parser("acceptance", help="run the acceptance suite")

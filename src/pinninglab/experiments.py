@@ -171,12 +171,14 @@ def hier_free_energy(cfg: ExperimentConfig, rec: RunRecord):
     beta = float(cfg.get("beta", 1.0))
     n = int(cfg.get("n", 14))
     samples = int(cfg.get("samples", 400))
-    hs = cfg.get("h_grid", [-0.2, 0.0, 0.2, 0.4, 0.6])
+    hs = [float(h) for h in cfg.get("h_grid", [-0.2, 0.0, 0.2, 0.4, 0.6])]
     rows = []
     for i, h in enumerate(hs):
         rng = derive_rng(cfg.seed, "hier-free-energy", i)
-        est = hiermc.pool_free_energy(HierParams(B=B, beta=beta, h=float(h)), n, samples, rng)
-        rows.append((float(h), est.mean, est.std_error, est.annealed,
+        est = hiermc.pool_free_energy(HierParams(B=B, beta=beta, h=h), n, samples, rng)
+        rec.estimates[f"free_energy_h={h!r}"] = estimate(est.mean, est.std_error)
+        rec.baselines[f"annealed_h={h!r}"] = est.annealed
+        rows.append((h, est.mean, est.std_error, est.annealed,
                      int(est.mean <= est.annealed + 3 * est.std_error)))
     rec.flags["jensen_ok"] = all(bool(r[-1]) for r in rows)
     return {"scan": (["h", "mean", "std_error", "annealed", "jensen_ok"], rows)}
@@ -246,6 +248,9 @@ def quenched_scan(cfg: ExperimentConfig, rec: RunRecord):
             rng = derive_rng(cfg.seed, "quenched-scan", i, j)
             est = quenched.quenched_free_energy(qc, samples, rng)
             rate = quenched.annealed_rate(qc)
+            rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"] = estimate(
+                est.mean, est.std_error)
+            rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] = est.annealed
             jensen = est.mean <= est.annealed + 3 * est.std_error
             ok = ok and jensen
             rows.append((beta, h, est.mean, est.std_error, est.annealed, rate, int(jensen)))

@@ -286,24 +286,6 @@ def y_statistic(ls: LeafSet, B: float) -> float:
     return float(w.sum()) / ls.n
 
 
-def y_statistic_batch(alive: np.ndarray, n: int, B: float) -> np.ndarray:
-    """Vectorized overlap statistic via dyadic block counts.
-
-    Ordered pairs with join level exactly a are counted by the difference
-    of squared block sums at scales a and a-1; agrees with y_statistic
-    exactly, at O(2^n) per row.
-    """
-    counts = alive.astype(np.float64)
-    prev_sq = counts.sum(axis=1)  # scale-0 blocks are single leaves
-    y = np.zeros(alive.shape[0])
-    for a in range(1, n + 1):
-        counts = counts[:, 0::2] + counts[:, 1::2]
-        sq = (counts * counts).sum(axis=1)
-        y += float(B) ** -(n + a - 1.0) * (sq - prev_sq)
-        prev_sq = sq
-    return y / n
-
-
 def _y2_brute(n: int, B: float) -> float:
     """Second moment of the overlap statistic by full quadruple enumeration."""
     size = 2**n

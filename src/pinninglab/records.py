@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,17 +26,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
         if "experiment" not in raw:
             raise ConfigError("config must name an experiment")
         if "seed" not in raw:
             raise ConfigError("config must carry an explicit seed")
+        seed = raw["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
         params = {k: v for k, v in raw.items() if k not in ("experiment", "seed")}
-        return cls(experiment=str(raw["experiment"]), seed=int(raw["seed"]), params=params)
+        return cls(experiment=str(raw["experiment"]), seed=int(seed), params=params)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_dict(raw)
 
     def get(self, key: str, default=None):
         return self.params.get(key, default)

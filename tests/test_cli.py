@@ -38,6 +38,27 @@ def test_run_missing_seed(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 2
 
 
+def test_run_non_integer_seed(tmp_path):
+    cfg = write_config(tmp_path, "gw-check", seed="abc")
+    assert cli.main(["run", "--config", cfg]) == 2
+
+
+def test_run_config_not_an_object(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(["gw-check", 1]))
+    assert cli.main(["run", "--config", str(path)]) == 2
+
+
+def test_run_config_not_json(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "gw-check", "seed": 1')
+    assert cli.main(["run", "--config", str(path)]) == 2
+
+
+def test_run_config_missing_file(tmp_path):
+    assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
+
+
 def test_run_bad_window(tmp_path):
     cfg = write_config(tmp_path, "annealed-scan", seed=1, B_list=[2.5])
     assert cli.main(["run", "--config", cfg]) == 2

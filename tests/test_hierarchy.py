@@ -171,14 +171,17 @@ def test_y_statistic_empty_and_exact_mean():
     assert mean2 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_y_statistic_batch_matches_single():
-    rng = np.random.default_rng(9)
+def test_gw_overlap_samples_match_y_statistic():
+    # the sparse fast path against the O(p^2) oracle, realization by realization
+    size = 200
     for n in (2, 4, 7):
-        alive = H.sample_leafset_batch(n, H.B_CRITICAL, rng, 200)
-        batch = H.y_statistic_batch(alive, n, H.B_CRITICAL)
-        for i in range(0, 200, 17):
-            ls = H.LeafSet(n=n, alive=np.flatnonzero(alive[i]) + 1)
-            assert batch[i] == pytest.approx(H.y_statistic(ls, H.B_CRITICAL), abs=1e-12)
+        sid, leaf = H._gw_cascade_sparse(n, H.B_CRITICAL, np.random.default_rng(9), size)
+        y, counts = H.gw_overlap_samples(n, H.B_CRITICAL, np.random.default_rng(9), size)
+        assert np.count_nonzero(counts >= 2) > 10
+        for i in range(size):
+            ls = H.LeafSet(n=n, alive=leaf[sid == i] + 1)
+            assert counts[i] == ls.size
+            assert y[i] == pytest.approx(H.y_statistic(ls, H.B_CRITICAL), abs=1e-12)
 
 
 def test_gw_overlap_samples_match_dense_moments():
