@@ -13,8 +13,8 @@ from .errors import (ConfigError, DimensionMismatch, HorizonExceeded,
 from .hierarchy import B_CRITICAL, HierParams, LeafSet, TreeIndexSet
 from .renewal import (GreenTable, RenewalLaw, RenewalPath, green_function,
                       homogeneous_free_energy, make_power_law, sample_path)
-from .gaussian import CovarianceSpec, DisorderField, build_block_coupling, \
-    build_hier_coupling, factorize, holder_cost, sample_tilted
+from .gaussian import CovarianceSpec, build_block_coupling, build_hier_coupling, \
+    factorize, holder_cost
 from .hiermc import Certificate, PoolEstimate, certify_delocalization, \
     pool_free_energy, tilted_mean
 from .quenched import CoarseGrainPlan, QuenchedConfig, log_partition_dp, \
@@ -27,8 +27,8 @@ __all__ = [
     "RenewalLaw", "GreenTable", "RenewalPath", "make_power_law",
     "green_function", "sample_path", "homogeneous_free_energy",
     "HierParams", "LeafSet", "TreeIndexSet",
-    "CovarianceSpec", "DisorderField", "build_hier_coupling",
-    "build_block_coupling", "factorize", "sample_tilted", "holder_cost",
+    "CovarianceSpec", "build_hier_coupling", "build_block_coupling",
+    "factorize", "holder_cost",
     "PoolEstimate", "Certificate", "pool_free_energy", "tilted_mean",
     "certify_delocalization",
     "QuenchedConfig", "CoarseGrainPlan", "log_partition_dp", "quenched_free_energy",

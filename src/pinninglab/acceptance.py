@@ -188,9 +188,8 @@ TUNED_CERT = dict(zeta_override=0.08, gamma_override=0.5,
 
 
 def crit_11_certification() -> CriterionResult:
-    paper = _run("hier-certify", beta=1.0, samples=4_000,
-                 disorder_samples=500).notes["certificate"]
-    tuned = _run("hier-certify", beta=1.0, samples=40_000, disorder_samples=4_000,
+    paper = _run("hier-certify", beta=1.0, samples=4_000).notes["certificate"]
+    tuned = _run("hier-certify", beta=1.0, samples=40_000,
                  **TUNED_CERT).notes["certificate"]
     margin_b = ((tuned["condition_b_threshold"] - tuned["condition_b_mean"])
                 / max(tuned["condition_b_stderr"], 1e-300))

@@ -174,7 +174,7 @@ def hier_free_energy(cfg: ExperimentConfig, rec: RunRecord):
     hs = [float(h) for h in cfg.get("h_grid", [-0.2, 0.0, 0.2, 0.4, 0.6])]
     rows = []
     for i, h in enumerate(hs):
-        rng = derive_rng(cfg.seed, "hier-free-energy", i)
+        rng = derive_rng(cfg.seed, "hier-free-energy", repr(B), repr(beta), n, i)
         est = hiermc.pool_free_energy(HierParams(B=B, beta=beta, h=h), n, samples, rng)
         rec.estimates[f"free_energy_h={h!r}"] = estimate(est.mean, est.std_error)
         rec.baselines[f"annealed_h={h!r}"] = est.annealed
@@ -195,7 +195,6 @@ def hier_certify(cfg: ExperimentConfig, rec: RunRecord):
         beta,
         samples=int(cfg.get("samples", 40_000)),
         rng=derive_rng(cfg.seed, "hier-certify"),
-        disorder_samples=int(cfg.get("disorder_samples", 4_000)),
         **kwargs,
     )
     rec.notes["certificate"] = cert.to_dict()

@@ -25,13 +25,12 @@ PD_SAFETY = 0.999
 
 @dataclass(frozen=True)
 class Factorization:
-    """Eigen/triangular data enabling sampling and log-determinants."""
+    """Eigen data enabling sampling and log-determinants."""
 
     scale_eigs: np.ndarray | None = None       # hierarchical: eigenvalue per Haar scale 0..n
     multiplicities: np.ndarray | None = None   # hierarchical: 1, 2^(n-1), ..., 1 pattern
     block_eigs: np.ndarray | None = None       # block: spectrum of the in-block coupling
     block_vectors: np.ndarray | None = None
-    block_chol: np.ndarray | None = None       # lower factor of (I - H) at unit tilt
     lam_max: float = 0.0
     lam_min: float = 0.0
 
@@ -56,12 +55,6 @@ class CovarianceSpec:
     denom_constant: float = 9.0
     hs_norm: float = 0.0        # Hilbert-Schmidt norm (per block for the block kind)
     factor: Factorization | None = None
-
-
-@dataclass(frozen=True)
-class DisorderField:
-    values: np.ndarray
-    law: str = "iid-standard"
 
 
 def build_hier_coupling(n: int, B: float = B_CRITICAL) -> CovarianceSpec:
@@ -177,11 +170,7 @@ def factorize(spec: CovarianceSpec) -> CovarianceSpec:
     elif spec.kind == "block":
         h = block_profile(spec.k, spec.gamma, spec.denom_constant)
         lam, vec = np.linalg.eigh(h)
-        try:
-            chol = np.linalg.cholesky(np.eye(spec.k) - spec.epsilon * h)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("block covariance is not positive definite") from exc
-        fac = Factorization(block_eigs=lam, block_vectors=vec, block_chol=chol,
+        fac = Factorization(block_eigs=lam, block_vectors=vec,
                             lam_max=float(lam.max()), lam_min=float(lam.min()))
     else:
         raise InvalidParameter(f"unknown coupling kind {spec.kind!r}")
@@ -251,12 +240,6 @@ def sample_tilted_batch(spec: CovarianceSpec, epsilon: float,
         coeff = rng.standard_normal((size, spec.k)) * std
         out[:, sl] = coeff @ fac.block_vectors.T
     return out
-
-
-def sample_tilted(spec: CovarianceSpec, epsilon: float,
-                  rng: np.random.Generator) -> DisorderField:
-    row = sample_tilted_batch(spec, epsilon, rng, 1)[0]
-    return DisorderField(values=row, law=f"{spec.kind}-tilt eps={epsilon}")
 
 
 def coupling_logdet(spec: CovarianceSpec, t: float) -> float:

@@ -109,11 +109,10 @@ def fractional_moment_sequence(params: HierParams, n_hi: int, gamma: float,
 
 @dataclass(frozen=True)
 class TiltedMean:
-    """Two cross-checking estimators of the tilted mean of X_n."""
+    """The tilted mean of X_n: the renewal arm, cross-checked by the disorder arm."""
 
     disorder_mc: PoolEstimate
     renewal_mc: PoolEstimate
-    positive_part: PoolEstimate     # tilted mean of [X - (B-1)]_+, from the disorder arm
     epsilon: float
 
     @property
@@ -126,43 +125,34 @@ class TiltedMean:
 
 
 def tilted_mean(params: HierParams, n: int, epsilon: float, samples: int,
-                rng: np.random.Generator,
-                spec: gaussian.CovarianceSpec | None = None,
-                disorder_samples: int | None = None) -> TiltedMean:
-    """Mean of X_n under the anti-correlated disorder law, two ways.
+                rng: np.random.Generator, disorder_samples: int = 0) -> TiltedMean:
+    """Mean of X_n under the anti-correlated disorder law.
 
-    (i) disorder-MC: average exp(log X_n) over tilted Gaussian arrays;
-    (ii) renewal-MC: average the exactly Gaussian-integrated branching
-    form exp(-(beta^2 eps/2) * pair-overlap + h * |alive|) over leaf sets.
+    (i) renewal-MC, which carries the result: average the exactly
+    Gaussian-integrated branching form
+    exp(-(beta^2 eps/2) * pair-overlap + h * |alive|) over leaf sets;
+    (ii) disorder-MC, a cross-check run only when disorder_samples > 0:
+    average exp(log X_n) over tilted Gaussian arrays.  Its variance is
+    finite only while 2^n (beta^2 - log 2) stays small.
     """
-    if spec is None:
-        spec = gaussian.factorize(gaussian.build_hier_coupling(n, params.B))
-    logC = math.log(params.B - 1.0)
     overlap_root = math.sqrt(hierarchy.pair_overlap_sum(n, params.B))
     coeff = 0.5 * params.beta**2 * epsilon * n / overlap_root
 
     acc_d = MeanAccumulator()
-    acc_pos = MeanAccumulator()
-    d_samples = samples if disorder_samples is None else disorder_samples
-    for size in chunk_sizes(d_samples, _chunk_for(n)):
-        om = gaussian.sample_tilted_batch(spec, epsilon, rng, size)
-        logx = hierarchy.hier_log_partition_batch(params, n, om)
-        acc_d.add(np.exp(logx))
-        pos = np.where(logx > logC, np.exp(logx) - (params.B - 1.0), 0.0)
-        acc_pos.add(pos)
+    if disorder_samples > 0:
+        spec = gaussian.factorize(gaussian.build_hier_coupling(n, params.B))
+        for size in chunk_sizes(disorder_samples, _chunk_for(n)):
+            om = gaussian.sample_tilted_batch(spec, epsilon, rng, size)
+            acc_d.add(np.exp(hierarchy.hier_log_partition_batch(params, n, om)))
 
     acc_r = MeanAccumulator()
     for size in chunk_sizes(samples, _sparse_chunk(n)):
         y, count = hierarchy.gw_overlap_samples(n, params.B, rng, size)
         acc_r.add(np.exp(-coeff * y + params.h * count))
-    nan_est = PoolEstimate(math.nan, math.nan, 0, n, "skipped")
     est_d = (PoolEstimate.from_accumulator(acc_d, n, "tilted-mean disorder-mc")
-             if acc_d.count else nan_est)
+             if acc_d.count else PoolEstimate(math.nan, math.nan, 0, n, "skipped"))
     est_r = PoolEstimate.from_accumulator(acc_r, n, "tilted-mean renewal-mc")
-    est_p = (PoolEstimate.from_accumulator(acc_pos, n, "tilted-positive-part")
-             if acc_pos.count else nan_est)
-    return TiltedMean(disorder_mc=est_d, renewal_mc=est_r, positive_part=est_p,
-                      epsilon=epsilon)
+    return TiltedMean(disorder_mc=est_d, renewal_mc=est_r, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -217,8 +207,6 @@ class Certificate:
     n_paper: float
     gamma_gap_ok: bool
     n_floor_ok: bool
-    tilted_mean_disorder: float
-    tilted_positive_part: float    # tilted mean of [X-(B-1)]_+ (slack-free quantity)
     tilted_excess: float           # tilted mean of X minus (B-1)
     f_zero_declared: bool
     h_c_lower_bound: float | None
@@ -243,7 +231,6 @@ def certify_delocalization(
     rng: np.random.Generator | None = None,
     seed: int | None = None,
     n_cap: int = MAX_GENERATION,
-    disorder_samples: int = 8_000,
 ) -> Certificate:
     """Run the fractional-moment / change-of-measure certification at B critical.
 
@@ -302,8 +289,7 @@ def certify_delocalization(
     cond_a = cost.value >= cond_a_thr
 
     params = HierParams(B=B, beta=beta, h=h)
-    tm = tilted_mean(params, n, epsilon, samples, rng, spec=spec,
-                     disorder_samples=disorder_samples)
+    tm = tilted_mean(params, n, epsilon, samples, rng)
     cond_b_thr = 1.0 - zeta
     cond_b = tm.mean + 3.0 * tm.std_error <= cond_b_thr
 
@@ -322,8 +308,6 @@ def certify_delocalization(
         condition_b_threshold=cond_b_thr, condition_b_pass=cond_b,
         verdict=verdict, seeds=seeds, k_hat=khat, n_zeta=n_zeta,
         n_paper=n_paper, gamma_gap_ok=gamma_gap_ok, n_floor_ok=n >= n_zeta,
-        tilted_mean_disorder=tm.disorder_mc.mean,
-        tilted_positive_part=tm.positive_part.mean,
         tilted_excess=tm.mean - (B - 1.0),
         f_zero_declared=declared,
         h_c_lower_bound=h if declared else None,

@@ -21,30 +21,31 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
 
 @dataclass
 class MeanAccumulator:
-    """Streaming mean/variance over sample chunks (associative merge)."""
+    """Streaming mean and standard error over sample chunks.
+
+    Each chunk's own mean and centered sum of squares are folded in with
+    the Chan-Golub-LeVeque update, so a large common offset does not
+    cancel the variance away.
+    """
 
     count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
+    mean: float = 0.0
+    m2: float = 0.0         # sum of squared deviations from the mean
 
     def add(self, values: np.ndarray) -> None:
         v = np.asarray(values, dtype=float)
-        self.count += v.size
-        self.total += float(v.sum())
-        self.total_sq += float((v * v).sum())
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count
+        m = float(v.mean())
+        total = self.count + v.size
+        delta = m - self.mean
+        self.mean += delta * v.size / total
+        self.m2 += float(np.sum((v - m) ** 2)) + delta**2 * self.count * v.size / total
+        self.count = total
 
     @property
     def std_error(self) -> float:
         if self.count < 2:
             return float("inf")
-        var = max(self.total_sq / self.count - self.mean**2, 0.0)
-        # unbiased-ish; the tests only use multiples of sigma
-        var *= self.count / (self.count - 1)
-        return float(np.sqrt(var / self.count))
+        return float(np.sqrt(self.m2 / (self.count - 1) / self.count))
 
 
 @dataclass(frozen=True)

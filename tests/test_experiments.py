@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from pinninglab import hiermc
 from pinninglab.experiments import EXPERIMENTS, run
 from pinninglab.records import ExperimentConfig
 
@@ -12,7 +15,7 @@ QUICK = {
     "hier-free-energy": {"n": 10, "samples": 100, "h_grid": [-0.1, 0.2]},
     "hier-certify": {"zeta_override": 0.08, "gamma_override": 0.5,
                      "epsilon_override": 0.09, "n_override": 12,
-                     "samples": 8_000, "disorder_samples": 500},
+                     "samples": 8_000},
     "renewal-green": {"N": 2_000, "n_max": 2_000, "checkpoints": [100, 2_000]},
     "quenched-scan": {"N": 300, "samples": 8, "n_max": 600,
                       "beta_list": [0.8], "h_list": [-0.2, 0.3]},
@@ -53,10 +56,27 @@ def test_annealed_scan_slope_column(tmp_path):
 def test_certify_paper_mode_quick(tmp_path):
     cfg = ExperimentConfig.from_dict({
         "experiment": "hier-certify", "seed": 5,
-        "samples": 2_000, "disorder_samples": 100})
+        "samples": 2_000})
     rec = run(cfg, tmp_path)
     assert rec.notes["certificate"]["verdict"] == "infeasible-at-paper-constants"
     assert rec.flags["gamma_gap_ok"] and rec.flags["n_floor_ok"]
+
+
+def test_hier_free_energy_substream_keyed_by_config(monkeypatch, tmp_path):
+    # runs that differ only in beta must not share their disorder
+    first_draws = []
+    pool = hiermc.pool_free_energy
+
+    def spy(params, n, samples, rng):
+        first_draws.append(copy.deepcopy(rng).standard_normal())
+        return pool(params, n, samples, rng)
+
+    monkeypatch.setattr(hiermc, "pool_free_energy", spy)
+    for beta in (0.5, 1.0):
+        run(ExperimentConfig.from_dict({
+            "experiment": "hier-free-energy", "seed": 11, "beta": beta,
+            "n": 4, "samples": 10, "h_grid": [0.1]}), tmp_path / f"beta{beta}")
+    assert first_draws[0] != first_draws[1]
 
 
 @pytest.mark.parametrize("name, table, point, annealed", [

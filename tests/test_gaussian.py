@@ -61,7 +61,7 @@ def test_haar_roundtrip():
 def test_factorize_required():
     spec = G.build_hier_coupling(4)
     with pytest.raises(NotFactorized):
-        G.sample_tilted(spec, 0.1, np.random.default_rng(0))
+        G.sample_tilted_batch(spec, 0.1, np.random.default_rng(0), 1)
 
 
 def test_pd_window(spec6):

@@ -93,11 +93,9 @@ def test_tilted_mean_reward_bound():
     # dropping the reward factor bounds the tilted mean by e^(total reward)
     n, beta, eps, h = 8, 1.0, 0.2, 1e-4
     params = HierParams(B=B_CRITICAL, beta=beta, h=h)
-    tm = MC.tilted_mean(params, n, eps, 60_000, np.random.default_rng(7),
-                        disorder_samples=0)
+    tm = MC.tilted_mean(params, n, eps, 60_000, np.random.default_rng(7))
     params0 = HierParams(B=B_CRITICAL, beta=beta, h=0.0)
-    tm0 = MC.tilted_mean(params0, n, eps, 60_000, np.random.default_rng(7),
-                         disorder_samples=0)
+    tm0 = MC.tilted_mean(params0, n, eps, 60_000, np.random.default_rng(7))
     bound = math.exp(2**n * h) * tm0.renewal_mc.mean
     sigma = math.hypot(tm.renewal_mc.std_error,
                        math.exp(2**n * h) * tm0.renewal_mc.std_error)
@@ -112,8 +110,7 @@ def test_paley_zygmund():
 
 
 def test_certificate_paper_mode_infeasible():
-    cert = MC.certify_delocalization(1.0, samples=2_000, seed=123,
-                                     disorder_samples=200)
+    cert = MC.certify_delocalization(1.0, samples=2_000, seed=123)
     assert cert.verdict == "infeasible-at-paper-constants"
     assert cert.n_paper > cert.n
     assert cert.gamma_gap_ok
@@ -125,20 +122,30 @@ def test_certificate_paper_mode_infeasible():
 def test_certificate_tuned_pass_and_consistency():
     cert = MC.certify_delocalization(
         1.0, zeta_override=0.08, gamma_override=0.5, epsilon_override=0.09,
-        n_override=16, samples=30_000, seed=321, disorder_samples=2_000)
+        n_override=16, samples=30_000, seed=321)
     assert cert.verdict == "pass"
     assert cert.condition_a_pass and cert.condition_b_pass
     assert cert.f_zero_declared
     assert cert.h_c_lower_bound == pytest.approx(0.08 * 2.0**-16)
-    # the positive-part and excess views of the tilted moment stay close
-    # (the envelope floor makes their gap at most (B-1) - x_n)
-    slack = (B_CRITICAL - 1.0) - H.annealed_envelope(cert.n, B_CRITICAL)
-    assert cert.tilted_positive_part <= cert.tilted_excess + slack + 0.01
     # a pass at h certifies no positive free energy below it
     pool = MC.pool_free_energy(HierParams(B=B_CRITICAL, beta=1.0,
                                           h=cert.h_certified / 2),
                                cert.n, 200, np.random.default_rng(9))
     assert pool.mean <= 4 * pool.std_error
+
+
+def test_certification_draws_no_tilted_disorder(monkeypatch):
+    # condition (b) gates on the renewal arm; the disorder arm stays out
+    def refuse(*args, **kwargs):
+        raise AssertionError("certification sampled tilted disorder")
+
+    monkeypatch.setattr(G, "sample_tilted_batch", refuse)
+    paper = MC.certify_delocalization(1.0, samples=1_000, seed=1)
+    tuned = MC.certify_delocalization(
+        1.0, zeta_override=0.08, gamma_override=0.5, epsilon_override=0.09,
+        n_override=12, samples=1_000, seed=1)
+    assert paper.verdict == "infeasible-at-paper-constants"
+    assert tuned.verdict in ("pass", "fail")
 
 
 def test_hc_scan_pure_brackets_zero():

@@ -64,6 +64,19 @@ def test_mean_accumulator_merges():
     assert one.std_error == pytest.approx(float(x.std(ddof=1) / np.sqrt(x.size)))
 
 
+def test_mean_accumulator_large_offset():
+    # at this offset a sum-of-squares accumulator loses the variance to cancellation
+    import numpy as np
+
+    x = np.random.default_rng(1).standard_normal(10_000) + 1e8
+    acc = MeanAccumulator()
+    for chunk in np.split(x, 10):
+        acc.add(chunk)
+    want = float(x.std(ddof=1) / np.sqrt(x.size))
+    assert acc.std_error == pytest.approx(want, rel=0.01)
+    assert acc.mean == pytest.approx(float(x.mean()), abs=1e-6)
+
+
 def test_ks_distance_uniform():
     import numpy as np
 
