@@ -141,11 +141,6 @@ def annealed_free_energy(B: float, h: float, rel_tol: float = 1e-12,
     return prev
 
 
-def join_level(i: int, j: int) -> int:
-    """Tree level at which the root paths of leaves i != j merge."""
-    return (int(i) - 1 ^ int(j) - 1).bit_length()
-
-
 def subtree_node_count(idx: TreeIndexSet) -> int:
     """Internal nodes (levels 1..n, root included, leaves not) in the union
     of root-to-leaf paths."""
@@ -191,11 +186,6 @@ def sample_leafset_batch(n: int, B: float, rng: np.random.Generator,
         branch = alive & (rng.random(alive.shape) < p)
         alive = np.repeat(branch, 2, axis=1)
     return alive
-
-
-def sample_leafset(n: int, B: float, rng: np.random.Generator) -> LeafSet:
-    row = sample_leafset_batch(n, B, rng, 1)[0]
-    return LeafSet(n=n, alive=np.flatnonzero(row) + 1)
 
 
 def _gw_cascade_sparse(n: int, B: float, rng: np.random.Generator,

@@ -86,6 +86,17 @@ def green_by_enumeration(law: RenewalLaw, N: int) -> np.ndarray:
     return u
 
 
+def green_direct(law: RenewalLaw, N: int) -> np.ndarray:
+    """u(0..N) by the O(N^2) direct convolution u(n) = sum_j K(j) u(n - j)."""
+    K = np.zeros(N + 1)
+    K[: min(N, law.n_max) + 1] = law.mass[: N + 1]
+    u = np.empty(N + 1)
+    u[0] = 1.0
+    for n in range(1, N + 1):
+        u[n] = np.dot(K[1 : n + 1], u[n - 1 :: -1][:n])
+    return u
+
+
 def conditioning_ratio_brute(law: RenewalLaw, N: int) -> float:
     """max over n of P(last epoch <= N is n | 2N renewed)/P(...) by paths."""
     last_any = np.zeros(N + 1)

@@ -86,6 +86,20 @@ def _site_log_weights(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
     return w
 
 
+def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray:
+    """The renewal DP in the log domain, pinned at site 0.
+
+    L[0] = 0 and L[n] = logz[n] + log sum_{j <= min(n, band)} K(j) e^L[n-j];
+    logz[0] is never read.
+    """
+    L = np.empty(logz.size)
+    L[0] = 0.0
+    for n in range(1, logz.size):
+        w = min(n, band)
+        L[n] = logz[n] + logsumexp_1d(L[n - w : n][::-1] + logK[1 : w + 1])
+    return L
+
+
 def log_partition_profile(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
     """Endpoint-pinned log partition values at every size 0..N.
 
@@ -94,17 +108,9 @@ def log_partition_profile(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
     """
     if cfg.N > MAX_DP_SIZE:
         raise ResourceGuard(f"N={cfg.N} beyond the desk-scale guard {MAX_DP_SIZE}")
-    logz = _site_log_weights(cfg, omega)
     with np.errstate(divide="ignore"):
         logK = np.log(cfg.law.mass)
-    band = cfg.law.n_max
-    L = np.empty(cfg.N + 1)
-    L[0] = 0.0
-    for n in range(1, cfg.N + 1):
-        w = min(n, band)
-        terms = L[n - 1 : n - w - 1 if n - w - 1 >= 0 else None : -1] + logK[1 : w + 1]
-        L[n] = logz[n] + logsumexp_1d(terms)
-    return L
+    return _log_renewal_dp(_site_log_weights(cfg, omega), logK, cfg.law.n_max)
 
 
 def log_partition_dp(cfg: QuenchedConfig, omega: np.ndarray) -> float:
@@ -139,25 +145,6 @@ def annealed_rate(cfg: QuenchedConfig) -> float:
     return homogeneous_free_energy(cfg.law, cfg.h)
 
 
-def _pinned_rows(cfg: QuenchedConfig, logz: np.ndarray, starts, span: int) -> dict:
-    """log partition pinned at both ends: rows L[a][b-a] for b in [a, a+span] cap N."""
-    with np.errstate(divide="ignore"):
-        logK = np.log(cfg.law.mass)
-    band = cfg.law.n_max
-    rows = {}
-    for a in starts:
-        hi = min(a + span, cfg.N)
-        L = np.full(hi - a + 1, -np.inf)
-        L[0] = 0.0
-        for b in range(a + 1, hi + 1):
-            i = b - a
-            w = min(i, band)
-            terms = L[i - 1 : i - w - 1 if i - w - 1 >= 0 else None : -1] + logK[1 : w + 1]
-            L[i] = logz[b] + logsumexp_1d(terms)
-        rows[a] = L
-    return rows
-
-
 def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
                           k: int | None = None) -> float:
     """log of one coarse-grained term of the partition decomposition.
@@ -184,7 +171,9 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
         b: np.arange((b - 1) * k + 1, b * k + 1) for b in set(targets)
     }
     starts = sorted({int(n) for b in targets for n in block_positions[b]})
-    pinned = _pinned_rows(cfg, logz, starts, k - 1)
+    # log partition pinned at both ends: pinned[a][b - a] for b in [a, a + k - 1] cap N
+    pinned = {a: _log_renewal_dp(logz[a : min(a + k - 1, cfg.N) + 1], logK, cfg.law.n_max)
+              for a in starts}
 
     ell = len(targets)
     # state after round r: log-weights indexed by (n_r, j_r)
@@ -219,11 +208,6 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
         if not state:
             return -math.inf
     return logsumexp_1d(np.array(list(state.values())))
-
-
-def coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
-                      k: int | None = None) -> float:
-    return math.exp(log_coarse_grain_term(cfg, omega, targets, k))
 
 
 def enumerate_target_sets(n_blocks: int):
@@ -313,18 +297,6 @@ def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
     var = np.maximum(totsq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
     return UWeightTable(beta=beta, k=k, gamma=gamma, u=table.u,
                         s_mean=mean, s_err=np.sqrt(var / samples), samples=samples)
-
-
-def u_weight(n: int, beta: float, k: int, gamma: float, law: RenewalLaw,
-             samples: int, rng: np.random.Generator,
-             denom_constant: float = 9.0) -> tuple[float, float]:
-    """Estimate of U(n)/c8: Green value times the anti-correlation factor."""
-    if not 0 <= n < k:
-        raise InvalidParameter(f"gap {n} outside the window [0, {k})")
-    if n == 0:
-        return 1.0, 0.0
-    tab = u_weight_table(beta, k, gamma, law, samples, rng, denom_constant)
-    return float(tab.u[n] * tab.s_of_gap(n)), float(tab.u[n] * tab.s_err[n // 2])
 
 
 def green_bound_constant(table: GreenTable) -> float:
@@ -498,12 +470,6 @@ def w_mean_exact(table: GreenTable, L: int) -> float:
     return total / (math.sqrt(L) * math.log(L))
 
 
-def y_log_weight_sum(path: RenewalPath, L: int) -> float:
-    """sum over path points 1 <= p <= L of 1/sqrt(p)."""
-    pts = path.points[(path.points >= 1) & (path.points <= L)]
-    return float(np.sum(1.0 / np.sqrt(pts))) if pts.size else 0.0
-
-
 def chung_erdos_check(law: RenewalLaw, L: int,
                       guard: int = 20_000) -> tuple[float, float]:
     """Exact mean and variance of the inverse-sqrt-weighted contact count.
@@ -585,7 +551,7 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
             om[:filled] = sample_tilted_batch(spec, 1.0, rng, 1)[0]
             if filled < N:
                 om[filled:] = rng.standard_normal(N - filled)
-            vals[s] = coarse_grain_term(cfg, om, t, k)
+            vals[s] = math.exp(log_coarse_grain_term(cfg, om, t, k))
         m = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(tilt_samples))
         factor = math.exp(0.5 * len(plan.M))

@@ -17,7 +17,6 @@ from scipy import integrate, signal, special
 from .errors import HorizonExceeded, InvalidParameter
 
 RECURRENT_TOL = 1e-9
-FFT_SWITCH = 20_000
 
 
 @dataclass(frozen=True)
@@ -151,15 +150,6 @@ def reduced_power_law(gamma: float, n_max: int) -> RenewalLaw:
     return make_power_law(1.5 * gamma - 1.0, n_max)
 
 
-def _green_direct(mass: np.ndarray, N: int) -> np.ndarray:
-    u = np.empty(N + 1)
-    u[0] = 1.0
-    K = mass[: N + 1]
-    for n in range(1, N + 1):
-        u[n] = np.dot(K[1 : n + 1], u[n - 1 :: -1][:n])
-    return u
-
-
 def _green_divide_conquer(mass: np.ndarray, N: int, base: int = 512) -> np.ndarray:
     K = mass[: N + 1]
     u = np.zeros(N + 1)
@@ -182,13 +172,12 @@ def _green_divide_conquer(mass: np.ndarray, N: int, base: int = 512) -> np.ndarr
     return u
 
 
-def green_function(law: RenewalLaw, N: int, method: str = "auto") -> GreenTable:
+def green_function(law: RenewalLaw, N: int) -> GreenTable:
     """Renewal mass function on [0, N] by convolution of the gap law.
 
-    Direct O(N^2) convolution for modest N; divide-and-conquer FFT
-    convolution beyond the switch point (both agree to ~1e-12 relative).
-    Laws with an analytic tail must be stored at least to N; for
-    finite-support laws any horizon is exact.
+    Divide-and-conquer FFT convolution, O(N log^2 N); blocks of up to 512
+    sites run the direct convolution.  Laws with an analytic tail must be
+    stored at least to N; for finite-support laws any horizon is exact.
     """
     if N > law.n_max:
         if law.tail_mass > 0.0:
@@ -196,15 +185,7 @@ def green_function(law: RenewalLaw, N: int, method: str = "auto") -> GreenTable:
         mass = np.concatenate([law.mass, np.zeros(N - law.n_max)])
     else:
         mass = law.mass
-    if method == "auto":
-        method = "fft" if N > FFT_SWITCH else "direct"
-    if method == "direct":
-        u = _green_direct(mass, N)
-    elif method == "fft":
-        u = _green_divide_conquer(mass, N)
-    else:
-        raise InvalidParameter(f"unknown method {method!r}")
-    return GreenTable(u=u, law=law)
+    return GreenTable(u=_green_divide_conquer(mass, N), law=law)
 
 
 def renewal_residual(table: GreenTable) -> float:
@@ -311,26 +292,6 @@ def terminating_shift(law: RenewalLaw) -> tuple[RenewalLaw, float]:
         tail_mass=law.tail_mass / sigma,
     )
     return shifted, math.log(sigma)
-
-
-def homogeneous_decay_profile(law_hat: RenewalLaw, h_hat: float, N: int) -> np.ndarray:
-    """Endpoint-pinned homogeneous partition values Z(0..N), log-stable."""
-    if N > law_hat.n_max:
-        raise HorizonExceeded(f"N={N} exceeds the stored law horizon {law_hat.n_max}")
-    with np.errstate(divide="ignore"):
-        logK = np.log(law_hat.mass[: N + 1])
-    L = np.empty(N + 1)
-    L[0] = 0.0
-    for n in range(1, N + 1):
-        terms = L[n - 1 :: -1][:n] + logK[1 : n + 1]
-        m = terms.max()
-        L[n] = h_hat + m + math.log(np.exp(terms - m).sum())
-    return np.exp(L)
-
-
-def homogeneous_decay(law_hat: RenewalLaw, h_hat: float, N: int) -> float:
-    """Value at size N of the endpoint-pinned homogeneous partition sum."""
-    return float(homogeneous_decay_profile(law_hat, h_hat, N)[-1])
 
 
 def conditioning_ratio_curve(law: RenewalLaw, N_max: int) -> np.ndarray:

@@ -22,3 +22,23 @@ def test_mutation_hook_is_detected(monkeypatch):
     monkeypatch.setattr(hierarchy, "_OVERLAP_MUTATION", 1.0 + 1e-6)
     res = acc.crit_02_overlap_identity()
     assert not res.passed
+
+
+def test_dp_consistency_detects_a_perturbed_green_table(monkeypatch):
+    # negative control: the Green side sees K(1) lowered by a relative 1e-8,
+    # which must trip criterion 6
+    import dataclasses
+
+    from pinninglab import renewal
+
+    exact = renewal.green_function
+
+    def perturbed(law, N):
+        mass = law.mass.copy()
+        mass[1] *= 1.0 - 1e-8
+        return exact(dataclasses.replace(law, mass=mass), N)
+
+    monkeypatch.setattr(renewal, "green_function", perturbed)
+    res = acc.crit_06_dp_consistency()
+    print(res.line())
+    assert not res.passed

@@ -97,9 +97,9 @@ def test_single_target_term_is_residual(law_small):
     cfg = QuenchedConfig(law=law_small, beta=0.9, h=0.1, N=k * blocks)
     om = rng.standard_normal(cfg.N)
     full = math.exp(Q.log_partition_dp(cfg, om))
-    others = sum(Q.coarse_grain_term(cfg, om, t, k)
+    others = sum(math.exp(Q.log_coarse_grain_term(cfg, om, t, k))
                  for t in Q.enumerate_target_sets(blocks) if t != (blocks,))
-    solo = Q.coarse_grain_term(cfg, om, (blocks,), k)
+    solo = math.exp(Q.log_coarse_grain_term(cfg, om, (blocks,), k))
     assert solo == pytest.approx(full - others, rel=1e-9)
     assert solo >= 0.0
 
@@ -108,20 +108,18 @@ def test_coarse_grain_window_validation(law_small):
     cfg = QuenchedConfig(law=law_small, beta=0.5, h=0.3, N=12)
     om = np.zeros(12)
     with pytest.raises(InvalidParameter):
-        Q.coarse_grain_term(cfg, om, (1, 2), k=4)  # last target must be 3
+        Q.log_coarse_grain_term(cfg, om, (1, 2), k=4)  # last target must be 3
     with pytest.raises(InvalidParameter):
-        Q.coarse_grain_term(cfg, om, (2, 1, 3), k=4)
+        Q.log_coarse_grain_term(cfg, om, (2, 1, 3), k=4)
 
 
 def test_u_weight_trivial_cases(law):
     rng = np.random.default_rng(4)
-    val, err = Q.u_weight(0, 1.0, 50, 0.75, law, 100, rng)
-    assert val == 1.0 and err == 0.0
+    tab = Q.u_weight_table(1.0, 50, 0.75, law, 100, rng)
+    assert tab.u_over_c8[0] == 1.0 and tab.u_err_over_c8[0] == 0.0
     table = R.green_function(law, 49)
-    v7, _ = Q.u_weight(7, 0.0, 50, 0.75, law, 400, rng)
+    v7 = Q.u_weight_table(0.0, 50, 0.75, law, 400, rng).u_over_c8[7]
     assert v7 == pytest.approx(float(table.u[7]), rel=1e-12)
-    with pytest.raises(InvalidParameter):
-        Q.u_weight(50, 1.0, 50, 0.75, law, 10, rng)
 
 
 def test_u_weight_monotone_in_beta(law):
@@ -129,9 +127,9 @@ def test_u_weight_monotone_in_beta(law):
     means = []
     errs = []
     for i, beta in enumerate((0.0, 1.0, 2.0)):
-        v, e = Q.u_weight(n, beta, k, gamma, law, 4000, np.random.default_rng(50 + i))
-        means.append(v)
-        errs.append(e)
+        tab = Q.u_weight_table(beta, k, gamma, law, 4000, np.random.default_rng(50 + i))
+        means.append(tab.u_over_c8[n])
+        errs.append(tab.u_err_over_c8[n])
     assert means[1] <= means[0] + 3 * errs[1]
     assert means[2] <= means[1] + 3 * math.hypot(errs[1], errs[2])
 
@@ -218,8 +216,14 @@ def test_chung_erdos_brute_two_point():
 def test_chung_erdos_vs_mc(law):
     L = 1000
     mean, var = Q.chung_erdos_check(law, L)
+
+    def y_log_weight_sum(path):
+        """sum over path points 1 <= p <= L of 1/sqrt(p)."""
+        pts = path.points[(path.points >= 1) & (path.points <= L)]
+        return float(np.sum(1.0 / np.sqrt(pts))) if pts.size else 0.0
+
     rng = np.random.default_rng(8)
-    vals = np.array([Q.y_log_weight_sum(R.sample_path(law, L, rng), L)
+    vals = np.array([y_log_weight_sum(R.sample_path(law, L, rng))
                      for _ in range(6000)])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - mean) <= 3 * se

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pinninglab import renewal as R
 from pinninglab.errors import HorizonExceeded, InvalidParameter
 from pinninglab import oracles
+from pinninglab.quenched import QuenchedConfig, log_partition_profile
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +60,8 @@ def test_green_horizon_guard(half_law, two_point):
 
 
 def test_green_direct_vs_fft(half_law):
-    a = R.green_function(half_law, 3000, method="direct").u
-    b = R.green_function(half_law, 3000, method="fft").u
+    a = oracles.green_direct(half_law, 3000)
+    b = R.green_function(half_law, 3000).u
     assert np.max(np.abs(a - b) / a) < 1e-10
 
 
@@ -207,21 +208,27 @@ def test_free_energy_requires_recurrent():
         R.homogeneous_free_energy(transient, 0.2)
 
 
+def _homogeneous_decay_profile(law_hat, h_hat, N):
+    """Endpoint-pinned homogeneous partition values Z(0..N): the DP at beta 0."""
+    cfg = QuenchedConfig(law=law_hat, beta=0.0, h=h_hat, N=N)
+    return np.exp(log_partition_profile(cfg, np.zeros(N)))
+
+
 def test_homogeneous_decay_single_term(two_point):
-    assert R.homogeneous_decay(two_point, -0.5, 1) == pytest.approx(
+    assert _homogeneous_decay_profile(two_point, -0.5, 1)[1] == pytest.approx(
         math.exp(-0.5) * 0.6)
 
 
 def test_homogeneous_decay_matches_green(two_point):
     u = R.green_function(two_point, 2).u
-    prof = R.homogeneous_decay_profile(two_point, 0.0, 2)
+    prof = _homogeneous_decay_profile(two_point, 0.0, 2)
     assert prof[1] == pytest.approx(u[1], rel=1e-12)
     assert prof[2] == pytest.approx(u[2], rel=1e-12)
 
 
 def test_homogeneous_decay_negative_reward_vanishes():
     law = R.reduced_power_law(0.8, 10_000)
-    prof = R.homogeneous_decay_profile(law, -0.5, 10_000)
+    prof = _homogeneous_decay_profile(law, -0.5, 10_000)
     peak = prof.max()
     assert prof[-1] < 1e-3 * peak
     assert np.all(np.diff(prof[200:]) <= 1e-15)
