@@ -1,6 +1,7 @@
 """Shared numerical plumbing: seeding, Monte Carlo accumulation, small stats."""
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -78,10 +79,10 @@ def chunk_sizes(total: int, chunk: int):
 
 
 def logsumexp_1d(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    if not np.isfinite(m):
+    m = float(x.max())
+    if not math.isfinite(m):
         return m
-    return m + float(np.log(np.sum(np.exp(x - m))))
+    return m + float(np.log(np.exp(x - m).sum()))
 
 
 def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:

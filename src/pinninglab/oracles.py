@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .numerics import logsumexp_1d
 from .renewal import RenewalLaw
 
 
@@ -95,6 +96,17 @@ def green_direct(law: RenewalLaw, N: int) -> np.ndarray:
     for n in range(1, N + 1):
         u[n] = np.dot(K[1 : n + 1], u[n - 1 :: -1][:n])
     return u
+
+
+def log_renewal_dp_direct(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray:
+    """The renewal DP site by site in the log domain, pinned at site 0:
+    L[0] = 0 and L[n] = logz[n] + logsumexp_{j <= min(n, band)} (L[n-j] + log K(j))."""
+    L = np.empty(logz.size)
+    L[0] = 0.0
+    for n in range(1, logz.size):
+        w = min(n, band)
+        L[n] = logz[n] + logsumexp_1d(L[n - w : n][::-1] + logK[1 : w + 1])
+    return L
 
 
 def conditioning_ratio_brute(law: RenewalLaw, N: int) -> float:

@@ -2,10 +2,12 @@
 coarse-graining decomposition, tilted-block weights, and the pair-sum
 limit statistics.
 
-All partition computations run in the log domain.  The coarse-grained
-terms are evaluated by a restricted DP over (first-return, last-in-window)
-states per selected block, so the nested sums of the decomposition are
-never materialized.
+Partition values are stored as logs.  The renewal DP computes them one
+block of up to 64 sites at a time, in the linear domain against a
+per-block log offset, with a guard on the block's exponent range (see
+`_log_renewal_dp`).  The coarse-grained terms are evaluated by a
+restricted DP over (first-return, last-in-window) states per selected
+block, so the nested sums of the decomposition are never materialized.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
+from scipy.linalg import blas
 
 from .errors import (DimensionMismatch, HorizonExceeded, InvalidParameter,
                      ResourceGuard)
@@ -24,6 +27,8 @@ from .renewal import (GreenTable, RenewalLaw, RenewalPath, conditioning_ratio,
 
 MAX_DP_SIZE = 100_000
 MAX_BLOCK_COUNT = 6
+_BLOCK = 64           # sites per block of the renewal DP
+_EXP_RANGE = 600.0    # widest exponent range a DP block may span (e^709 overflows)
 
 
 @dataclass(frozen=True)
@@ -87,16 +92,54 @@ def _site_log_weights(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
 
 
 def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray:
-    """The renewal DP in the log domain, pinned at site 0.
+    """The renewal DP pinned at site 0, one block of at most 64 sites at a time.
 
     L[0] = 0 and L[n] = logz[n] + log sum_{j <= min(n, band)} K(j) e^L[n-j];
-    logz[0] is never read.
+    logz[0] is never read; logK holds log K(0..band), and K sums to at most 1.
+
+    A block [s, e) runs in the linear domain against the log offset
+    off = log sum e^L over the window [s - band, s) behind it.  With
+    y = e^(L - off) on the window and z = e^logz, the block's unknowns
+    x[i] = e^(L[s+i] - off - logz[s+i]) solve (I - T diag(z)) x = far, where
+    far[i] = sum_d K(i + d) y[s - d] is one product against a Toeplitz slab
+    of K and T[i, i'] = K(i - i') is strictly lower triangular, so x comes
+    from one forward substitution.  Every term is positive: nothing cancels.
+
+    Guard: a block ends before the sum of |logz| - log K(1) over its sites
+    but the last exceeds _EXP_RANGE.  Every x[i] then lies between
+    e^-_EXP_RANGE far[0] and e^_EXP_RANGE, so nothing overflows or drops to
+    subnormals.  The last site's z is never formed, so a one-site block is
+    the exact step L[s] = logz[s] + log sum_d K(d) e^L[s-d].
     """
-    L = np.empty(logz.size)
+    N = logz.size - 1
+    L = np.empty(N + 1)
     L[0] = 0.0
-    for n in range(1, logz.size):
-        w = min(n, band)
-        L[n] = logz[n] + logsumexp_1d(L[n - w : n][::-1] + logK[1 : w + 1])
+    if N == 0:
+        return L
+    W, rows = min(band, N), min(_BLOCK, N)
+    # K(j) sits at K[rows + j] for j in [-rows, W + rows), zero off [1, band]
+    K = np.zeros(W + 2 * rows)
+    top = min(band, W + rows - 1)
+    K[rows + 1 : rows + top + 1] = np.exp(logK[1 : top + 1])
+    step = K.itemsize
+    # Toeplitz views: slab[i, c] = K(i + W - c), block row i against the
+    # window (oldest site first); neg_T[i, i'] = -K(i - i'), against the block
+    slab = np.ndarray((rows, W), buffer=K, offset=(W + rows) * step,
+                      strides=(step, -step)).copy()
+    neg_T = np.ndarray((rows, rows), buffer=-K, offset=rows * step, strides=(step, -step))
+    spread = np.cumsum(np.abs(logz) - logK[1])
+    z = np.zeros(rows)    # z[b - 1] meets only zeros of -T: any finite value does
+    s = 1
+    while s <= N:
+        e = min(s + rows, N + 1,
+                int(spread.searchsorted(spread[s - 1] + _EXP_RANGE, side="right")) + 1)
+        b, w = e - s, min(s, band)
+        off = logsumexp_1d(L[s - w : s])
+        far = slab[:b, W - w :] @ np.exp(L[s - w : s] - off)
+        np.exp(logz[s : e - 1], out=z[: b - 1])
+        x = blas.dtrsv(neg_T[:b, :b] * z[:b], far, lower=1, diag=1, overwrite_x=1)
+        L[s:e] = off + logz[s:e] + np.log(x)
+        s = e
     return L
 
 
@@ -172,7 +215,8 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
     }
     starts = sorted({int(n) for b in targets for n in block_positions[b]})
     # log partition pinned at both ends: pinned[a][b - a] for b in [a, a + k - 1] cap N
-    pinned = {a: _log_renewal_dp(logz[a : min(a + k - 1, cfg.N) + 1], logK, cfg.law.n_max)
+    n_max = cfg.law.n_max
+    pinned = {a: _log_renewal_dp(logz[a : min(a + k - 1, cfg.N) + 1], logK, n_max)
               for a in starts}
 
     ell = len(targets)
@@ -182,14 +226,14 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
         new_state: dict[tuple[int, int], float] = {}
         for n in block_positions[block]:
             if r == 0:
-                if n > cfg.law.n_max:
+                if n > n_max:
                     continue
                 w_in = float(logK[n])
             else:
                 terms = [
                     w + logK[n - j]
                     for (np_, j), w in state.items()
-                    if n >= np_ + k and 1 <= n - j <= cfg.law.n_max
+                    if n >= np_ + k and 1 <= n - j <= n_max
                 ]
                 if not terms:
                     continue

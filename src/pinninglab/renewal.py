@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, signal, special
+from scipy import fft, integrate, special
 
 from .errors import HorizonExceeded, InvalidParameter
 
@@ -150,6 +150,16 @@ def reduced_power_law(gamma: float, n_max: int) -> RenewalLaw:
     return make_power_law(1.5 * gamma - 1.0, n_max)
 
 
+def _convolve(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Terms start..stop-1 of the linear convolution a * b, by real FFTs.
+
+    A circular convolution of length m >= stop adds term t + m onto term t;
+    m >= a.size + b.size - 1 - start leaves nothing to add from t >= start.
+    """
+    m = fft.next_fast_len(max(stop, a.size + b.size - 1 - start), real=True)
+    return fft.irfft(fft.rfft(a, m) * fft.rfft(b, m), m)[start:stop]
+
+
 def _green_divide_conquer(mass: np.ndarray, N: int, base: int = 512) -> np.ndarray:
     K = mass[: N + 1]
     u = np.zeros(N + 1)
@@ -164,8 +174,7 @@ def _green_divide_conquer(mass: np.ndarray, N: int, base: int = 512) -> np.ndarr
             return
         mid = (lo + hi) // 2
         rec(lo, mid)
-        conv = signal.fftconvolve(u[lo:mid], K[1 : hi - lo])
-        acc[mid:hi] += conv[mid - lo - 1 : hi - lo - 1]
+        acc[mid:hi] += _convolve(u[lo:mid], K[1 : hi - lo], mid - lo - 1, hi - lo - 1)
         rec(mid, hi)
 
     rec(1, N + 1)
@@ -191,8 +200,7 @@ def green_function(law: RenewalLaw, N: int) -> GreenTable:
 def renewal_residual(table: GreenTable) -> float:
     """sup-norm of u - K*u - e0; machine-zero for a correct table."""
     u, K = table.u, table.law.mass[: table.horizon + 1]
-    conv = signal.fftconvolve(u, K)[: u.size]
-    res = u - conv
+    res = u - _convolve(u, K, 0, u.size)
     res[0] -= 1.0
     return float(np.max(np.abs(res)))
 
@@ -314,10 +322,9 @@ def conditioning_ratio_curve(law: RenewalLaw, N_max: int) -> np.ndarray:
     out = np.empty(N_max)
     running = 0.0
     for N in range(1, N_max + 1):
-        # S(N, n) = sum_{m<=N-1} u(m) K(2N-n-m) for n = 0..N, via one convolution
-        conv = signal.fftconvolve(u[:N], K[: 2 * N + 1])
-        t = 2 * N - np.arange(N + 1)  # index t = 2N - n
-        S = conv[t]
+        # S(N, n) = sum_{m<=N-1} u(m) K(2N-n-m) for n = 0..N: terms 2N..N
+        # of one convolution
+        S = _convolve(u[:N], K[: 2 * N + 1], N, 2 * N + 1)[::-1]
         surv = law.grand_total - cdf[N - np.arange(N + 1)]
         feasible = surv > 0.0  # last-epoch values the law can realize at all
         ratios = S[feasible] / (u[2 * N] * surv[feasible])

@@ -46,6 +46,45 @@ def test_dp_monotone_in_reward(seed):
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def _assert_dp_matches_oracle(logz, logK, band):
+    # relative 1e-12 on log Z, or on Z itself (absolute on log Z) near log Z = 0
+    fast = Q._log_renewal_dp(logz, logK, band)
+    slow = oracles.log_renewal_dp_direct(logz, logK, band)
+    assert np.all(np.isfinite(fast))
+    assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
+
+
+def test_dp_kernel_matches_log_domain_oracle(law):
+    # band >= N (n_max 2 000) and band < N (n_max 40); rows shorter than,
+    # equal to and just past one 64-site block; pinned rows of 1 to 5 sites
+    rng = np.random.default_rng(11)
+    for lw in (law, R.make_power_law(0.5, 40)):
+        with np.errstate(divide="ignore"):
+            logK = np.log(lw.mass)
+        for beta in (0.0, 0.5, 1.5):
+            for h in (-0.3, 2.0):
+                for N in (1, 63, 64, 65, 1200):
+                    cfg = QuenchedConfig(law=lw, beta=beta, h=h, N=N)
+                    logz = Q._site_log_weights(cfg, rng.standard_normal(N))
+                    _assert_dp_matches_oracle(logz, logK, lw.n_max)
+                for k in range(1, 6):
+                    a = int(rng.integers(1, 60))
+                    _assert_dp_matches_oracle(logz[a : a + k + 1], logK, lw.n_max)
+
+
+def test_dp_kernel_guards_extreme_site_weights(law):
+    # 64 sites of log weight +30 overflow an unguarded block (e^1920), and
+    # with a band of 2 sites, 64 sites of log weight about -35 underflow it
+    rng = np.random.default_rng(12)
+    for lw in (law, R.law_from_mass([0.6, 0.4])):
+        with np.errstate(divide="ignore"):
+            logK = np.log(lw.mass)
+        for beta, h in ((0.0, 30.0), (3.0, -30.0)):
+            cfg = QuenchedConfig(law=lw, beta=beta, h=h, N=200)
+            logz = Q._site_log_weights(cfg, rng.standard_normal(200))
+            _assert_dp_matches_oracle(logz, logK, lw.n_max)
+
+
 def test_dp_guard(law):
     with pytest.raises(ResourceGuard):
         Q.log_partition_dp(QuenchedConfig(law=law, beta=0.0, h=0.0, N=200_000),
