@@ -8,13 +8,13 @@ batch experiment CLI.
 from .records import VERSION as __version__
 
 from .errors import (ConfigError, DimensionMismatch, HorizonExceeded,
-                     InvalidParameter, NotFactorized, NotPositiveDefinite,
+                     InvalidParameter, NotPositiveDefinite,
                      PinningLabError, ResourceGuard)
 from .hierarchy import B_CRITICAL, HierParams, LeafSet, TreeIndexSet
 from .renewal import (GreenTable, RenewalLaw, RenewalPath, green_function,
                       homogeneous_free_energy, make_power_law, sample_path)
-from .gaussian import CovarianceSpec, build_block_coupling, build_hier_coupling, \
-    factorize, holder_cost
+from .gaussian import BlockCoupling, HierCoupling, build_block_coupling, \
+    build_hier_coupling, factorize, holder_cost
 from .hiermc import Certificate, PoolEstimate, certify_delocalization, \
     pool_free_energy, tilted_mean
 from .quenched import CoarseGrainPlan, QuenchedConfig, log_partition_dp, \
@@ -23,11 +23,11 @@ from .quenched import CoarseGrainPlan, QuenchedConfig, log_partition_dp, \
 __all__ = [
     "__version__", "B_CRITICAL",
     "PinningLabError", "InvalidParameter", "HorizonExceeded", "DimensionMismatch",
-    "NotPositiveDefinite", "NotFactorized", "ResourceGuard", "ConfigError",
+    "NotPositiveDefinite", "ResourceGuard", "ConfigError",
     "RenewalLaw", "GreenTable", "RenewalPath", "make_power_law",
     "green_function", "sample_path", "homogeneous_free_energy",
     "HierParams", "LeafSet", "TreeIndexSet",
-    "CovarianceSpec", "build_hier_coupling", "build_block_coupling",
+    "HierCoupling", "BlockCoupling", "build_hier_coupling", "build_block_coupling",
     "factorize", "holder_cost",
     "PoolEstimate", "Certificate", "pool_free_energy", "tilted_mean",
     "certify_delocalization",

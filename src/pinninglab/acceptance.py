@@ -129,18 +129,15 @@ def crit_08_gaussian_machinery() -> CriterionResult:
     worst_eig = 0.0
     for n in range(2, 7):
         spec = gaussian.factorize(gaussian.build_hier_coupling(n))
-        eigs, mult = gaussian.hier_scale_eigenvalues(spec)
         dense = np.sort(np.linalg.eigvalsh(gaussian.dense_hier_coupling(spec)))
         worst_eig = max(worst_eig, float(np.max(np.abs(
-            dense - np.sort(np.repeat(eigs, mult))))))
+            dense - np.sort(np.repeat(spec.eigs, spec.mult))))))
 
     spec = gaussian.factorize(gaussian.build_hier_coupling(4))  # dim 16
     rng = derive_rng(MASTER_SEED, "crit08")
     eps = 0.3
     om = rng.standard_normal((100_000, 16))
-    vals = np.empty(om.shape[0])
-    for i in range(vals.size):
-        vals[i] = math.exp(gaussian.density_ratio(om[i], spec, eps))
+    vals = np.exp(gaussian.density_ratio(om, spec, eps))
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(vals.size))
     norm_ok = abs(mean - 1.0) <= 3 * se

@@ -28,22 +28,7 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _apply_mutation(name: str) -> None:
-    from . import hierarchy
-
-    if name == "overlap-normalization":
-        hierarchy._OVERLAP_MUTATION = 1.01
-    else:
-        raise ConfigError(f"unknown mutation hook {name!r}")
-
-
 def _cmd_acceptance(args) -> int:
-    if args.mutate:
-        try:
-            _apply_mutation(args.mutate)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
     numbers = set(args.criteria) if args.criteria else None
     results = acc.run_all(numbers=numbers)
     n_fail = sum(not r.passed for r in results)
@@ -79,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--dir", default=None, help="directory for the summary table")
     pa.add_argument("--criteria", type=int, nargs="*", default=None,
                     help="subset of criterion numbers to run")
-    pa.add_argument("--mutate", default=None,
-                    help="negative-control hook (overlap-normalization)")
     pa.set_defaults(func=_cmd_acceptance)
     return p
 

@@ -21,10 +21,6 @@ class NotPositiveDefinite(PinningLabError, ArithmeticError):
     """Covariance factorization failed; the tilt is too strong."""
 
 
-class NotFactorized(PinningLabError, RuntimeError):
-    """Sampling was requested from a spec without a factorization."""
-
-
 class ResourceGuard(PinningLabError, ValueError):
     """A size parameter exceeds the desk-scale guard."""
 

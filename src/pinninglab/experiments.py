@@ -152,13 +152,13 @@ def second_moment_scan(cfg: ExperimentConfig, rec: RunRecord):
     rows = []
     running = 0.0
     for n in range(2, n_hi + 1):
-        v = hierarchy.y_second_moment(n, method="topology")
+        v = hierarchy.y_second_moment(n)
         running = max(running, v)
         rows.append((n, float(v), float(running)))
     worst = 0.0
     for n in (4, 5, 6):
-        worst = max(worst, abs(hierarchy.y_second_moment(n, method="brute")
-                               - hierarchy.y_second_moment(n, method="topology")))
+        worst = max(worst, abs(oracles.y_second_moment_brute(n)
+                               - hierarchy.y_second_moment(n)))
     rec.constants["k_hat"] = running
     rec.estimates["max_method_gap"] = estimate(worst)
     rec.flags["methods_agree"] = worst <= 1e-10

@@ -166,15 +166,7 @@ def pair_overlap_sum(n: int, B: float) -> float:
         raise InvalidParameter("need n >= 1")
     a = np.arange(1, n + 1, dtype=float)
     val = 2.0**n * np.sum(2.0 ** (a - 1) * float(B) ** (-2.0 * (n + a - 1)))
-    return float(val) * _overlap_scale()
-
-
-# mutation hook for the acceptance negative control; leave at 1.0
-_OVERLAP_MUTATION = 1.0
-
-
-def _overlap_scale() -> float:
-    return _OVERLAP_MUTATION
+    return float(val)
 
 
 def sample_leafset_batch(n: int, B: float, rng: np.random.Generator,
@@ -276,42 +268,18 @@ def y_statistic(ls: LeafSet, B: float) -> float:
     return float(w.sum()) / ls.n
 
 
-def _y2_brute(n: int, B: float) -> float:
-    """Second moment of the overlap statistic by full quadruple enumeration."""
-    size = 2**n
-    idx = np.arange(size, dtype=np.int64)
-    shapes = [(size, 1, 1, 1), (1, size, 1, 1), (1, 1, size, 1), (1, 1, 1, size)]
-    quad = [idx.reshape(s) for s in shapes]
-    # distinct-value count among four small ints, via pairwise equalities:
-    # 0 eq -> 4 distinct, 1 -> 3, 2 or 3 -> 2, 6 -> 1
-    distinct_of_eq = np.array([4, 3, 2, 2, 0, 0, 1], dtype=np.int8)
-    v = np.zeros((size,) * 4, dtype=np.int16)
-    for level in range(1, n + 1):
-        anc = [q >> level for q in quad]
-        eq = np.zeros((size,) * 4, dtype=np.int8)
-        for p in range(4):
-            for q in range(p + 1, 4):
-                eq = eq + (anc[p] == anc[q])
-        v += distinct_of_eq[eq]
-    x = np.bitwise_xor.outer(idx, idx)
-    a = np.frexp(x.astype(float))[1]
-    e2 = float(B) ** -(n + a - 1.0)
-    np.fill_diagonal(e2, 0.0)  # zero diagonal enforces i != j and k != l
-    w = e2.reshape(size, size, 1, 1) * e2.reshape(1, 1, size, size)
-    total = float(np.sum(w * float(B) ** (-v.astype(np.float64))))
-    return total / n**2
-
-
-def _y2_topology(n: int, B: float) -> float:
-    """Second moment of the overlap statistic by exact join-topology sums.
+def y_second_moment(n: int) -> float:
+    """Exact mean square of the overlap statistic at the critical B, by
+    join-topology sums; `oracles.y_second_moment_brute` enumerates it.
 
     Ordered pair-of-pairs are grouped by the shape of the four-leaf
     subtree: coinciding pairs, three distinct leaves (one shared), and the
     two four-leaf shapes (two sibling pairs under a common join, or a
     chain of three join levels).  Set counts are exact, not bounds.
     """
-    B = float(B)
-    lg = math.log(B)
+    if n < 2:
+        raise InvalidParameter("need n >= 2")
+    lg = math.log(B_CRITICAL)
 
     def bp(e: float) -> float:
         return math.exp(-lg * e)
@@ -353,29 +321,10 @@ def _y2_topology(n: int, B: float) -> float:
     return (float(case2) + case3 + case4a + case4b) / n**2
 
 
-def y_second_moment(n: int, method: str = "auto") -> float:
-    """Exact mean square of the overlap statistic at the critical B.
-
-    Quadruple enumeration up to n = 6, closed topology sums beyond; the
-    two agree to 1e-10 where both run.
-    """
-    if n < 2:
-        raise InvalidParameter("need n >= 2")
-    if method == "auto":
-        method = "brute" if n <= 6 else "topology"
-    if method == "brute":
-        if n > 7:
-            raise InvalidParameter("enumeration is O(2^(4n)); use the topology sums")
-        return _y2_brute(n, B_CRITICAL)
-    if method == "topology":
-        return _y2_topology(n, B_CRITICAL)
-    raise InvalidParameter(f"unknown method {method!r}")
-
-
 @lru_cache(maxsize=None)
 def k_hat(n_cap: int = 30) -> float:
     """Running max of the overlap second moment over generations 2..n_cap."""
-    return max(y_second_moment(n, method="topology") for n in range(2, n_cap + 1))
+    return max(y_second_moment(n) for n in range(2, n_cap + 1))
 
 
 def fractional_threshold(B: float, gamma: float) -> float:

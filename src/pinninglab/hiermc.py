@@ -279,7 +279,7 @@ def certify_delocalization(
             raise ResourceGuard(f"n={n} beyond the feasibility cap {n_cap}")
 
     spec = gaussian.factorize(gaussian.build_hier_coupling(n, B))
-    pd_cap = 0.999 / spec.factor.lam_max
+    pd_cap = 0.999 / spec.lam_max
     epsilon = (epsilon_override if epsilon_override is not None
                else min(eps0, pd_cap))
     h = zeta * 2.0**-n

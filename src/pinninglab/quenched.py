@@ -20,7 +20,8 @@ from scipy.linalg import blas
 
 from .errors import (DimensionMismatch, HorizonExceeded, InvalidParameter,
                      ResourceGuard)
-from .gaussian import build_block_coupling, factorize, holder_cost, sample_tilted_batch
+from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
+                       sample_tilted_batch)
 from .numerics import MeanAccumulator, PoolEstimate, logsumexp_1d
 from .renewal import (GreenTable, RenewalLaw, RenewalPath, conditioning_ratio,
                       green_function, homogeneous_free_energy, sample_path)
@@ -319,13 +320,12 @@ class UWeightTable:
 
 
 def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
-                   samples: int, rng: np.random.Generator,
-                   denom_constant: float = 9.0) -> UWeightTable:
+                   samples: int, rng: np.random.Generator) -> UWeightTable:
     if k < 2:
         raise InvalidParameter("window must be at least 2")
     m_max = (k - 1) // 2
     table = green_function(law, max(k - 1, 1))
-    hscale = (1.0 - gamma) / math.sqrt(denom_constant * k * math.log(k))
+    hscale = (1.0 - gamma) / math.sqrt(_BLOCK_DENOM * k * math.log(k))
     tot = np.zeros(m_max + 1)
     totsq = np.zeros(m_max + 1)
     for _ in range(samples):
@@ -397,8 +397,7 @@ def reduced_reward_threshold(gamma: float, c2: float, zeta_sum: float) -> float:
 
 def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
                        samples: int, rng: np.random.Generator,
-                       cond_horizon: int = 400, c8: float | None = None,
-                       denom_constant: float = 9.0) -> Lemma51Report:
+                       cond_horizon: int = 400, c8: float | None = None) -> Lemma51Report:
     """Assemble both window-sum conditions and the reduced-model reward.
 
     Reports the smallest eta satisfying both conditions, the exact reduced
@@ -410,7 +409,7 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
     k = window_size(h)
     if k < 2:
         raise InvalidParameter("h too large: window degenerates below 2")
-    tab = u_weight_table(beta, k, gamma, law, samples, rng, denom_constant)
+    tab = u_weight_table(beta, k, gamma, law, samples, rng)
     if c8 is None:
         c_hat = conditioning_ratio(law, cond_horizon)
         c8 = math.e * c_hat
@@ -459,12 +458,11 @@ class SplitEstimate:
 
 def split_estimate(beta: float, k: int, delta: float, gamma: float,
                    law: RenewalLaw, samples: int, rng: np.random.Generator,
-                   c8: float | None = None, cond_horizon: int = 400,
-                   denom_constant: float = 9.0) -> SplitEstimate:
+                   c8: float | None = None, cond_horizon: int = 400) -> SplitEstimate:
     """Evaluate both sides of the small/large gap split of the window sum."""
     if not 0.0 < delta < 1.0:
         raise InvalidParameter("delta must lie in (0, 1)")
-    tab = u_weight_table(beta, k, gamma, law, samples, rng, denom_constant)
+    tab = u_weight_table(beta, k, gamma, law, samples, rng)
     if c8 is None:
         c8 = math.e * conditioning_ratio(law, cond_horizon)
     table = green_function(law, max(k - 1, 2))

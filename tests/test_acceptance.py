@@ -19,7 +19,9 @@ def test_mutation_hook_is_detected(monkeypatch):
     # negative control: a corrupted overlap normalization must trip criterion 2
     from pinninglab import hierarchy
 
-    monkeypatch.setattr(hierarchy, "_OVERLAP_MUTATION", 1.0 + 1e-6)
+    exact = hierarchy.pair_overlap_sum
+    monkeypatch.setattr(hierarchy, "pair_overlap_sum",
+                        lambda n, B: exact(n, B) * (1.0 + 1e-6))
     res = acc.crit_02_overlap_identity()
     assert not res.passed
 

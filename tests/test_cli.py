@@ -1,7 +1,6 @@
 import json
 
 from pinninglab import cli
-from pinninglab import hierarchy
 from pinninglab.records import ExperimentConfig
 from pinninglab.experiments import run as run_experiment
 
@@ -92,15 +91,3 @@ def test_acceptance_subset_and_summary(tmp_path):
     summary = (out / "acceptance.summary.csv").read_text().splitlines()
     assert any("overlap-identity" in line for line in summary)
     assert (out / "acceptance.summary.json").exists()
-
-
-def test_acceptance_mutation_negative_control(tmp_path):
-    # corrupting the overlap normalization must make the identity criterion fail
-    rc = cli.main(["acceptance", "--criteria", "2", "--mutate",
-                   "overlap-normalization"])
-    hierarchy._OVERLAP_MUTATION = 1.0
-    assert rc == 1
-
-
-def test_acceptance_unknown_mutation():
-    assert cli.main(["acceptance", "--criteria", "2", "--mutate", "nope"]) == 2

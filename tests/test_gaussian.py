@@ -6,7 +6,7 @@ from scipy import stats
 
 from pinninglab import gaussian as G
 from pinninglab import hierarchy as H
-from pinninglab.errors import InvalidParameter, NotFactorized, NotPositiveDefinite
+from pinninglab.errors import InvalidParameter, NotPositiveDefinite
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +31,7 @@ def test_hier_coupling_entries_n2():
 def test_hier_coupling_unit_norm():
     for n in range(2, 13):
         spec = G.factorize(G.build_hier_coupling(n))
-        eigs, mult = G.hier_scale_eigenvalues(spec)
-        assert float(np.dot(mult, eigs**2)) == pytest.approx(1.0, abs=1e-10)
+        assert float(np.dot(spec.mult, spec.eigs**2)) == pytest.approx(1.0, abs=1e-10)
     v = G.dense_hier_coupling(G.build_hier_coupling(5))
     assert float(np.sum(v * v)) == pytest.approx(1.0, abs=1e-10)
     off = v[~np.eye(v.shape[0], dtype=bool)]
@@ -42,30 +41,27 @@ def test_hier_coupling_unit_norm():
 def test_haar_eigs_match_dense(spec6):
     for n in range(1, 7):
         spec = G.factorize(G.build_hier_coupling(n))
-        eigs, mult = G.hier_scale_eigenvalues(spec)
         dense = np.sort(np.linalg.eigvalsh(G.dense_hier_coupling(spec)))
-        assert np.max(np.abs(dense - np.sort(np.repeat(eigs, mult)))) < 1e-8
+        assert np.max(np.abs(dense - np.sort(np.repeat(spec.eigs, spec.mult)))) < 1e-8
 
 
 def test_haar_roundtrip():
+    # the energies of a synthesized signal are those of its coefficients, per
+    # block of the Haar vector: the smooth part, then the coarsest scale first
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((5, 32))
-    details, smooth = G.haar_analysis(x)
-    back = G.haar_synthesis(details, smooth)
-    assert np.allclose(back, x, atol=1e-12)
+    spec = G.build_hier_coupling(5)
+    details = [rng.standard_normal((3, 2 ** (5 - s))) for s in range(1, 6)]
+    smooth = rng.standard_normal((3, 1))
+    x = G.haar_synthesis(details, smooth)
+    want = np.stack([smooth[:, 0] ** 2] + [np.sum(d**2, axis=1) for d in details[::-1]],
+                    axis=1)
+    assert np.allclose(spec.energies(x), want, rtol=1e-12, atol=0)
     # orthonormality: coefficient energy equals signal energy
-    energy = sum(float(np.sum(d**2)) for d in details) + float(np.sum(smooth**2))
-    assert energy == pytest.approx(float(np.sum(x**2)))
-
-
-def test_factorize_required():
-    spec = G.build_hier_coupling(4)
-    with pytest.raises(NotFactorized):
-        G.sample_tilted_batch(spec, 0.1, np.random.default_rng(0), 1)
+    assert np.allclose(want.sum(axis=1), np.sum(x**2, axis=1), rtol=1e-12, atol=0)
 
 
 def test_pd_window(spec6):
-    lam = spec6.factor.lam_max
+    lam = spec6.lam_max
     with pytest.raises(NotPositiveDefinite):
         G.sample_tilted_batch(spec6, 1.01 / lam, np.random.default_rng(0), 2)
     out = G.sample_tilted_batch(spec6, 0.9 / lam, np.random.default_rng(0), 2)
@@ -144,7 +140,7 @@ def test_density_ratio_normalization(spec6_small=None):
     rng = np.random.default_rng(8)
     om = rng.standard_normal((100_000, 8))
     eps = 0.3
-    vals = np.exp([G.density_ratio(o, spec, eps) for o in om])
+    vals = np.exp(G.density_ratio(om, spec, eps))
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 1.0) <= 3 * se
     assert G.density_ratio(om[0], spec, 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -156,7 +152,7 @@ def test_density_ratio_matches_holder_quantity():
     eps, gamma = 0.1, 0.6
     rng = np.random.default_rng(15)
     om = rng.standard_normal((200_000, 8))
-    r = np.array([G.density_ratio(o, spec, eps) for o in om])
+    r = G.density_ratio(om, spec, eps)
     vals = np.exp(-gamma / (1.0 - gamma) * r)
     mc = vals.mean()
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -221,6 +217,33 @@ def test_block_density_ratio_normalizes():
     spec = G.factorize(G.build_block_coupling(4, 0.75, (1, 2)))
     rng = np.random.default_rng(4)
     om = rng.standard_normal((100_000, 8))
-    vals = np.exp([G.density_ratio(o, spec, 1.0) for o in om])
+    vals = np.exp(G.density_ratio(om, spec, 1.0))
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - 1.0) <= 3 * se
+
+
+def _dense_log_density(om, v, eps):
+    a = np.eye(v.shape[0]) - eps * v
+    sign, logdet = np.linalg.slogdet(a)
+    assert sign > 0
+    quad = np.einsum("ri,ij,rj->r", om, np.linalg.inv(a) - np.eye(v.shape[0]), om)
+    return -0.5 * quad - 0.5 * logdet
+
+
+def test_density_ratio_matches_dense_formula():
+    # one batched call against -1/2 w^T ((I - eps V)^-1 - I) w - 1/2 log det(I - eps V)
+    rng = np.random.default_rng(23)
+    cases = [(G.build_hier_coupling(n), None, 0.3) for n in range(1, 5)]
+    k, blocks = 8, (1, 2, 4)
+    v = np.zeros((k * blocks[-1],) * 2)
+    for b in blocks:
+        v[(b - 1) * k : b * k, (b - 1) * k : b * k] = G.block_profile(k, 0.75)
+    cases.append((G.build_block_coupling(k, 0.75, blocks), v, 1.0))
+    for spec, v, eps in cases:
+        if v is None:
+            v = G.dense_hier_coupling(spec)
+        om = rng.standard_normal((5, spec.dim))
+        batch = G.density_ratio(om, spec, eps)
+        assert batch.shape == (5,)
+        np.testing.assert_allclose(batch, _dense_log_density(om, v, eps), rtol=1e-12, atol=0)
+        assert G.density_ratio(om[2], spec, eps) == batch[2]

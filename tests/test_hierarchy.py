@@ -204,10 +204,12 @@ def test_y_mc_mean_is_one():
 
 def test_y_second_moment_methods_agree():
     for n in (2, 3, 4, 5, 6):
-        assert H.y_second_moment(n, "brute") == pytest.approx(
-            H.y_second_moment(n, "topology"), abs=1e-10)
+        assert oracles.y_second_moment_brute(n) == pytest.approx(
+            H.y_second_moment(n), abs=1e-10)
     with pytest.raises(InvalidParameter):
         H.y_second_moment(1)
+    with pytest.raises(InvalidParameter):
+        oracles.y_second_moment_brute(8)
 
 
 def test_y_second_moment_vs_mc():
@@ -220,7 +222,7 @@ def test_y_second_moment_vs_mc():
 
 
 def test_y_second_moment_bounded_and_jensen():
-    vals = [H.y_second_moment(n, "topology") for n in range(2, 31)]
+    vals = [H.y_second_moment(n) for n in range(2, 31)]
     assert all(v >= 1.0 for v in vals)
     assert H.k_hat(30) == pytest.approx(max(vals))
 

@@ -1,8 +1,11 @@
-"""The benchmark's tracer must find every function it times.
+"""The benchmark's tracer must find every function it times, and the
+library calls the benchmark makes directly must still run.
 
-`perfbench/tracing.py` wraps library functions by name; a renamed or
-removed one would otherwise show up only as a crashed traced benchmark run.
+`perfbench/tracing.py` wraps library functions by name, and
+`perfbench/workloads.py` calls a few outside `experiments.run`; a renamed or
+removed one would otherwise show up only as a crashed benchmark run.
 """
+import math
 import sys
 from pathlib import Path
 
@@ -42,3 +45,17 @@ def test_tracer_bindings_resolve_and_restore(monkeypatch):
     counts = tracing.call_counts(spans, calls)
     for name in ("quenched.dp", "numerics.logsumexp", "renewal.green"):
         assert counts[name] > 0, f"{name} recorded no calls"
+
+
+def test_workload_direct_calls_run(monkeypatch):
+    # every job list and set-up, plus the two jobs that call the library directly
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    for name, build in workloads.WORKLOADS.items():
+        assert build(0), f"{name}: no jobs"
+        assert workloads.setup(name), f"{name}: empty set-up"
+    mean, se = workloads._density_norm(0, rows=64)
+    assert math.isfinite(mean) and se > 0.0
+    arms = workloads._tilted_arms(0)
+    assert math.isfinite(arms.disorder_mc.mean) and math.isfinite(arms.renewal_mc.mean)
