@@ -13,7 +13,7 @@ import numpy as np
 from .errors import InvalidParameter
 from .hierarchy import B_CRITICAL
 from .numerics import logsumexp_1d
-from .renewal import RenewalLaw
+from .renewal import RenewalLaw, green_function
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +139,25 @@ def log_renewal_dp_direct(logz: np.ndarray, logK: np.ndarray, band: int) -> np.n
         w = min(n, band)
         L[n] = logz[n] + logsumexp_1d(L[n - w : n][::-1] + logK[1 : w + 1])
     return L
+
+
+def chung_erdos_direct(law: RenewalLaw, L: int) -> tuple[float, float]:
+    """Mean and variance of the inverse-sqrt-weighted contact count on [1, L],
+    with the variance's cross term summed row by row: O(L^2).
+
+    It reads the same Green table as the fast path, so a comparison tests the
+    variance's assembly alone: on a law with few gap lengths the variance
+    cancels enough to lift the table's roundoff several hundredfold.
+    """
+    u = green_function(law, L).u
+    idx = np.arange(1, L + 1, dtype=float)
+    mean = float(np.sum(u[1:] / np.sqrt(idx)))
+    var = float(np.sum((u[1:] - u[1:] ** 2) / idx))
+    for i in range(1, L):
+        ji = np.arange(i + 1, L + 1, dtype=float)
+        cross = (u[1 : L - i + 1] - u[i + 1 :]) / np.sqrt(ji)
+        var += 2.0 * u[i] / math.sqrt(i) * float(np.sum(cross))
+    return mean, var
 
 
 def conditioning_ratio_brute(law: RenewalLaw, N: int) -> float:

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 from scipy.linalg import blas
+from scipy.spatial import distance
 
 from .errors import (DimensionMismatch, HorizonExceeded, InvalidParameter,
                      ResourceGuard)
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
 from .numerics import MeanAccumulator, PoolEstimate, logsumexp_1d
-from .renewal import (GreenTable, RenewalLaw, RenewalPath, conditioning_ratio,
+from .renewal import (GreenTable, RenewalLaw, RenewalPath, _convolve, conditioning_ratio,
                       green_function, homogeneous_free_energy, sample_path)
 
 MAX_DP_SIZE = 100_000
@@ -152,9 +153,7 @@ def log_partition_profile(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
     """
     if cfg.N > MAX_DP_SIZE:
         raise ResourceGuard(f"N={cfg.N} beyond the desk-scale guard {MAX_DP_SIZE}")
-    with np.errstate(divide="ignore"):
-        logK = np.log(cfg.law.mass)
-    return _log_renewal_dp(_site_log_weights(cfg, omega), logK, cfg.law.n_max)
+    return _log_renewal_dp(*_log_weights(cfg, omega), cfg.law.n_max)
 
 
 def log_partition_dp(cfg: QuenchedConfig, omega: np.ndarray) -> float:
@@ -189,13 +188,37 @@ def annealed_rate(cfg: QuenchedConfig) -> float:
     return homogeneous_free_energy(cfg.law, cfg.h)
 
 
+def _log_weights(cfg: QuenchedConfig, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The site log weights and log K(0..n_max) of the renewal DP."""
+    with np.errstate(divide="ignore"):
+        return _site_log_weights(cfg, omega), np.log(cfg.law.mass)
+
+
+def pinned_rows(cfg: QuenchedConfig, omega: np.ndarray, k: int,
+                starts=None) -> dict[int, np.ndarray]:
+    """The log partition pinned at both ends, per start site a (all of 1..N
+    by default): rows[a][b - a] for b in [a, min(a + k - 1, N)].
+
+    The rows depend on (cfg, omega, k) only, so every coarse-grained term
+    of one disorder draw can share them.
+    """
+    logz, logK = _log_weights(cfg, omega)
+    if starts is None:
+        starts = range(1, cfg.N + 1)
+    return {a: _log_renewal_dp(logz[a : min(a + k - 1, cfg.N) + 1], logK, cfg.law.n_max)
+            for a in starts}
+
+
 def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
-                          k: int | None = None) -> float:
+                          k: int | None = None, *,
+                          rows: dict[int, np.ndarray] | None = None) -> float:
     """log of one coarse-grained term of the partition decomposition.
 
     The term collects every pinned path whose first-return scan visits
     exactly the given target blocks: first return n_r in block i_r, last
     contact j_r before n_r + k, no contacts in the long gaps between.
+    `rows` takes `pinned_rows(cfg, omega, k)` when several terms share one
+    draw; by default the rows of the target blocks are built here.
     """
     if k is None:
         k = window_size(cfg.h)
@@ -208,17 +231,13 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
     if any(b <= a for a, b in zip(targets, targets[1:])) or targets[0] < 1:
         raise InvalidParameter("targets must be strictly increasing, 1-based")
 
-    logz = _site_log_weights(cfg, omega)
-    with np.errstate(divide="ignore"):
-        logK = np.log(cfg.law.mass)
+    logz, logK = _log_weights(cfg, omega)
     block_positions = {
         b: np.arange((b - 1) * k + 1, b * k + 1) for b in set(targets)
     }
-    starts = sorted({int(n) for b in targets for n in block_positions[b]})
-    # log partition pinned at both ends: pinned[a][b - a] for b in [a, a + k - 1] cap N
+    if rows is None:
+        rows = pinned_rows(cfg, omega, k, {int(n) for b in targets for n in block_positions[b]})
     n_max = cfg.law.n_max
-    pinned = {a: _log_renewal_dp(logz[a : min(a + k - 1, cfg.N) + 1], logK, n_max)
-              for a in starts}
 
     ell = len(targets)
     # state after round r: log-weights indexed by (n_r, j_r)
@@ -240,7 +259,7 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
                     continue
                 w_in = logsumexp_1d(np.array(terms))
             w_in += logz[n]
-            row = pinned[n]
+            row = rows[n]
             if r == ell - 1:
                 if n <= cfg.N:
                     new_state[(n, cfg.N)] = w_in + float(row[cfg.N - n])
@@ -268,7 +287,8 @@ def enumerate_target_sets(n_blocks: int):
 def decomposition_residual(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> float:
     """Relative gap between the full partition value and the sum of its
     coarse-grained terms (zero up to roundoff)."""
-    log_terms = [log_coarse_grain_term(cfg, omega, t, k)
+    rows = pinned_rows(cfg, omega, k)
+    log_terms = [log_coarse_grain_term(cfg, omega, t, k, rows=rows)
                  for t in enumerate_target_sets(cfg.N // k)]
     total = logsumexp_1d(np.array(log_terms))
     ref = log_partition_dp(cfg, omega)
@@ -483,15 +503,18 @@ def split_estimate(beta: float, k: int, delta: float, gamma: float,
 
 
 def w_statistic(path: RenewalPath, L: int) -> float:
-    """Normalized pair sum of inverse square-root gaps over the path in [1, L]."""
+    """Normalized pair sum of inverse square-root gaps over the path in [1, L].
+
+    The gaps come as the condensed upper triangle of pairwise distances,
+    exact for integer points: p (p - 1) / 2 cells, not p^2.
+    """
     if L < 3:
         raise InvalidParameter("need L >= 3")
     pts = path.points[(path.points >= 1) & (path.points <= L)]
     if pts.size < 2:
         return 0.0
-    diff = (pts[:, None] - pts[None, :]).astype(float)
-    mask = diff > 0
-    total = float(np.sum(1.0 / np.sqrt(diff[mask])))
+    gaps = distance.pdist(pts[:, None], "cityblock")
+    total = float(np.reciprocal(np.sqrt(gaps, out=gaps), out=gaps).sum())
     return total / (math.sqrt(L) * math.log(L))
 
 
@@ -516,18 +539,25 @@ def chung_erdos_check(law: RenewalLaw, L: int,
                       guard: int = 20_000) -> tuple[float, float]:
     """Exact mean and variance of the inverse-sqrt-weighted contact count.
 
-    O(L^2); guarded at desk scale.
+    The variance's cross term is sum_{i < L} u(i) i^-1/2 (A_i - B_i) with
+    A_i = sum_{m <= L - i} d(m) (i + m)^-1/2, one FFT convolution of d
+    against the reversed n^-1/2, and B_i = sum_{i < j <= L} d(j) j^-1/2, a
+    suffix sum.  Here d = u - u(L): the constant cancels between A and B,
+    and the FFT's roundoff then scales with the decaying part of u only.
+    O(L log L) past the Green table; guarded at desk scale.
     """
     if L > guard:
-        raise ResourceGuard(f"L={L} beyond the O(L^2) guard {guard}")
+        raise ResourceGuard(f"L={L} beyond the desk-scale guard {guard}")
     u = green_function(law, L).u
     idx = np.arange(1, L + 1, dtype=float)
     mean = float(np.sum(u[1:] / np.sqrt(idx)))
     var = float(np.sum((u[1:] - u[1:] ** 2) / idx))
-    for i in range(1, L):
-        ji = np.arange(i + 1, L + 1, dtype=float)
-        cross = (u[1 : L - i + 1] - u[i + 1 :]) / np.sqrt(ji)
-        var += 2.0 * u[i] / math.sqrt(i) * float(np.sum(cross))
+    if L >= 2:
+        r = 1.0 / np.sqrt(idx)
+        d = u[1:] - u[L]
+        A = _convolve(d[:-1], r[::-1], 0, L - 1)[::-1]
+        B = np.cumsum((d * r)[:0:-1])[::-1]
+        var += 2.0 * float(np.dot(u[1:L] * r[:-1], A - B))
     return mean, var
 
 
@@ -570,7 +600,9 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
         om = rng.standard_normal(N)
         logz = log_partition_dp(cfg, om)
         v_direct[s] = math.exp(gamma * logz)
-        parts = [math.exp(gamma * log_coarse_grain_term(cfg, om, t, k)) for t in sets]
+        rows = pinned_rows(cfg, om, k)
+        parts = [math.exp(gamma * log_coarse_grain_term(cfg, om, t, k, rows=rows))
+                 for t in sets]
         v_sum[s] = float(np.sum(parts))
         ok = ok and v_direct[s] <= v_sum[s] * (1.0 + 1e-9)
 

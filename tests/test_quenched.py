@@ -118,15 +118,29 @@ def test_plan_block_set():
     assert plan.N == 70
 
 
-def test_decomposition_identity(law_small):
+def _decomposition_instances(law):
+    """25 random (cfg, omega, k) block systems of up to six blocks."""
     rng = np.random.default_rng(2)
     for _ in range(25):
         k = int(rng.integers(2, 6))
         blocks = int(rng.integers(1, 7))
-        cfg = QuenchedConfig(law=law_small, beta=float(rng.uniform(0, 1.5)),
+        cfg = QuenchedConfig(law=law, beta=float(rng.uniform(0, 1.5)),
                              h=float(rng.uniform(-0.5, 0.5)), N=k * blocks)
-        om = rng.standard_normal(cfg.N)
+        yield cfg, rng.standard_normal(cfg.N), k
+
+
+def test_decomposition_identity(law_small):
+    for cfg, om, k in _decomposition_instances(law_small):
         assert Q.decomposition_residual(cfg, om, k) < 1e-10
+
+
+def test_shared_pinned_rows_are_exact(law_small):
+    # rows built once per draw give every term bit for bit
+    for cfg, om, k in _decomposition_instances(law_small):
+        rows = Q.pinned_rows(cfg, om, k)
+        for t in Q.enumerate_target_sets(cfg.N // k):
+            assert (Q.log_coarse_grain_term(cfg, om, t, k, rows=rows)
+                    == Q.log_coarse_grain_term(cfg, om, t, k))
 
 
 def test_single_target_term_is_residual(law_small):
@@ -233,6 +247,18 @@ def test_w_statistic_small_paths():
         Q.w_statistic(p2, 2)
 
 
+def test_w_statistic_matches_pair_sum_profile(law):
+    # the p x p pair-sum profile is the independent path
+    L = 2000
+    rng = np.random.default_rng(11)
+    paths = [R.sample_path(law, L, rng) for _ in range(200)]
+    paths += [R.RenewalPath(points=np.array(p))
+              for p in ([0], [0, L + 4], [0, 7], [0, 7, L + 1], [0, 5, 9, L + 3])]
+    for path in paths:
+        ref = Q._pair_sum_profile(path.points, L)[L] / (math.sqrt(L) * math.log(L))
+        assert Q.w_statistic(path, L) == pytest.approx(ref, rel=1e-12)
+
+
 def test_w_mean_exact_vs_mc(law):
     L = 400
     table = R.green_function(law, L)
@@ -250,6 +276,15 @@ def test_chung_erdos_brute_two_point():
         mean, _ = Q.chung_erdos_check(law, L)
         ref = oracles.weighted_contact_mean_brute(law, L)
         assert mean == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [1, 2, 12, 1000])
+def test_chung_erdos_matches_direct(law, L):
+    for gaps in (law, R.law_from_mass([0.6, 0.4])):
+        mean, var = Q.chung_erdos_check(gaps, L)
+        mean_ref, var_ref = oracles.chung_erdos_direct(gaps, L)
+        assert mean == pytest.approx(mean_ref, rel=1e-12)
+        assert var == pytest.approx(var_ref, rel=1e-12)
 
 
 def test_chung_erdos_vs_mc(law):
