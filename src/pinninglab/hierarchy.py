@@ -180,53 +180,36 @@ def sample_leafset_batch(n: int, B: float, rng: np.random.Generator,
     return alive
 
 
-def _gw_cascade_sparse(n: int, B: float, rng: np.random.Generator,
-                       size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Alive leaves of `size` branching realizations as (sample, leaf) pairs.
-
-    Only alive nodes are tracked, so the cost per realization is the
-    number of alive nodes (~2^(n/2) at critical B) instead of 2^n.
-    Rows come out sorted by (sample, leaf).
-    """
-    sid = np.arange(size, dtype=np.int64)
-    nid = np.zeros(size, dtype=np.int64)
-    p = 1.0 / B
-    for _ in range(n):
-        keep = rng.random(sid.size) < p
-        sid = np.repeat(sid[keep], 2)
-        nid = np.repeat(nid[keep] << 1, 2)
-        nid[1::2] |= 1
-    return sid, nid
-
-
 def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
                        size: int) -> tuple[np.ndarray, np.ndarray]:
     """(overlap statistic, alive count) over `size` realizations.
 
-    The overlap statistic is assembled scale by scale from squared dyadic
-    block counts; sibling blocks are adjacent in the sorted sparse
-    representation, so each merge is a vectorized pairwise reduction.
-    Agrees with y_statistic exactly.
+    The cascade is drawn top-down keeping only each generation's kept-node
+    indices: the children of the kept nodes, in order, are the next
+    generation.  Y depends on the tree's shape alone, so it is folded
+    bottom-up over sibling pairs: a kept node at level a above the leaves
+    has leaf count c_L + c_R and adds 2 B^-(n+a-1) c_L c_R, the pairs that
+    join there.  Every term is positive, so Y agrees with y_statistic to
+    rounding; the draws match `oracles.gw_cascade_leaves` exactly.
     """
-    sid, blk = _gw_cascade_sparse(n, B, rng, size)
-    counts = np.bincount(sid, minlength=size).astype(float)
-    y = np.zeros(size)
-    prev_sq = counts.copy()
-    c = np.ones(sid.size)
+    if n < 1:
+        raise InvalidParameter("need generation >= 1")
+    p = 1.0 / B
+    sizes, kept = [], []
+    m = size
+    for _ in range(n):
+        sizes.append(m)
+        kept.append(np.flatnonzero(rng.random(m) < p))
+        m = 2 * kept[-1].size
+    c = np.ones(m)
+    y = np.zeros(m)
     for a in range(1, n + 1):
-        parent = blk >> 1
-        if sid.size:
-            same = (sid[1:] == sid[:-1]) & (parent[1:] == parent[:-1])
-            first = np.flatnonzero(same)  # never adjacent: a parent has <= 2 children
-            c[first] += c[first + 1]
-            keep = np.ones(sid.size, dtype=bool)
-            keep[first + 1] = False
-            sid, blk, c = sid[keep], parent[keep], c[keep]
-        sq = np.zeros(size)
-        np.add.at(sq, sid, c * c)
-        y += float(B) ** -(n + a - 1.0) * (sq - prev_sq)
-        prev_sq = sq
-    return y / n, counts
+        m, k = sizes[n - a], kept[n - a]
+        cl, cr, yl, yr = c[0::2], c[1::2], y[0::2], y[1::2]
+        c, y = np.zeros(m), np.zeros(m)
+        c[k] = cl + cr
+        y[k] = yl + yr + 2.0 * float(B) ** -(n + a - 1.0) * cl * cr
+    return y / n, c
 
 
 def hier_log_partition_batch(params: HierParams, n: int,

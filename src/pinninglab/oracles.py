@@ -43,6 +43,27 @@ def gw_enumeration_expectation(n: int, leaves, B: float) -> float:
     return sum(p for p, alive in gw_outcomes(n, B) if target <= alive)
 
 
+def gw_cascade_leaves(n: int, B: float, rng: np.random.Generator,
+                      size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Alive leaves of `size` branching realizations as (sample, leaf) pairs.
+
+    The leaf-index replay of the cascade: it consumes the generator exactly
+    as `hierarchy.gw_overlap_samples` does, but tracks an explicit sample id
+    and leaf index for every alive node, so each realization's leaf set can
+    be handed to `hierarchy.y_statistic`.  Rows come out sorted by
+    (sample, leaf).
+    """
+    sid = np.arange(size, dtype=np.int64)
+    nid = np.zeros(size, dtype=np.int64)
+    p = 1.0 / B
+    for _ in range(n):
+        keep = rng.random(sid.size) < p
+        sid = np.repeat(sid[keep], 2)
+        nid = np.repeat(nid[keep] << 1, 2)
+        nid[1::2] |= 1
+    return sid, nid
+
+
 def subtree_nodes_by_paths(n: int, leaves) -> int:
     """Count internal nodes by materializing each root-to-leaf path."""
     nodes = set()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -172,16 +173,35 @@ def test_y_statistic_empty_and_exact_mean():
 
 
 def test_gw_overlap_samples_match_y_statistic():
-    # the sparse fast path against the O(p^2) oracle, realization by realization
+    # the bottom-up fold against the O(p^2) oracle on the leaf-index replay,
+    # realization by realization
     size = 200
-    for n in (2, 4, 7):
-        sid, leaf = H._gw_cascade_sparse(n, H.B_CRITICAL, np.random.default_rng(9), size)
-        y, counts = H.gw_overlap_samples(n, H.B_CRITICAL, np.random.default_rng(9), size)
+    for B, n in itertools.product((1.2, H.B_CRITICAL, 1.9), (1, 2, 4, 7)):
+        sid, leaf = oracles.gw_cascade_leaves(n, B, np.random.default_rng(9), size)
+        y, counts = H.gw_overlap_samples(n, B, np.random.default_rng(9), size)
         assert np.count_nonzero(counts >= 2) > 10
         for i in range(size):
             ls = H.LeafSet(n=n, alive=leaf[sid == i] + 1)
             assert counts[i] == ls.size
-            assert y[i] == pytest.approx(H.y_statistic(ls, H.B_CRITICAL), abs=1e-12)
+            assert y[i] == pytest.approx(H.y_statistic(ls, B), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, B, size", [(10, H.B_CRITICAL, 4000), (16, H.B_CRITICAL, 300),
+                                        (6, 1.2, 2000), (9, 1.9, 3000)])
+def test_gw_overlap_samples_draw_identity(n, B, size):
+    # the fold consumes the generator exactly as the leaf-index replay does
+    rng_o, rng_f = np.random.default_rng(31), np.random.default_rng(31)
+    sid, _ = oracles.gw_cascade_leaves(n, B, rng_o, size)
+    _, counts = H.gw_overlap_samples(n, B, rng_f, size)
+    assert np.array_equal(counts, np.bincount(sid, minlength=size).astype(float))
+    assert rng_f.random() == rng_o.random()
+
+
+def test_gw_overlap_samples_edge_sizes():
+    with pytest.raises(InvalidParameter, match="generation >= 1"):
+        H.gw_overlap_samples(0, H.B_CRITICAL, np.random.default_rng(0), 10)
+    y, counts = H.gw_overlap_samples(5, H.B_CRITICAL, np.random.default_rng(0), 0)
+    assert y.shape == counts.shape == (0,)
 
 
 def test_gw_overlap_samples_match_dense_moments():
