@@ -11,7 +11,7 @@ from .errors import (ConfigError, DimensionMismatch, HorizonExceeded,
                      InvalidParameter, NotPositiveDefinite,
                      PinningLabError, ResourceGuard)
 from .hierarchy import B_CRITICAL, HierParams, LeafSet, TreeIndexSet
-from .renewal import (GreenTable, RenewalLaw, RenewalPath, green_function,
+from .renewal import (GreenTable, RenewalLaw, RenewalPath, RenewalPaths, green_function,
                       homogeneous_free_energy, make_power_law, sample_path)
 from .gaussian import BlockCoupling, HierCoupling, build_block_coupling, \
     build_hier_coupling, factorize, holder_cost
@@ -24,7 +24,7 @@ __all__ = [
     "__version__", "B_CRITICAL",
     "PinningLabError", "InvalidParameter", "HorizonExceeded", "DimensionMismatch",
     "NotPositiveDefinite", "ResourceGuard", "ConfigError",
-    "RenewalLaw", "GreenTable", "RenewalPath", "make_power_law",
+    "RenewalLaw", "GreenTable", "RenewalPath", "RenewalPaths", "make_power_law",
     "green_function", "sample_path", "homogeneous_free_energy",
     "HierParams", "LeafSet", "TreeIndexSet",
     "HierCoupling", "BlockCoupling", "build_hier_coupling", "build_block_coupling",

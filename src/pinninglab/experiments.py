@@ -311,6 +311,9 @@ def lemma51_scan(cfg: ExperimentConfig, rec: RunRecord):
     return {"scan": (header, rows)}
 
 
+_W_BATCH = 64  # paths drawn per sampler call, which bounds the memory they hold
+
+
 @experiment("clt-check")
 def clt_check(cfg: ExperimentConfig, rec: RunRecord):
     law = _law_from_config(cfg)
@@ -328,8 +331,9 @@ def clt_check(cfg: ExperimentConfig, rec: RunRecord):
     law_w = renewal.make_power_law(law.alpha, max(L, law.n_max))
     rng = derive_rng(cfg.seed, "clt-check")
     w = np.empty(m)
-    for i in range(m):
-        w[i] = quenched.w_statistic(renewal.sample_path(law_w, L, rng), L)
+    for lo in range(0, m, _W_BATCH):
+        paths = renewal.sample_path(law_w, L, rng, size=min(_W_BATCH, m - lo))
+        w[lo : lo + len(paths)] = [quenched.w_statistic(path, L) for path in paths]
     c = quenched.w_limit_scale(law_w)
     dist = ks_distance(w, lambda x: special.erf(np.maximum(x, 0.0) / (c * math.sqrt(2))))
     rec.estimates["ks_distance"] = estimate(dist)

@@ -10,10 +10,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import HorizonExceeded, InvalidParameter
 from .hierarchy import B_CRITICAL
 from .numerics import logsumexp_1d
-from .renewal import RenewalLaw, green_function
+from .renewal import RenewalLaw, RenewalPath, green_function
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +149,47 @@ def green_direct(law: RenewalLaw, N: int) -> np.ndarray:
     for n in range(1, N + 1):
         u[n] = np.dot(K[1 : n + 1], u[n - 1 :: -1][:n])
     return u
+
+
+def sample_path_sequential(law: RenewalLaw, N: int, rng: np.random.Generator) -> RenewalPath:
+    """One path on [0, N], drawing gaps 256 uniforms at a time until one leaves.
+
+    The per-block loop that `renewal.sample_path` replaced: it draws the
+    same gaps from the same uniforms, so n calls in turn give the paths of
+    one `sample_path(..., size=n)` and leave the generator where it does.
+    """
+    if law.tail_mass > 0.0 and N > law.n_max:
+        raise HorizonExceeded(
+            f"exact sampling needs N <= n_max = {law.n_max} for tailed laws"
+        )
+    segs = [np.zeros(1, dtype=np.int64)]
+    pos = 0
+    cdf = law.cdf[1:]  # unnormalized: a draw above cdf[-1] exits the horizon
+    while True:
+        gaps = np.searchsorted(cdf, rng.random(256)) + 1
+        cum = pos + np.cumsum(gaps)
+        inside = cum[cum <= N]
+        segs.append(inside.astype(np.int64))
+        if inside.size < cum.size:
+            break
+        pos = int(cum[-1])
+    return RenewalPath(points=np.concatenate(segs))
+
+
+def pair_sum_profile(points: np.ndarray, horizon: int) -> np.ndarray:
+    """S[m] = sum over path pairs i<j<=m of 1/sqrt(j-i), for m = 0..horizon.
+
+    One path at a time from its dense p x p difference matrix.
+    """
+    jumps = np.zeros(horizon + 1)
+    pts = points[(points >= 1) & (points <= horizon)]
+    if pts.size >= 2:
+        diff = (pts[:, None] - pts[None, :]).astype(float)
+        inv = np.zeros_like(diff)
+        pos = diff > 0
+        inv[pos] = 1.0 / np.sqrt(diff[pos])
+        jumps[pts] = inv.sum(axis=1)
+    return np.cumsum(jumps)
 
 
 def log_renewal_dp_direct(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray:

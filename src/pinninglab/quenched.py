@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import blas
+from scipy.linalg import blas, toeplitz
 from scipy.spatial import distance
 
 from .errors import (DimensionMismatch, HorizonExceeded, InvalidParameter,
@@ -24,8 +24,9 @@ from .errors import (DimensionMismatch, HorizonExceeded, InvalidParameter,
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
 from .numerics import MeanAccumulator, PoolEstimate, logsumexp_1d
-from .renewal import (GreenTable, RenewalLaw, RenewalPath, _convolve, conditioning_ratio,
-                      green_function, homogeneous_free_energy, sample_path)
+from .renewal import (GreenTable, RenewalLaw, RenewalPath, RenewalPaths, _convolve,
+                      conditioning_ratio, green_function, homogeneous_free_energy,
+                      sample_path)
 
 MAX_DP_SIZE = 100_000
 MAX_BLOCK_COUNT = 6
@@ -295,17 +296,32 @@ def decomposition_residual(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> fl
     return abs(math.expm1(total - ref))
 
 
-def _pair_sum_profile(points: np.ndarray, horizon: int) -> np.ndarray:
-    """S[m] = sum over path pairs i<j<=m of 1/sqrt(j-i), for m = 0..horizon."""
-    jumps = np.zeros(horizon + 1)
-    pts = points[(points >= 1) & (points <= horizon)]
-    if pts.size >= 2:
-        diff = (pts[:, None] - pts[None, :]).astype(float)
-        inv = np.zeros_like(diff)
-        pos = diff > 0
-        inv[pos] = 1.0 / np.sqrt(diff[pos])
-        jumps[pts] = inv.sum(axis=1)
-    return np.cumsum(jumps)
+_PROFILE_ROWS = 128   # paths per occupancy chunk, which bounds the working memory
+
+
+def _pair_sum_profiles(paths: RenewalPaths, horizon: int):
+    """The pair-sum profiles of `paths`, `_PROFILE_ROWS` rows at a time.
+
+    Row r, column m is S[m] = sum over pairs i < j <= m of path r of
+    1/sqrt(j - i), as `oracles.pair_sum_profile` gives it path by path.
+    With occ the 0/1 occupancy of sites 1..horizon and T[i, j] =
+    (j - i)^-1/2 for j > i, (occ @ T)[r, j] sums over the points of path
+    r before j, so the profiles are cumsum(occ * (occ @ T)) along the sites.
+    """
+    inv_sqrt = np.zeros(horizon)
+    inv_sqrt[1:] = 1.0 / np.sqrt(np.arange(1, horizon))
+    T = toeplitz(np.zeros(horizon), inv_sqrt)
+    for lo in range(0, len(paths), _PROFILE_ROWS):
+        hi = min(lo + _PROFILE_ROWS, len(paths))
+        a, b = paths.offsets[lo], paths.offsets[hi]
+        pts = paths.points[a:b]
+        row = np.repeat(np.arange(hi - lo), np.diff(paths.offsets[lo : hi + 1]))
+        inside = (pts >= 1) & (pts <= horizon)
+        occ = np.zeros((hi - lo, horizon))
+        occ[row[inside], pts[inside] - 1] = 1.0
+        prof = np.zeros((hi - lo, horizon + 1))
+        np.cumsum(occ * (occ @ T), axis=1, out=prof[:, 1:])
+        yield prof
 
 
 @dataclass(frozen=True)
@@ -341,22 +357,33 @@ class UWeightTable:
 
 def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
                    samples: int, rng: np.random.Generator) -> UWeightTable:
+    """Monte Carlo estimate of the tilted block weights U(j)/c8 for gaps j < k.
+
+    s(k, j) is the mean over free renewal paths on [1, m], m = j // 2, of
+    exp(-beta^2 h S[m]), where S is the path's pair-sum profile and h =
+    (1 - gamma) / sqrt(c k log k) the paper's in-block coupling scale.  All
+    `samples` paths come from one batched `sample_path` call on the
+    half-window [0, (k - 1) // 2]; every profile on it is computed at once
+    by `_pair_sum_profiles`, so each path serves every m.  The window k = 2
+    has an empty half-window: it draws nothing, and s = 1.
+    """
     if k < 2:
         raise InvalidParameter("window must be at least 2")
+    if samples < 1:
+        raise InvalidParameter(f"need at least one sample, got {samples}")
     m_max = (k - 1) // 2
     table = green_function(law, max(k - 1, 1))
     hscale = (1.0 - gamma) / math.sqrt(_BLOCK_DENOM * k * math.log(k))
     tot = np.zeros(m_max + 1)
     totsq = np.zeros(m_max + 1)
-    for _ in range(samples):
-        if m_max >= 1:
-            pts = sample_path(law, m_max, rng).points
-            prof = _pair_sum_profile(pts, m_max)
-        else:
-            prof = np.zeros(1)
-        vals = np.exp(-(beta**2) * hscale * prof)
-        tot += vals
-        totsq += vals * vals
+    if m_max == 0:
+        tot += samples
+        totsq += samples
+    else:
+        for prof in _pair_sum_profiles(sample_path(law, m_max, rng, size=samples), m_max):
+            vals = np.exp(-(beta**2) * hscale * prof)
+            tot += vals.sum(axis=0)
+            totsq += (vals * vals).sum(axis=0)
     mean = tot / samples
     var = np.maximum(totsq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
     return UWeightTable(beta=beta, k=k, gamma=gamma, u=table.u,

@@ -205,8 +205,55 @@ def renewal_residual(table: GreenTable) -> float:
     return float(np.max(np.abs(res)))
 
 
+@dataclass(frozen=True)
+class RenewalPaths:
+    """Paths drawn as one batch, ragged: path i is points[offsets[i]:offsets[i + 1]].
+
+    Iterating or indexing yields each path as a `RenewalPath` view into
+    `points`, checked once here for the whole batch.
+    """
+
+    offsets: np.ndarray
+    points: np.ndarray
+
+    def __post_init__(self):
+        off = np.asarray(self.offsets, dtype=np.int64)
+        p = np.asarray(self.points, dtype=np.int64)
+        for a in (off, p):
+            a.setflags(write=False)
+        object.__setattr__(self, "offsets", off)
+        object.__setattr__(self, "points", p)
+        if off.ndim != 1 or off.size == 0 or off[0] != 0 or off[-1] != p.size:
+            raise InvalidParameter("offsets must run from 0 to the point count")
+        starts = off[:-1]
+        if np.any(np.diff(off) < 1) or np.any(p[starts] != 0):
+            raise InvalidParameter("every path starts at 0")
+        step = np.diff(p)
+        step[starts[1:] - 1] = 1  # the jump back to 0 at each new path
+        if np.any(step < 1):
+            raise InvalidParameter("points must be strictly increasing")
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i: int) -> RenewalPath:
+        i = range(len(self))[i]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        path = object.__new__(RenewalPath)  # a checked slice: skip re-validation
+        object.__setattr__(path, "points", self.points[lo:hi])
+        return path
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+_DRAW = 256          # uniforms per draw; a path consumes whole draws
+_MAX_DRAWS = 64      # draws carved per round, which bounds the working memory
+_ORIGIN = np.zeros(1, dtype=np.int64)
+
+
 def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
-                block: int = 256) -> RenewalPath:
+                size: int | None = None) -> RenewalPath | RenewalPaths:
     """IID gaps from the full law, path stopped at the horizon N.
 
     A draw landing in the mass beyond n_max (or in the terminating
@@ -215,23 +262,72 @@ def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
     as long as N <= n_max.  Conditioning gaps on <= n_max instead would
     compound a per-gap bias that fat tails make visible in the point
     counts, failing the Green-table consistency checks.
+
+    Gaps come 256 uniforms at a time, and a path consumes whole draws:
+    its last draw holds the gap that leaves [0, N], and the rest of that
+    draw is discarded.  `size=n` returns n paths as one `RenewalPaths`,
+    equal to n single draws in turn (`oracles.sample_path_sequential`),
+    and leaves `rng` where those draws would.  Each round draws only as
+    many uniforms as the unfinished paths must still consume (every gap
+    is at most n_max + 1), so nothing is drawn that the sequential
+    sampler would not draw, and the batch is carved from one cumulative
+    sum.
     """
     if law.tail_mass > 0.0 and N > law.n_max:
         raise HorizonExceeded(
             f"exact sampling needs N <= n_max = {law.n_max} for tailed laws"
         )
-    segs = [np.zeros(1, dtype=np.int64)]
-    pos = 0
+    n = 1 if size is None else int(size)
+    if n < 0:
+        raise InvalidParameter(f"size must be nonnegative, got {size}")
     cdf = law.cdf[1:]  # unnormalized: a draw above cdf[-1] exits the horizon
-    while True:
-        gaps = np.searchsorted(cdf, rng.random(block)) + 1
-        cum = pos + np.cumsum(gaps)
-        inside = cum[cum <= N]
-        segs.append(inside.astype(np.int64))
-        if inside.size < cum.size:
-            break
-        pos = int(cum[-1])
-    return RenewalPath(points=np.concatenate(segs))
+    # every gap is at most n_max + 1, so a path standing at pos still
+    # consumes at least ceil((N + 1 - pos) / span) draws
+    span = (cdf.size + 1) * _DRAW
+    fresh = -(-(N + 1) // span)
+    pieces, counts = [], []
+    pos, emitted = 0, 0  # the path the next draw continues: where it stands, points out
+    while len(counts) < n:
+        m = min(-(-(N + 1 - pos) // span) + (n - len(counts) - 1) * fresh, _MAX_DRAWS)
+        # walk[i]: the distance the first i + 1 gaps of this round cover
+        walk = (cdf.searchsorted(rng.random(m * _DRAW)) + 1).cumsum()
+        if not emitted:
+            pieces.append(_ORIGIN)
+            emitted = 1
+        # the continued path: walk[stop] is its first gap to leave [0, N]
+        stop = int(walk.searchsorted(N - pos, side="right"))
+        pieces.append(walk[:stop] + pos)
+        emitted += stop
+        if stop == walk.size:
+            pos += int(walk[-1])
+            continue
+        counts.append(emitted)
+        pos, emitted = 0, 0
+        s = stop // _DRAW + 1  # the draw after the one holding the exit gap
+        if s == m:
+            continue
+        # fresh paths from draw s on: the path starting at draw b stands at
+        # walk[b * 256 - 1] - base[b] = 0, its exit gap is walk[stops[b]],
+        # and the next path starts at draw after[b]
+        base = np.concatenate(([0], walk[_DRAW - 1 : -1 : _DRAW]))
+        stops = walk.searchsorted(base + N, side="right")
+        after = (stops // _DRAW + 1).tolist()
+        starts = [s]
+        while after[starts[-1]] < m:
+            starts.append(after[starts[-1]])
+        first = np.array(starts)
+        lo = first * _DRAW - 1
+        lens = stops[first] - lo
+        at = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        pieces.append(walk[at] - np.repeat(base[first], lens))
+        counts.extend(lens.tolist())
+        if after[starts[-1]] > m:  # the last path goes on into the next round
+            emitted, pos = counts.pop(), int(walk[-1] - base[starts[-1]])
+    points = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
+    if size is None:
+        return RenewalPath(points=points)
+    return RenewalPaths(offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
+                        points=points)
 
 
 def _tail_integral(law: RenewalLaw, rate: float) -> float:

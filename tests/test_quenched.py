@@ -175,6 +175,29 @@ def test_u_weight_trivial_cases(law):
     assert v7 == pytest.approx(float(table.u[7]), rel=1e-12)
 
 
+def test_u_weight_sample_edges(law):
+    with pytest.raises(InvalidParameter):
+        Q.u_weight_table(1.0, 50, 0.75, law, 0, np.random.default_rng(4))
+    # k = 2 leaves no site in the half-window: nothing is drawn, s = 1 exactly
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    tab = Q.u_weight_table(1.0, 2, 0.75, law, 50, rng)
+    assert tab.s_mean.tolist() == [1.0] and tab.s_err.tolist() == [0.0]
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("m_max", [4, 49, 499])
+def test_batched_pair_sum_profiles_match_oracle(m_max):
+    # occupancy x Toeplitz rows against the p x p profile, path by path,
+    # across more than one chunk of rows
+    law = R.make_power_law(0.5, 1000)
+    paths = R.sample_path(law, m_max, np.random.default_rng(m_max), size=300)
+    rows = np.vstack(list(Q._pair_sum_profiles(paths, m_max)))
+    assert rows.shape == (300, m_max + 1)
+    for row, path in zip(rows, paths):
+        ref = oracles.pair_sum_profile(path.points, m_max)
+        np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
+
+
 def test_u_weight_monotone_in_beta(law):
     k, gamma, n = 60, 0.75, 45
     means = []
@@ -255,7 +278,7 @@ def test_w_statistic_matches_pair_sum_profile(law):
     paths += [R.RenewalPath(points=np.array(p))
               for p in ([0], [0, L + 4], [0, 7], [0, 7, L + 1], [0, 5, 9, L + 3])]
     for path in paths:
-        ref = Q._pair_sum_profile(path.points, L)[L] / (math.sqrt(L) * math.log(L))
+        ref = oracles.pair_sum_profile(path.points, L)[L] / (math.sqrt(L) * math.log(L))
         assert Q.w_statistic(path, L) == pytest.approx(ref, rel=1e-12)
 
 

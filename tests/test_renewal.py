@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pinninglab import renewal as R
 from pinninglab.errors import HorizonExceeded, InvalidParameter
@@ -115,10 +115,74 @@ def test_sample_path_mean_points_vs_green(half_law):
     L = 400
     expected = R.green_function(half_law, L).u[1:].sum()
     rng = np.random.default_rng(17)
-    counts = np.array([R.sample_path(half_law, L, rng).points.size - 1
-                       for _ in range(10_000)])
+    counts = np.diff(R.sample_path(half_law, L, rng, size=10_000).offsets) - 1
     se = counts.std(ddof=1) / math.sqrt(counts.size)
     assert abs(counts.mean() - expected) <= 3 * se
+
+
+_DRAW_LAWS = {
+    "power": R.make_power_law(0.5, 2000),
+    "power-short": R.make_power_law(0.5, 4),   # about a third of the mass in the tail
+    "two-point": R.law_from_mass([0.6, 0.4]),
+    "sub-probability": R.law_from_mass([0.3, 0.2, 0.1]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_DRAW_LAWS)), N=st.integers(1, 2000),
+       size=st.sampled_from([0, 1, 2, 300]), seed=st.integers(0, 2**32 - 1))
+@example(name="power", N=1, size=300, seed=1)
+@example(name="power", N=200, size=2, seed=2)
+@example(name="power", N=2000, size=300, seed=3)         # N = n_max
+@example(name="power-short", N=4, size=300, seed=4)      # exits through the tail mass
+@example(name="two-point", N=1000, size=2, seed=5)       # crosses draw boundaries
+@example(name="two-point", N=2000, size=1, seed=9)       # one path over three rounds
+@example(name="two-point", N=2, size=300, seed=6)        # N = n_max
+@example(name="sub-probability", N=3, size=300, seed=7)  # exits through the deficit
+@example(name="power", N=2000, size=0, seed=8)
+def test_batched_draws_equal_sequential_draws(name, N, size, seed):
+    law = _DRAW_LAWS[name]
+    if law.tail_mass > 0.0:
+        N = min(N, law.n_max)
+    r_batch, r_seq = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = R.sample_path(law, N, r_batch, size=size)
+    assert len(batch) == size and batch.offsets.size == size + 1
+    for path in batch:
+        ref = oracles.sample_path_sequential(law, N, r_seq)
+        assert np.array_equal(path.points, ref.points)
+    assert r_batch.random() == r_seq.random()
+    one = R.sample_path(law, N, r_batch)
+    assert isinstance(one, R.RenewalPath)
+    assert np.array_equal(one.points, oracles.sample_path_sequential(law, N, r_seq).points)
+    assert r_batch.random() == r_seq.random()
+
+
+def test_batched_draws_cover_exits_and_draw_boundaries():
+    # the cases the property test pins down do happen at their examples
+    cdf = _DRAW_LAWS["power-short"].cdf
+    u = np.random.default_rng(4).random(256)
+    assert np.any(u > cdf[-1])                                  # a tail-mass draw
+    path = R.sample_path(_DRAW_LAWS["two-point"], 1000, np.random.default_rng(5))
+    assert path.points.size > 256                               # more than one draw
+
+
+def test_sample_path_size_zero_draws_nothing(half_law):
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    empty = R.sample_path(half_law, 100, rng, size=0)
+    assert len(empty) == 0 and empty.points.size == 0
+    assert rng.random() == ref.random()
+    with pytest.raises(InvalidParameter):
+        R.sample_path(half_law, 100, rng, size=-1)
+
+
+def test_renewal_paths_validation():
+    paths = R.RenewalPaths(offsets=[0, 2, 3], points=[0, 5, 0])
+    assert [p.points.tolist() for p in paths] == [[0, 5], [0]]
+    assert paths[-1].points.tolist() == [0]
+    for offsets, points in (([0, 2], [0, 5, 0]), ([0, 2, 3], [0, 5, 1]),
+                            ([0, 2, 2], [0, 5]), ([0, 3], [0, 5, 4])):
+        with pytest.raises(InvalidParameter):
+            R.RenewalPaths(offsets=offsets, points=points)
 
 
 def test_sample_path_tail_guard(half_law):
@@ -134,11 +198,9 @@ def test_sample_path_occupancy_matches_green(half_law):
     rng = np.random.default_rng(23)
     m = 20_000
     probes = np.array([1, 2, 5, 10, 50, 200])
-    hits = np.zeros(probes.size)
-    for _ in range(m):
-        pts = R.sample_path(half_law, L, rng).points
-        hits += np.isin(probes, pts)
-    freq = hits / m
+    # a path holds each point at most once: hits count the paths through it
+    pts = R.sample_path(half_law, L, rng, size=m).points
+    freq = np.array([np.count_nonzero(pts == p) for p in probes]) / m
     for p, f in zip(probes, freq):
         se = math.sqrt(u[p] * (1 - u[p]) / m)
         assert abs(f - u[p]) <= 4 * se
