@@ -13,7 +13,7 @@ import numpy as np
 from .errors import HorizonExceeded, InvalidParameter
 from .hierarchy import B_CRITICAL
 from .numerics import logsumexp_1d
-from .renewal import RenewalLaw, RenewalPath, green_function
+from .renewal import RenewalLaw, RenewalPath, _convolve, green_function
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +157,8 @@ def sample_path_sequential(law: RenewalLaw, N: int, rng: np.random.Generator) ->
     The per-block loop that `renewal.sample_path` replaced: it draws the
     same gaps from the same uniforms, so n calls in turn give the paths of
     one `sample_path(..., size=n)` and leave the generator where it does.
+    It maps each uniform by a plain binary search of the cdf, so that the
+    comparison also checks the sampler's guide table.
     """
     if law.tail_mass > 0.0 and N > law.n_max:
         raise HorizonExceeded(
@@ -164,9 +166,10 @@ def sample_path_sequential(law: RenewalLaw, N: int, rng: np.random.Generator) ->
         )
     segs = [np.zeros(1, dtype=np.int64)]
     pos = 0
-    cdf = law.cdf[1:]  # unnormalized: a draw above cdf[-1] exits the horizon
+    cdf = law.cdf[1:]  # unnormalized: a draw above cdf[-1] ends the path
     while True:
         gaps = np.searchsorted(cdf, rng.random(256)) + 1
+        gaps[gaps > law.n_max] = N + 1
         cum = pos + np.cumsum(gaps)
         inside = cum[cum <= N]
         segs.append(inside.astype(np.int64))
@@ -237,6 +240,31 @@ def conditioning_ratio_brute(law: RenewalLaw, N: int) -> float:
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = (last_pin / pin_total) / last_any
     return float(np.nanmax(ratios))
+
+
+def conditioning_ratio_curve_fft(law: RenewalLaw, N_max: int) -> np.ndarray:
+    """`renewal.conditioning_ratio_curve` with each S(N, .) taken as terms
+    2N..N of its own FFT convolution of u(0..N-1) against K: one FFT per N."""
+    if 2 * N_max > law.n_max:
+        if law.tail_mass > 0.0:
+            raise HorizonExceeded("need the law stored to 2*N_max")
+        pad = 2 * N_max - law.n_max
+        K = np.concatenate([law.mass, np.zeros(pad)])
+        cdf = np.concatenate([law.cdf, np.full(pad, law.cdf[-1])])
+    else:
+        K = law.mass
+        cdf = law.cdf
+    u = green_function(law, 2 * N_max).u
+    out = np.empty(N_max)
+    running = 0.0
+    for N in range(1, N_max + 1):
+        S = _convolve(u[:N], K[: 2 * N + 1], N, 2 * N + 1)[::-1]
+        surv = law.grand_total - cdf[N - np.arange(N + 1)]
+        feasible = surv > 0.0
+        ratios = S[feasible] / (u[2 * N] * surv[feasible])
+        running = max(running, float(ratios.max()))
+        out[N - 1] = running
+    return out
 
 
 def zeta_by_series(s: float, terms: int = 200_000) -> float:

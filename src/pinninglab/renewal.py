@@ -13,10 +13,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy import fft, integrate, special
+from scipy.linalg import blas
 
 from .errors import HorizonExceeded, InvalidParameter
 
 RECURRENT_TOL = 1e-9
+_GUIDE = 1 << 16  # gap-lookup buckets: u * 2^16 is exact, so its floor is u's bucket
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,16 @@ class RenewalLaw:
     @cached_property
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.mass)
+
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """Guide table for the gap lookup (Chen & Asau 1974): bucket b holds
+        cdf[1:].searchsorted(b / 2^16), the lookup of every u in
+        [b / 2^16, (b + 1) / 2^16), or -1 when a cdf value falls inside."""
+        idx = self.cdf[1:].searchsorted(np.arange(_GUIDE + 1) / _GUIDE)
+        g = np.where(idx[1:] == idx[:-1], idx[:-1], -1).astype(np.int32)
+        g.setflags(write=False)
+        return g
 
     def survival(self, m: int) -> float:
         """P(gap > m), tail mass included; exact beyond n_max only for
@@ -161,40 +173,65 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray
 
 
 def _green_divide_conquer(mass: np.ndarray, N: int, base: int = 512) -> np.ndarray:
-    K = mass[: N + 1]
+    """u(0..N) for the gap masses mass[1..], zero beyond their end.
+
+    A block [lo, hi) of at most `base` sites solves (I - T) u[lo:hi] = acc[lo:hi]
+    by one forward substitution, where T[i, i'] = K(i - i') is strictly lower
+    triangular and acc holds the contributions of the sites before lo.  A
+    larger block solves its left half, carries that half into acc over the
+    right half and solves the right half.  The carry is an FFT convolution,
+    unless the support s of K is shorter than the left half: then only its
+    last s sites reach, and only the first s sites of the right half, so the
+    carry is a short direct product with no FFT roundoff.
+    """
+    s = min(mass.size - 1, N)
+    K = np.zeros(N + 1)
+    K[1 : s + 1] = mass[1 : s + 1]
     u = np.zeros(N + 1)
     u[0] = 1.0
     acc = K.copy()  # contributions of u(0); acc[m] accumulates sums over finalized t < lo
-    acc[0] = 0.0
-
-    def rec(lo: int, hi: int) -> None:
-        if hi - lo <= base:
-            for m in range(lo, hi):
-                u[m] = acc[m] + np.dot(K[1 : m - lo + 1], u[m - 1 : lo - 1 : -1])
-            return
-        mid = (lo + hi) // 2
-        rec(lo, mid)
-        acc[mid:hi] += _convolve(u[lo:mid], K[1 : hi - lo], mid - lo - 1, hi - lo - 1)
-        rec(mid, hi)
-
-    rec(1, N + 1)
+    rows = min(base, N)
+    step = K.itemsize
+    # neg_T[i, i'] = -K(i - i'): Kneg holds -K(j) at rows + j for j in (-rows, rows)
+    Kneg = np.zeros(2 * rows)
+    Kneg[rows + 1 :] = -K[1:rows]
+    neg_T = np.asfortranarray(
+        np.ndarray((rows, rows), buffer=Kneg, offset=rows * step, strides=(step, -step)))
+    rhs = np.zeros(rows)  # a shorter block's rows come first: its tail rows are not read
+    # blocks (lo, hi) in recursion order, each split into its left half, the
+    # carry of that half (marked by a third entry) and its right half; an
+    # explicit stack, since a recursive closure would hold these arrays in a
+    # reference cycle until the garbage collector runs
+    todo = [(1, N + 1)] if N else []
+    while todo:
+        lo, hi, *carry = todo.pop()
+        b, mid = hi - lo, (lo + hi) // 2
+        if carry:
+            if s < mid - lo:
+                r = min(s, hi - mid)
+                acc[mid : mid + r] += np.convolve(u[mid - s : mid], K[1 : s + 1])[s - 1 : s - 1 + r]
+            else:
+                acc[mid:hi] += _convolve(u[lo:mid], K[1:b], mid - lo - 1, b - 1)
+        elif b <= base:
+            rhs[:b] = acc[lo:hi]
+            u[lo:hi] = blas.dtrsv(neg_T, rhs, lower=1, diag=1)[:b]
+        else:
+            todo += [(mid, hi), (lo, hi, True), (lo, mid)]
     return u
 
 
 def green_function(law: RenewalLaw, N: int) -> GreenTable:
     """Renewal mass function on [0, N] by convolution of the gap law.
 
-    Divide-and-conquer FFT convolution, O(N log^2 N); blocks of up to 512
-    sites run the direct convolution.  Laws with an analytic tail must be
-    stored at least to N; for finite-support laws any horizon is exact.
+    Divide-and-conquer convolution, O(N log^2 N): blocks of up to 512 sites
+    are one triangular solve each, and FFT convolutions carry each half into
+    the next (a direct product when the law's support is shorter than the
+    half).  Laws with an analytic tail must be stored at least to N; for
+    finite-support laws any horizon is exact.
     """
-    if N > law.n_max:
-        if law.tail_mass > 0.0:
-            raise HorizonExceeded(f"N={N} exceeds the stored law horizon {law.n_max}")
-        mass = np.concatenate([law.mass, np.zeros(N - law.n_max)])
-    else:
-        mass = law.mass
-    return GreenTable(u=_green_divide_conquer(mass, N), law=law)
+    if N > law.n_max and law.tail_mass > 0.0:
+        raise HorizonExceeded(f"N={N} exceeds the stored law horizon {law.n_max}")
+    return GreenTable(u=_green_divide_conquer(law.mass, N), law=law)
 
 
 def renewal_residual(table: GreenTable) -> float:
@@ -252,24 +289,41 @@ _MAX_DRAWS = 64      # draws carved per round, which bounds the working memory
 _ORIGIN = np.zeros(1, dtype=np.int64)
 
 
+def _gaps(law: RenewalLaw, u: np.ndarray, N: int) -> np.ndarray:
+    """Gaps 1 + cdf[1:].searchsorted(u), read off the guide table; a draw
+    above cdf[-1] becomes a gap that leaves [0, N]."""
+    idx = law.guide[(u * _GUIDE).astype(np.intp)]
+    miss = np.flatnonzero(idx < 0)
+    idx[miss] = law.cdf[1:].searchsorted(u[miss])
+    gaps = idx + 1
+    if N > law.n_max:
+        gaps[gaps > law.n_max] = N + 1
+    return gaps
+
+
 def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
                 size: int | None = None) -> RenewalPath | RenewalPaths:
     """IID gaps from the full law, path stopped at the horizon N.
 
     A draw landing in the mass beyond n_max (or in the terminating
-    deficit of a sub-probability law) necessarily leaves the window, so
-    it simply ends the path; the restriction to [0, N] is sampled exactly
-    as long as N <= n_max.  Conditioning gaps on <= n_max instead would
+    deficit of a sub-probability law) leaves the window or ends the
+    renewal, so it simply ends the path; the restriction to [0, N] is
+    sampled exactly as long as N <= n_max, and for any N when the law
+    has finite support.  Conditioning gaps on <= n_max instead would
     compound a per-gap bias that fat tails make visible in the point
     counts, failing the Green-table consistency checks.
 
     Gaps come 256 uniforms at a time, and a path consumes whole draws:
     its last draw holds the gap that leaves [0, N], and the rest of that
-    draw is discarded.  `size=n` returns n paths as one `RenewalPaths`,
-    equal to n single draws in turn (`oracles.sample_path_sequential`),
-    and leaves `rng` where those draws would.  Each round draws only as
+    draw is discarded.  A uniform u maps to the gap
+    1 + cdf[1:].searchsorted(u) through the law's guide table, with a
+    binary search only in the buckets that hold a cdf value.  `size=n`
+    returns n paths as one `RenewalPaths`, equal to n single draws in turn
+    (`oracles.sample_path_sequential`), and leaves `rng` where those draws
+    would.  Each round draws only as
     many uniforms as the unfinished paths must still consume (every gap
-    is at most n_max + 1), so nothing is drawn that the sequential
+    within the window is at most n_max + 1, and a path that can end at
+    any draw still consumes one), so nothing is drawn that the sequential
     sampler would not draw, and the batch is carved from one cumulative
     sum.
     """
@@ -280,17 +334,17 @@ def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
     n = 1 if size is None else int(size)
     if n < 0:
         raise InvalidParameter(f"size must be nonnegative, got {size}")
-    cdf = law.cdf[1:]  # unnormalized: a draw above cdf[-1] exits the horizon
-    # every gap is at most n_max + 1, so a path standing at pos still
-    # consumes at least ceil((N + 1 - pos) / span) draws
-    span = (cdf.size + 1) * _DRAW
+    # a path standing at pos still consumes at least ceil((N + 1 - pos) / span)
+    # draws: every gap is at most n_max + 1, unless a draw above cdf[-1]
+    # can end the path at once
+    span = N + 1 if law.cdf[-1] < 1.0 else (law.n_max + 1) * _DRAW
     fresh = -(-(N + 1) // span)
     pieces, counts = [], []
     pos, emitted = 0, 0  # the path the next draw continues: where it stands, points out
     while len(counts) < n:
         m = min(-(-(N + 1 - pos) // span) + (n - len(counts) - 1) * fresh, _MAX_DRAWS)
         # walk[i]: the distance the first i + 1 gaps of this round cover
-        walk = (cdf.searchsorted(rng.random(m * _DRAW)) + 1).cumsum()
+        walk = _gaps(law, rng.random(m * _DRAW), N).cumsum(dtype=np.int64)
         if not emitted:
             pieces.append(_ORIGIN)
             emitted = 1
@@ -403,30 +457,27 @@ def conditioning_ratio_curve(law: RenewalLaw, N_max: int) -> np.ndarray:
 
     ratio(N, n) = P(X_N = n | 2N in tau) / P(X_N = n) with X_N the last
     renewal epoch <= N, assembled exactly from the Green table and the
-    gap tails.
+    gap tails: ratio(N, n) = S(N, n) / (u(2N) P(gap > N - n)) with
+    S(N, n) = sum_{m < N} u(m) K(2N - n - m).  S(N, .) is the reversed slice
+    C[2N : N - 1 : -1] of the running convolution C(t) = sum_{m < N} u(m)
+    K(t - m), which takes one axpy per N.  Every term is positive, so
+    nothing cancels; `oracles.conditioning_ratio_curve_fft` builds each S
+    by its own FFT convolution.
     """
-    if 2 * N_max > law.n_max:
-        if law.tail_mass > 0.0:
-            raise HorizonExceeded("need the law stored to 2*N_max")
-        pad = 2 * N_max - law.n_max
-        K = np.concatenate([law.mass, np.zeros(pad)])
-        cdf = np.concatenate([law.cdf, np.full(pad, law.cdf[-1])])
-    else:
-        K = law.mass
-        cdf = law.cdf
+    if 2 * N_max > law.n_max and law.tail_mass > 0.0:
+        raise HorizonExceeded("need the law stored to 2*N_max")
+    size = 2 * N_max + 1
+    K = np.zeros(size)
+    K[: min(size, law.mass.size)] = law.mass[:size]
     u = green_function(law, 2 * N_max).u
-    out = np.empty(N_max)
-    running = 0.0
+    surv = law.grand_total - np.cumsum(K[: N_max + 1])
+    surv[surv <= 0.0] = np.inf  # a last epoch the law cannot realize: ratio 0
+    C = K.copy()  # C(t) for N = 1: the term u(0) K(t)
+    peak = np.empty(N_max)
     for N in range(1, N_max + 1):
-        # S(N, n) = sum_{m<=N-1} u(m) K(2N-n-m) for n = 0..N: terms 2N..N
-        # of one convolution
-        S = _convolve(u[:N], K[: 2 * N + 1], N, 2 * N + 1)[::-1]
-        surv = law.grand_total - cdf[N - np.arange(N + 1)]
-        feasible = surv > 0.0  # last-epoch values the law can realize at all
-        ratios = S[feasible] / (u[2 * N] * surv[feasible])
-        running = max(running, float(ratios.max()))
-        out[N - 1] = running
-    return out
+        peak[N - 1] = (C[2 * N : N - 1 : -1] / (u[2 * N] * surv[N::-1])).max()
+        blas.daxpy(K, C, n=size - N, a=u[N], offy=N)
+    return np.maximum.accumulate(peak)
 
 
 def conditioning_ratio(law: RenewalLaw, N_max: int) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,6 +309,34 @@ def test_chung_erdos_matches_direct(law, L):
         mean_ref, var_ref = oracles.chung_erdos_direct(gaps, L)
         assert mean == pytest.approx(mean_ref, rel=1e-12)
         assert var == pytest.approx(var_ref, rel=1e-12)
+
+
+def _chung_erdos_var_mpmath(masses, L):
+    """The variance at 40 digits for a short-support law, O(L * support):
+    the cross sum over j of j^-1/2 sum_{i<j} a_i (u(j - i) - u(j)), with
+    a_i = u(i) i^-1/2, reads F_j - a_j - u(j) P_j, where F = a * u solves
+    F_j = a_j + sum_k K(k) F_{j-k} and P_j = sum_{i<j} a_i."""
+    with mpmath.workdps(40):
+        K = [mpmath.mpf(x) for x in masses]
+        u, a, F = [mpmath.mpf(1)], [mpmath.mpf(0)], [mpmath.mpf(0)]
+        var, P = mpmath.mpf(0), mpmath.mpf(0)
+        for j in range(1, L + 1):
+            back = range(1, min(j, len(K)) + 1)
+            u.append(sum(K[k - 1] * u[j - k] for k in back))
+            a.append(u[j] / mpmath.sqrt(j))
+            F.append(a[j] + sum(K[k - 1] * F[j - k] for k in back))
+            var += (u[j] - u[j] ** 2) / j + 2 * (F[j] - a[j] - u[j] * P) / mpmath.sqrt(j)
+            P += a[j]
+        return var
+
+
+def test_chung_erdos_two_point_variance_mpmath():
+    # a two-gap law: the variance cancels enough to lift the Green table's
+    # roundoff several hundredfold, so the table must carry no FFT noise
+    masses, L = [0.6, 0.4], 3000
+    _, var = Q.chung_erdos_check(R.law_from_mass(masses), L)
+    ref = _chung_erdos_var_mpmath(masses, L)
+    assert abs(var - float(ref)) <= 1e-12 * float(ref)
 
 
 def test_chung_erdos_vs_mc(law):

@@ -60,9 +60,13 @@ def test_green_horizon_guard(half_law, two_point):
 
 
 def test_green_direct_vs_fft(half_law):
-    a = oracles.green_direct(half_law, 3000)
-    b = R.green_function(half_law, 3000).u
-    assert np.max(np.abs(a - b) / a) < 1e-10
+    # one triangular-solve block (1, 2, 511, 512), its edges and several
+    # levels of FFT carries
+    for N in (1, 2, 511, 512, 513, 1025, 3000):
+        a = oracles.green_direct(half_law, N)
+        table = R.green_function(half_law, N)
+        assert np.max(np.abs(a - table.u) / a) < 1e-10
+        assert R.renewal_residual(table) < 1e-12
 
 
 def test_green_matches_path_enumeration():
@@ -92,6 +96,21 @@ def test_green_residual_random_laws(size, seed):
     law = R.law_from_mass(w / w.sum())
     table = R.green_function(law, size)
     assert R.renewal_residual(table) < 1e-12
+
+
+_GUIDE_LAWS = [R.make_power_law(0.5, n) for n in (2, 4, 256, 4096, 100_000)] + [
+    R.law_from_mass([0.3, 0.2, 0.1])]
+
+
+@pytest.mark.parametrize("law", _GUIDE_LAWS, ids=lambda law: f"n_max={law.n_max}")
+def test_guide_table_gaps_are_exact(law):
+    # the guide lookup against a plain binary search on every cdf value,
+    # the float just below each and every bucket edge b / 2^16
+    cdf = law.cdf[1:]
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.arange(1 << 16) / (1 << 16)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    assert np.array_equal(R._gaps(law, u, law.n_max), cdf.searchsorted(u) + 1)
+    assert law.guide.nbytes <= 512 * 1024
 
 
 def test_sample_path_deterministic(half_law):
@@ -139,6 +158,7 @@ _DRAW_LAWS = {
 @example(name="two-point", N=2000, size=1, seed=9)       # one path over three rounds
 @example(name="two-point", N=2, size=300, seed=6)        # N = n_max
 @example(name="sub-probability", N=3, size=300, seed=7)  # exits through the deficit
+@example(name="sub-probability", N=50, size=300, seed=10)  # ends in the deficit
 @example(name="power", N=2000, size=0, seed=8)
 def test_batched_draws_equal_sequential_draws(name, N, size, seed):
     law = _DRAW_LAWS[name]
@@ -204,6 +224,17 @@ def test_sample_path_occupancy_matches_green(half_law):
     for p, f in zip(probes, freq):
         se = math.sqrt(u[p] * (1 - u[p]) / m)
         assert abs(f - u[p]) <= 4 * se
+
+
+def test_sub_probability_occupancy_matches_green():
+    # past n_max a draw in the deficit ends the path: the occupancy of every
+    # site against the Green marginals, each within 4 standard errors
+    law = R.law_from_mass([0.3, 0.2])
+    N, m = 10, 20_000
+    u = R.green_function(law, N).u[1:]
+    pts = R.sample_path(law, N, np.random.default_rng(29), size=m).points
+    freq = np.bincount(pts, minlength=N + 1)[1:] / m
+    assert np.all(np.abs(freq - u) <= 4 * np.sqrt(u * (1 - u) / m))
 
 
 def test_free_energy_zero_for_nonpositive_reward(half_law):
@@ -304,6 +335,13 @@ def test_conditioning_ratio_brute(two_point):
             ref = max(oracles.conditioning_ratio_brute(law, M)
                       for M in range(1, N + 1))
             assert ours == pytest.approx(ref, abs=1e-12)
+
+
+def test_conditioning_ratio_running_matches_fft():
+    for law in (R.make_power_law(0.5, 600), R.law_from_mass([0.5, 0.3, 0.2])):
+        curve = R.conditioning_ratio_curve(law, 300)
+        ref = oracles.conditioning_ratio_curve_fft(law, 300)
+        assert np.max(np.abs(curve - ref) / ref) < 1e-13
 
 
 def test_conditioning_ratio_plateau():
