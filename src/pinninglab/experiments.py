@@ -7,6 +7,8 @@ results do not depend on scheduling.
 """
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import time
 from pathlib import Path
@@ -95,7 +97,6 @@ def gw_check(cfg: ExperimentConfig, rec: RunRecord):
     worst = 0.0
     for n in range(1, int(cfg.get("n_exact", 3)) + 1):
         for r in range(1, 2**n + 1):
-            import itertools
             for leaves in itertools.combinations(range(1, 2**n + 1), r):
                 idx = hierarchy.TreeIndexSet(n=n, leaves=leaves)
                 closed = hierarchy.gw_product_expectation(idx, B)
@@ -197,7 +198,7 @@ def hier_certify(cfg: ExperimentConfig, rec: RunRecord):
         rng=derive_rng(cfg.seed, "hier-certify"),
         **kwargs,
     )
-    rec.notes["certificate"] = cert.to_dict()
+    rec.notes["certificate"] = dataclasses.asdict(cert)
     rec.constants["k_hat"] = cert.k_hat
     rec.flags["pass"] = cert.verdict == "pass"
     rec.flags["gamma_gap_ok"] = cert.gamma_gap_ok
@@ -345,25 +346,3 @@ def clt_check(cfg: ExperimentConfig, rec: RunRecord):
     header = ["L", "weighted_mean_over_log", "limit", "var_over_log_hi",
               "var_over_log_lo", "ks_distance"]
     return {"summary": (header, rows)}
-
-
-@experiment("smoothing-diagnostic")
-def smoothing_diagnostic(cfg: ExperimentConfig, rec: RunRecord):
-    law = _law_from_config(cfg, default_n_max=2_000)
-    beta = float(cfg.get("beta", 1.0))
-    N = int(cfg.get("N", 1_200))
-    samples = int(cfg.get("samples", 32))
-    hs = [float(h) for h in cfg.get("h_list", [0.1, 0.2, 0.4])]
-    rows = []
-    ok = True
-    for i, h in enumerate(hs):
-        qc = QuenchedConfig(law=law, beta=beta, h=h, N=N)
-        rng = derive_rng(cfg.seed, "smoothing-diagnostic", i)
-        est = quenched.quenched_free_energy(qc, samples, rng)
-        # quadratic envelope with the annealed critical point at 0
-        bound = (1.0 + law.alpha) / (2.0 * beta**2) * h**2
-        holds = est.mean <= bound + 3 * est.std_error
-        ok = ok and holds
-        rows.append((beta, h, est.mean, est.std_error, bound, int(holds)))
-    rec.flags["quadratic_envelope_ok"] = ok
-    return {"scan": (["beta", "h", "mean", "std_error", "envelope", "holds"], rows)}

@@ -201,7 +201,6 @@ class Certificate:
     condition_b_threshold: float   # 1 - zeta
     condition_b_pass: bool
     verdict: str                   # "pass" | "fail" | "infeasible-at-paper-constants"
-    seeds: tuple[int, ...]
     k_hat: float
     n_zeta: int
     n_paper: float
@@ -210,11 +209,6 @@ class Certificate:
     tilted_excess: float           # tilted mean of X minus (B-1)
     f_zero_declared: bool
     h_c_lower_bound: float | None
-
-    def to_dict(self) -> dict:
-        out = dict(self.__dict__)
-        out["seeds"] = list(self.seeds)
-        return out
 
 
 def _paper_generation(k_hat_value: float, beta: float, epsilon: float) -> float:
@@ -228,9 +222,8 @@ def certify_delocalization(
     gamma_override: float | None = None,
     epsilon_override: float | None = None,
     samples: int = 40_000,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
-    n_cap: int = MAX_GENERATION,
+    *,
+    rng: np.random.Generator,
 ) -> Certificate:
     """Run the fractional-moment / change-of-measure certification at B critical.
 
@@ -245,14 +238,6 @@ def certify_delocalization(
     then verified as stated and the side conditions (moment-order gap,
     envelope floor) are reported as separate flags.
     """
-    if rng is None:
-        if seed is None:
-            raise InvalidParameter("pass either rng or seed")
-        rng = np.random.default_rng(seed)
-        seeds = (seed,)
-    else:
-        seeds = ()
-
     B = B_CRITICAL
     khat = hierarchy.k_hat()
     zeta = zeta_override if zeta_override is not None else 1.0 / (40.0 * khat)
@@ -270,13 +255,13 @@ def certify_delocalization(
     paper_mode = n_override is None
     if paper_mode:
         wanted = max(n_zeta, math.ceil(n_paper))
-        feasible = wanted <= n_cap
-        n = wanted if feasible else n_cap
+        feasible = wanted <= MAX_GENERATION
+        n = wanted if feasible else MAX_GENERATION
     else:
         n = max(n_zeta, int(n_override))
-        feasible = n <= n_cap
+        feasible = n <= MAX_GENERATION
         if not feasible:
-            raise ResourceGuard(f"n={n} beyond the feasibility cap {n_cap}")
+            raise ResourceGuard(f"n={n} beyond the feasibility cap {MAX_GENERATION}")
 
     spec = gaussian.factorize(gaussian.build_hier_coupling(n, B))
     pd_cap = 0.999 / spec.lam_max
@@ -306,7 +291,7 @@ def certify_delocalization(
         condition_a_threshold=cond_a_thr, condition_a_pass=cond_a,
         condition_b_mean=tm.mean, condition_b_stderr=tm.std_error,
         condition_b_threshold=cond_b_thr, condition_b_pass=cond_b,
-        verdict=verdict, seeds=seeds, k_hat=khat, n_zeta=n_zeta,
+        verdict=verdict, k_hat=khat, n_zeta=n_zeta,
         n_paper=n_paper, gamma_gap_ok=gamma_gap_ok, n_floor_ok=n >= n_zeta,
         tilted_excess=tm.mean - (B - 1.0),
         f_zero_declared=declared,

@@ -13,6 +13,8 @@ import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 VERSION = "0.1.0"
@@ -87,18 +89,12 @@ class RunRecord:
 
 
 def _jsonable(obj):
-    try:
-        import numpy as np
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.floating,)):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-    except ImportError:
-        pass
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     return str(obj)
 
 

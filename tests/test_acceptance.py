@@ -1,18 +1,107 @@
 """The acceptance gate: every criterion at its stated tolerance.
 
-Each test invokes the corresponding suite function with its frozen
-parameters and seeds, printing the measured values on failure.
+One module-scoped `run_all` judges the whole table, so each distinct
+config runs once for the module; each test asserts one criterion of it
+and prints the measured values. Negative controls rerun single rows
+under a fault, and hand-built records exercise the judges directly.
 """
+import tempfile
+
 import pytest
 
 from pinninglab import acceptance as acc
+from pinninglab.experiments import EXPERIMENTS
+from pinninglab.records import ExperimentConfig, RunRecord, estimate
 
 
-@pytest.mark.parametrize("fn", acc.CRITERIA, ids=[f.__name__ for f in acc.CRITERIA])
-def test_criterion(fn):
-    res = acc.run_criterion(fn)
+@pytest.fixture(scope="module")
+def suite():
+    ran = []
+    real = acc.run_experiment
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acc, "run_experiment", lambda cfg, *out: ran.append(cfg) or real(cfg, *out))
+        results = acc.run_all(echo=None)
+    return {r.number: r for r in results}, ran
+
+
+@pytest.mark.parametrize("crit", acc.CRITERIA,
+                         ids=[f"crit_{c.number:02d}_{c.judge.__name__}" for c in acc.CRITERIA])
+def test_criterion(crit, suite):
+    res = suite[0][crit.number]
     print(res.line())
     assert res.passed, res.details
+
+
+def test_suite_runs_each_table_config_once(suite):
+    table = [ExperimentConfig.from_dict(raw).sha256
+             for crit in acc.CRITERIA for raw in crit.configs]
+    ran = [cfg.sha256 for cfg in suite[1] if cfg.sha256 in table]
+    assert sorted(ran) == sorted(set(table))
+    assert len(ran) < len(table)  # crit_12 and crit_13 share one clt-check record
+    assert [cfg.experiment for cfg in suite[1]].count("clt-check") == 1
+
+
+def test_table_structure():
+    assert [c.number for c in acc.CRITERIA] == list(range(1, 16))
+    for crit in acc.CRITERIA:
+        for raw in crit.configs:
+            cfg = ExperimentConfig.from_dict(raw)
+            assert cfg.experiment in EXPERIMENTS, (crit.number, cfg.experiment)
+            assert cfg.seed == acc.MASTER_SEED
+
+
+def test_shared_config_runs_once(monkeypatch):
+    raw = {"experiment": "overlap-identity", "seed": 1, "n_max_gen": 4, "brute_n": 2}
+    monkeypatch.setattr(acc, "CRITERIA", [
+        acc.Criterion(n, f"row-{n}", (dict(raw),), acc.overlap_identity) for n in (1, 2)])
+    calls = []
+    real = acc.run_experiment
+    monkeypatch.setattr(acc, "run_experiment", lambda cfg: calls.append(cfg) or real(cfg))
+    results = acc.run_all(echo=None)
+    assert len(calls) == 1
+    assert [r.passed for r in results] == [True, True]
+
+
+def test_determinism_leaves_no_temp_dir(monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    [res] = acc.run_all({15}, echo=None)
+    assert res.passed
+    assert not list(tmp_path.iterdir())
+
+
+def _row(number: int) -> acc.Criterion:
+    return next(c for c in acc.CRITERIA if c.number == number)
+
+
+def _record(raw: dict) -> RunRecord:
+    cfg = ExperimentConfig.from_dict(raw)
+    return RunRecord(experiment=cfg.experiment, seed=cfg.seed, config=cfg.to_dict(),
+                     config_sha256=cfg.sha256)
+
+
+def _certification_records(n: int, h: float):
+    """Hand-built crit_11 records whose tuned certificate sits at (n, h)."""
+    paper, tuned, pool = map(_record, _row(11).configs)
+    paper.notes["certificate"] = {"verdict": "infeasible-at-paper-constants",
+                                  "n_paper": 9.81e7}
+    tuned.notes["certificate"] = {
+        "verdict": "pass", "n": n, "h_certified": h, "condition_a_pass": True,
+        "condition_a_value": 0.99575, "condition_a_threshold": 0.98,
+        "condition_b_mean": 0.90, "condition_b_stderr": 1e-3,
+        "condition_b_threshold": 0.92}
+    [h_pool] = pool.config["h_grid"]
+    pool.estimates[f"free_energy_h={h_pool!r}"] = estimate(-1e-5, 1e-7)
+    pool.baselines[f"annealed_h={h_pool!r}"] = 0.0
+    return paper, tuned, pool
+
+
+def test_certification_judge_checks_the_pool_point():
+    # negative control on doctored records: the pool must sit at the
+    # tuned certificate's (n, h_certified)
+    judge = _row(11).judge
+    assert judge(*_certification_records(16, 0.08 * 2**-16))[0]
+    assert not judge(*_certification_records(16, 0.08 * 2**-15))[0]
+    assert not judge(*_certification_records(17, 0.08 * 2**-16))[0]
 
 
 def test_mutation_hook_is_detected(monkeypatch):
@@ -22,7 +111,7 @@ def test_mutation_hook_is_detected(monkeypatch):
     exact = hierarchy.pair_overlap_sum
     monkeypatch.setattr(hierarchy, "pair_overlap_sum",
                         lambda n, B: exact(n, B) * (1.0 + 1e-6))
-    res = acc.crit_02_overlap_identity()
+    [res] = acc.run_all({2}, echo=None)
     assert not res.passed
 
 
@@ -41,6 +130,6 @@ def test_dp_consistency_detects_a_perturbed_green_table(monkeypatch):
         return exact(dataclasses.replace(law, mass=mass), N)
 
     monkeypatch.setattr(renewal, "green_function", perturbed)
-    res = acc.crit_06_dp_consistency()
+    [res] = acc.run_all({6}, echo=None)
     print(res.line())
     assert not res.passed

@@ -24,7 +24,6 @@ QUICK = {
                      "n_max": 1_000},
     "clt-check": {"L_exact": 2_000, "L_w": 10_000, "w_samples": 500,
                   "n_max": 10_000},
-    "smoothing-diagnostic": {"N": 300, "samples": 8, "n_max": 600},
 }
 
 

@@ -110,7 +110,8 @@ def test_paley_zygmund():
 
 
 def test_certificate_paper_mode_infeasible():
-    cert = MC.certify_delocalization(1.0, samples=2_000, seed=123)
+    cert = MC.certify_delocalization(1.0, samples=2_000,
+                                      rng=np.random.default_rng(123))
     assert cert.verdict == "infeasible-at-paper-constants"
     assert cert.n_paper > cert.n
     assert cert.gamma_gap_ok
@@ -122,7 +123,7 @@ def test_certificate_paper_mode_infeasible():
 def test_certificate_tuned_pass_and_consistency():
     cert = MC.certify_delocalization(
         1.0, zeta_override=0.08, gamma_override=0.5, epsilon_override=0.09,
-        n_override=16, samples=30_000, seed=321)
+        n_override=16, samples=30_000, rng=np.random.default_rng(321))
     assert cert.verdict == "pass"
     assert cert.condition_a_pass and cert.condition_b_pass
     assert cert.f_zero_declared
@@ -140,10 +141,11 @@ def test_certification_draws_no_tilted_disorder(monkeypatch):
         raise AssertionError("certification sampled tilted disorder")
 
     monkeypatch.setattr(G, "sample_tilted_batch", refuse)
-    paper = MC.certify_delocalization(1.0, samples=1_000, seed=1)
+    paper = MC.certify_delocalization(1.0, samples=1_000,
+                                      rng=np.random.default_rng(1))
     tuned = MC.certify_delocalization(
         1.0, zeta_override=0.08, gamma_override=0.5, epsilon_override=0.09,
-        n_override=12, samples=1_000, seed=1)
+        n_override=12, samples=1_000, rng=np.random.default_rng(1))
     assert paper.verdict == "infeasible-at-paper-constants"
     assert tuned.verdict in ("pass", "fail")
 
