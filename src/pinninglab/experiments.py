@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from . import hierarchy, hiermc, oracles, quenched, renewal
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 from .hierarchy import B_CRITICAL, HierParams
 from .numerics import derive_rng, ks_distance, least_squares_slope
 from .quenched import QuenchedConfig
@@ -312,13 +312,19 @@ def lemma51_scan(cfg: ExperimentConfig, rec: RunRecord):
     return {"scan": (header, rows)}
 
 
-_W_BATCH = 64  # paths drawn per sampler call, which bounds the memory they hold
+_W_BATCH = 512  # paths drawn and summed per call, which bounds the memory they hold
 
 
 @experiment("clt-check")
 def clt_check(cfg: ExperimentConfig, rec: RunRecord):
     law = _law_from_config(cfg)
     L_exact = int(cfg.get("L_exact", 10_000))
+    L = int(cfg.get("L_w", 100_000))
+    m = int(cfg.get("w_samples", 10_000))
+    if m < 2:
+        raise InvalidParameter(f"w_samples must be at least 2, got {m}")
+    if L_exact // 10 < 2:
+        raise InvalidParameter(f"L_exact // 10 must be at least 2, got L_exact {L_exact}")
     mean_hi, var_hi = quenched.chung_erdos_check(law, L_exact)
     mean_lo, var_lo = quenched.chung_erdos_check(law, L_exact // 10)
     target = 1.0 / (2.0 * math.pi * law.c_k)
@@ -327,14 +333,12 @@ def clt_check(cfg: ExperimentConfig, rec: RunRecord):
     rec.estimates["var_over_log_ratio"] = estimate(
         (var_hi / math.log(L_exact)) / (var_lo / math.log(L_exact // 10)))
 
-    L = int(cfg.get("L_w", 100_000))
-    m = int(cfg.get("w_samples", 10_000))
     law_w = renewal.make_power_law(law.alpha, max(L, law.n_max))
     rng = derive_rng(cfg.seed, "clt-check")
     w = np.empty(m)
     for lo in range(0, m, _W_BATCH):
         paths = renewal.sample_path(law_w, L, rng, size=min(_W_BATCH, m - lo))
-        w[lo : lo + len(paths)] = [quenched.w_statistic(path, L) for path in paths]
+        w[lo : lo + len(paths)] = quenched.w_statistic(paths, L)
     c = quenched.w_limit_scale(law_w)
     dist = ks_distance(w, lambda x: special.erf(np.maximum(x, 0.0) / (c * math.sqrt(2))))
     rec.estimates["ks_distance"] = estimate(dist)

@@ -12,12 +12,13 @@ block, so the nested sums of the decomposition are never materialized.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 from scipy.linalg import blas, toeplitz
-from scipy.spatial import distance
 
 from .errors import (DimensionMismatch, HorizonExceeded, InvalidParameter,
                      ResourceGuard)
@@ -32,6 +33,8 @@ MAX_DP_SIZE = 100_000
 MAX_BLOCK_COUNT = 6
 _BLOCK = 64           # sites per block of the renewal DP
 _EXP_RANGE = 600.0    # widest exponent range a DP block may span (e^709 overflows)
+_W_GROUP = 8          # paths per padded group of the pair kernel
+_W_ROWS = 16          # rows per lag block: a worker's scratch is _W_GROUP * _W_ROWS * P
 
 
 @dataclass(frozen=True)
@@ -529,20 +532,81 @@ def split_estimate(beta: float, k: int, delta: float, gamma: float,
                          bound_holds=window_sum <= rhs)
 
 
-def w_statistic(path: RenewalPath, L: int) -> float:
-    """Normalized pair sum of inverse square-root gaps over the path in [1, L].
+def _worker_count() -> int:
+    return len(os.sched_getaffinity(0))
 
-    The gaps come as the condensed upper triangle of pairwise distances,
-    exact for integer points: p (p - 1) / 2 cells, not p^2.
+
+def _padded_pair_sums(X: np.ndarray, Y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sum over i < j of 1/sqrt(Y[:, j] - X[:, i]) for each row of a padded group.
+
+    X (g, P) holds the points with -inf pads and Y (g, 2P) the same points
+    with +inf pads, so a pair that touches a pad has an infinite gap and
+    adds exactly +0.0.  U[:, a, k] = Y[:, a + k + 1] is the point at lag
+    k + 1 from point a; each block of rows a..a+r-1 reads the columns of
+    its first row, and the r x r corner past the triangle lands on pads.
+    """
+    g, P = X.shape
+    U = np.lib.stride_tricks.sliding_window_view(Y[:, 1:], P - 1, axis=1)
+    total = np.zeros(g)
+    for a in range(0, P - 1, _W_ROWS):
+        r, n = min(_W_ROWS, P - 1 - a), P - 1 - a
+        d = scratch[: g * r * n].reshape(g, r, n)
+        np.subtract(U[:, a : a + r, :n], X[:, a : a + r, None], out=d)
+        np.reciprocal(np.sqrt(d, out=d), out=d)
+        total += d.sum(axis=(1, 2))
+    return total
+
+
+def w_statistic(paths: RenewalPath | RenewalPaths, L: int) -> float | np.ndarray:
+    """Normalized pair sum of inverse square-root gaps over each path in [1, L].
+
+    A `RenewalPaths` batch gives one W per path, in input order; a single
+    `RenewalPath` gives a float.  The paths are sorted by their point
+    count in [1, L] and cut into groups of `_W_GROUP`, each padded to its
+    longest path and summed by lag blocks (`_padded_pair_sums`).  The
+    groups are dealt round-robin to one thread per available core; a
+    group's sum does not depend on the thread, so W does not depend on
+    the worker count.
     """
     if L < 3:
         raise InvalidParameter("need L >= 3")
-    pts = path.points[(path.points >= 1) & (path.points <= L)]
-    if pts.size < 2:
-        return 0.0
-    gaps = distance.pdist(pts[:, None], "cityblock")
-    total = float(np.reciprocal(np.sqrt(gaps, out=gaps), out=gaps).sum())
-    return total / (math.sqrt(L) * math.log(L))
+    single = isinstance(paths, RenewalPath)
+    offsets = np.array([0, paths.points.size]) if single else paths.offsets
+    pts = paths.points.astype(float)
+    # every path starts at 0 <= L and increases, so its points in [1, L]
+    # are the `counts` points after its first
+    below = np.concatenate([[0], np.cumsum(paths.points <= L)])
+    counts = below[offsets[1:]] - below[offsets[:-1]] - 1
+    order = np.argsort(counts, kind="stable")
+    groups = [order[lo : lo + _W_GROUP] for lo in range(0, order.size, _W_GROUP)]
+    groups = [grp for grp in groups if counts[grp[-1]] >= 2]
+    w = np.zeros(counts.size)
+
+    def run(share, scratch):
+        for grp in share:
+            c = counts[grp]
+            P = int(c[-1])
+            col = np.arange(P)
+            valid = col < c[:, None]
+            take = np.minimum(offsets[grp, None] + 1 + col, pts.size - 1)
+            Y = np.full((grp.size, 2 * P), np.inf)
+            Y[:, :P] = np.where(valid, pts[take], np.inf)
+            X = np.where(valid, Y[:, :P], -np.inf)
+            w[grp] = _padded_pair_sums(X, Y, scratch)
+
+    workers = min(_worker_count(), len(groups))
+    shares = [groups[k::workers] for k in range(workers)]
+    # scratch is allocated in this thread: freed in a worker thread, it
+    # would stay resident in that thread's malloc arena after the call
+    scratches = [np.empty(_W_GROUP * _W_ROWS * int(counts[share[-1][-1]])) for share in shares]
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, shares, scratches))  # re-raises a worker's exception
+    else:
+        for share, scratch in zip(shares, scratches):
+            run(share, scratch)
+    w /= math.sqrt(L) * math.log(L)
+    return float(w[0]) if single else w
 
 
 def w_limit_scale(law: RenewalLaw) -> float:

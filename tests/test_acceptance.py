@@ -104,6 +104,24 @@ def test_certification_judge_checks_the_pool_point():
     assert not judge(*_certification_records(17, 0.08 * 2**-16))[0]
 
 
+def _clt_record(ks: float, w_mean: float) -> RunRecord:
+    """A hand-built crit_13 record at the measured limit scale of the W law."""
+    rec = _record(acc._CLT)
+    rec.estimates["ks_distance"] = estimate(ks)
+    rec.estimates["w_mean"] = estimate(w_mean, 0.0033)
+    rec.baselines["w_mean_limit"] = 0.34573
+    return rec
+
+
+def test_w_limit_law_judge_fails_doctored_records():
+    # negative control on doctored records: a W normalization off by a
+    # factor of 2, or a KS distance at the threshold, must fail crit_13
+    judge = _row(13).judge
+    assert judge(_clt_record(0.0849, 0.3415))[0]
+    assert not judge(_clt_record(0.0849, 2 * 0.3415))[0]
+    assert not judge(_clt_record(0.1, 0.3415))[0]
+
+
 def test_mutation_hook_is_detected(monkeypatch):
     # negative control: a corrupted overlap normalization must trip criterion 2
     from pinninglab import hierarchy

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from pinninglab import cli
 from pinninglab.records import ExperimentConfig
 from pinninglab.experiments import run as run_experiment
@@ -60,6 +62,14 @@ def test_run_config_missing_file(tmp_path):
 
 def test_run_bad_window(tmp_path):
     cfg = write_config(tmp_path, "annealed-scan", seed=1, B_list=[2.5])
+    assert cli.main(["run", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("bad", [{"w_samples": 0}, {"w_samples": 1},
+                                 {"L_exact": 5}, {"L_exact": 15}])
+def test_run_clt_check_bad_sizes(tmp_path, bad):
+    # no standard error below 2 samples, no log ratio below L_exact // 10 = 2
+    cfg = write_config(tmp_path, "clt-check", seed=1, L_w=1_000, **bad)
     assert cli.main(["run", "--config", cfg]) == 2
 
 

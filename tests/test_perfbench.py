@@ -36,6 +36,8 @@ def test_tracer_bindings_resolve_and_restore(monkeypatch):
         quenched.log_partition_profile(QuenchedConfig(law=law, beta=0.5, h=0.1, N=8),
                                        np.zeros(8))
         renewal.green_function(law, 8)
+        # positional, as clt-check calls it: the layer's work function reads argument 0
+        quenched.w_statistic(renewal.sample_path(law, 16, np.random.default_rng(0), size=3), 16)
         spans, calls = tracer.take()
     finally:
         tracer.uninstall()
@@ -43,7 +45,7 @@ def test_tracer_bindings_resolve_and_restore(monkeypatch):
     for owner, attrs in before:
         assert all(vars(owner)[key] is value for key, value in attrs.items())
     counts = tracing.call_counts(spans, calls)
-    for name in ("quenched.dp", "numerics.logsumexp", "renewal.green"):
+    for name in ("quenched.dp", "numerics.logsumexp", "renewal.green", "quenched.w_statistic"):
         assert counts[name] > 0, f"{name} recorded no calls"
 
 

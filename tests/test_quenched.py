@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -283,13 +284,59 @@ def test_w_statistic_matches_pair_sum_profile(law):
         assert Q.w_statistic(path, L) == pytest.approx(ref, rel=1e-12)
 
 
+def _batch(point_lists) -> R.RenewalPaths:
+    offsets = np.cumsum([0] + [len(p) for p in point_lists])
+    points = np.concatenate([np.zeros(0, np.int64)] + [np.asarray(p) for p in point_lists])
+    return R.RenewalPaths(offsets=offsets, points=points)
+
+
+def test_w_statistic_batch_matches_pair_sum_profile(law):
+    # element by element in input order: the mean and KS distance of W
+    # cannot see a permutation of the batch or a group summed twice
+    L = 2000
+    sampled = R.sample_path(law, L, np.random.default_rng(12), size=47)
+    # 7..9 and 15..17 points in [1, L] straddle the group size and its double,
+    # and L + 5 or L + 9 sit past the horizon
+    sized = [[0, *range(3, 3 * p + 1, 3)] + [L + 5] * (p % 2) for p in (7, 8, 9, 15, 16, 17)]
+    point_lists = [sampled[i].points for i in range(30)]
+    point_lists += [[0], [0, 7], [0, L + 9], [0, 7, L + 1], [0, 5, 9, L + 3]] + sized
+    point_lists += [sampled[i].points for i in range(30, 47)]
+    batch = _batch(point_lists)
+    w = Q.w_statistic(batch, L)
+    assert w.shape == (len(point_lists),)
+    assert len(point_lists) % Q._W_GROUP != 0
+    norm = math.sqrt(L) * math.log(L)
+    ref = [oracles.pair_sum_profile(np.asarray(p), L)[L] / norm for p in point_lists]
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0.0)
+    assert w[30] == 0.0 and w[31] == 0.0
+
+
+def test_w_statistic_batch_edges_and_worker_count(law, monkeypatch):
+    assert Q.w_statistic(_batch([]), 100).shape == (0,)
+    assert Q.w_statistic(R.sample_path(law, 100, np.random.default_rng(1), size=0),
+                         100).shape == (0,)
+    with pytest.raises(InvalidParameter):
+        Q.w_statistic(_batch([[0, 1, 2]]), 2)
+    paths = R.sample_path(law, 2000, np.random.default_rng(13), size=100)
+    default = Q.w_statistic(paths, 2000)
+    # more workers than cores, switching often: a lost write leaves a zero
+    # or another group's sum, a shared scratch a different sum
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 3):
+            monkeypatch.setattr(Q, "_worker_count", lambda: workers)
+            assert np.array_equal(Q.w_statistic(paths, 2000), default), workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_w_mean_exact_vs_mc(law):
     L = 400
     table = R.green_function(law, L)
     exact = Q.w_mean_exact(table, L)
     rng = np.random.default_rng(7)
-    vals = np.array([Q.w_statistic(R.sample_path(law, L, rng), L)
-                     for _ in range(4000)])
+    vals = Q.w_statistic(R.sample_path(law, L, rng, size=4000), L)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - exact) <= 3 * se
 
