@@ -12,8 +12,6 @@ block, so the nested sums of the decomposition are never materialized.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +32,7 @@ MAX_BLOCK_COUNT = 6
 _BLOCK = 64           # sites per block of the renewal DP
 _EXP_RANGE = 600.0    # widest exponent range a DP block may span (e^709 overflows)
 _W_GROUP = 8          # paths per padded group of the pair kernel
-_W_ROWS = 16          # rows per lag block: a worker's scratch is _W_GROUP * _W_ROWS * P
+_W_ROWS = 16          # rows per lag block: the scratch is _W_GROUP * _W_ROWS * P
 
 
 @dataclass(frozen=True)
@@ -532,10 +530,6 @@ def split_estimate(beta: float, k: int, delta: float, gamma: float,
                          bound_holds=window_sum <= rhs)
 
 
-def _worker_count() -> int:
-    return len(os.sched_getaffinity(0))
-
-
 def _padded_pair_sums(X: np.ndarray, Y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """sum over i < j of 1/sqrt(Y[:, j] - X[:, i]) for each row of a padded group.
 
@@ -563,10 +557,8 @@ def w_statistic(paths: RenewalPath | RenewalPaths, L: int) -> float | np.ndarray
     A `RenewalPaths` batch gives one W per path, in input order; a single
     `RenewalPath` gives a float.  The paths are sorted by their point
     count in [1, L] and cut into groups of `_W_GROUP`, each padded to its
-    longest path and summed by lag blocks (`_padded_pair_sums`).  The
-    groups are dealt round-robin to one thread per available core; a
-    group's sum does not depend on the thread, so W does not depend on
-    the worker count.
+    longest path and summed by lag blocks (`_padded_pair_sums`) in one
+    scratch buffer sized to the longest group.
     """
     if L < 3:
         raise InvalidParameter("need L >= 3")
@@ -578,33 +570,21 @@ def w_statistic(paths: RenewalPath | RenewalPaths, L: int) -> float | np.ndarray
     below = np.concatenate([[0], np.cumsum(paths.points <= L)])
     counts = below[offsets[1:]] - below[offsets[:-1]] - 1
     order = np.argsort(counts, kind="stable")
-    groups = [order[lo : lo + _W_GROUP] for lo in range(0, order.size, _W_GROUP)]
-    groups = [grp for grp in groups if counts[grp[-1]] >= 2]
     w = np.zeros(counts.size)
-
-    def run(share, scratch):
-        for grp in share:
-            c = counts[grp]
-            P = int(c[-1])
-            col = np.arange(P)
-            valid = col < c[:, None]
-            take = np.minimum(offsets[grp, None] + 1 + col, pts.size - 1)
-            Y = np.full((grp.size, 2 * P), np.inf)
-            Y[:, :P] = np.where(valid, pts[take], np.inf)
-            X = np.where(valid, Y[:, :P], -np.inf)
-            w[grp] = _padded_pair_sums(X, Y, scratch)
-
-    workers = min(_worker_count(), len(groups))
-    shares = [groups[k::workers] for k in range(workers)]
-    # scratch is allocated in this thread: freed in a worker thread, it
-    # would stay resident in that thread's malloc arena after the call
-    scratches = [np.empty(_W_GROUP * _W_ROWS * int(counts[share[-1][-1]])) for share in shares]
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, shares, scratches))  # re-raises a worker's exception
-    else:
-        for share, scratch in zip(shares, scratches):
-            run(share, scratch)
+    scratch = np.empty(_W_GROUP * _W_ROWS * int(counts.max(initial=0)))
+    for lo in range(0, order.size, _W_GROUP):
+        grp = order[lo : lo + _W_GROUP]
+        c = counts[grp]
+        P = int(c[-1])
+        if P < 2:
+            continue
+        col = np.arange(P)
+        valid = col < c[:, None]
+        take = np.minimum(offsets[grp, None] + 1 + col, pts.size - 1)
+        Y = np.full((grp.size, 2 * P), np.inf)
+        Y[:, :P] = np.where(valid, pts[take], np.inf)
+        X = np.where(valid, Y[:, :P], -np.inf)
+        w[grp] = _padded_pair_sums(X, Y, scratch)
     w /= math.sqrt(L) * math.log(L)
     return float(w[0]) if single else w
 

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -311,24 +310,13 @@ def test_w_statistic_batch_matches_pair_sum_profile(law):
     assert w[30] == 0.0 and w[31] == 0.0
 
 
-def test_w_statistic_batch_edges_and_worker_count(law, monkeypatch):
+def test_w_statistic_batch_edges(law):
     assert Q.w_statistic(_batch([]), 100).shape == (0,)
     assert Q.w_statistic(R.sample_path(law, 100, np.random.default_rng(1), size=0),
                          100).shape == (0,)
+    assert Q.w_statistic(_batch([[0], [0, 7]]), 100).tolist() == [0.0, 0.0]
     with pytest.raises(InvalidParameter):
         Q.w_statistic(_batch([[0, 1, 2]]), 2)
-    paths = R.sample_path(law, 2000, np.random.default_rng(13), size=100)
-    default = Q.w_statistic(paths, 2000)
-    # more workers than cores, switching often: a lost write leaves a zero
-    # or another group's sum, a shared scratch a different sum
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 3):
-            monkeypatch.setattr(Q, "_worker_count", lambda: workers)
-            assert np.array_equal(Q.w_statistic(paths, 2000), default), workers
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_w_mean_exact_vs_mc(law):
