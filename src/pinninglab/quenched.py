@@ -32,7 +32,7 @@ MAX_BLOCK_COUNT = 6
 _BLOCK = 64           # sites per block of the renewal DP
 _EXP_RANGE = 600.0    # widest exponent range a DP block may span (e^709 overflows)
 _W_GROUP = 8          # paths per padded group of the pair kernel
-_W_ROWS = 16          # rows per lag block: the scratch is _W_GROUP * _W_ROWS * P
+_W_ROWS = 16          # rows per lag block: each scratch is _W_GROUP * _W_ROWS * P
 
 
 @dataclass(frozen=True)
@@ -300,6 +300,13 @@ def decomposition_residual(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> fl
 _PROFILE_ROWS = 128   # paths per occupancy chunk, which bounds the working memory
 
 
+def _inv_sqrt_table(n: int) -> np.ndarray:
+    """[0, 1/sqrt(1), ..., 1/sqrt(n - 1)]: entry d is 1/sqrt(d) for 0 < d < n."""
+    tab = np.zeros(n)
+    np.reciprocal(np.sqrt(np.arange(1, n, dtype=float)), out=tab[1:])
+    return tab
+
+
 def _pair_sum_profiles(paths: RenewalPaths, horizon: int):
     """The pair-sum profiles of `paths`, `_PROFILE_ROWS` rows at a time.
 
@@ -309,9 +316,7 @@ def _pair_sum_profiles(paths: RenewalPaths, horizon: int):
     (j - i)^-1/2 for j > i, (occ @ T)[r, j] sums over the points of path
     r before j, so the profiles are cumsum(occ * (occ @ T)) along the sites.
     """
-    inv_sqrt = np.zeros(horizon)
-    inv_sqrt[1:] = 1.0 / np.sqrt(np.arange(1, horizon))
-    T = toeplitz(np.zeros(horizon), inv_sqrt)
+    T = toeplitz(np.zeros(horizon), _inv_sqrt_table(horizon))
     for lo in range(0, len(paths), _PROFILE_ROWS):
         hi = min(lo + _PROFILE_ROWS, len(paths))
         a, b = paths.offsets[lo], paths.offsets[hi]
@@ -530,24 +535,28 @@ def split_estimate(beta: float, k: int, delta: float, gamma: float,
                          bound_holds=window_sum <= rhs)
 
 
-def _padded_pair_sums(X: np.ndarray, Y: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """sum over i < j of 1/sqrt(Y[:, j] - X[:, i]) for each row of a padded group.
+def _padded_pair_sums(Y: np.ndarray, tab: np.ndarray, gaps: np.ndarray,
+                      vals: np.ndarray) -> np.ndarray:
+    """sum over i < j of tab[Y[:, j] - Y[:, i]] for each row of a padded group.
 
-    X (g, P) holds the points with -inf pads and Y (g, 2P) the same points
-    with +inf pads, so a pair that touches a pad has an infinite gap and
-    adds exactly +0.0.  U[:, a, k] = Y[:, a + k + 1] is the point at lag
-    k + 1 from point a; each block of rows a..a+r-1 reads the columns of
-    its first row, and the r x r corner past the triangle lands on pads.
+    Y (g, 2P) holds increasing int64 points from 1 to tab.size, padded
+    with 0, so a pair that touches a pad has a gap <= 0, which the clip
+    maps onto tab[0] = +0.0.  U[:, a, k] = Y[:, a + k + 1] is the point
+    at lag k + 1 from point a; each block of rows a..a+r-1 reads the
+    columns of its first row, and the r x r corner past the triangle
+    lands on pads.  `gaps` (int64) and `vals` (float) are scratch of the
+    same size.
     """
-    g, P = X.shape
+    g, P = Y.shape[0], Y.shape[1] // 2
     U = np.lib.stride_tricks.sliding_window_view(Y[:, 1:], P - 1, axis=1)
     total = np.zeros(g)
     for a in range(0, P - 1, _W_ROWS):
         r, n = min(_W_ROWS, P - 1 - a), P - 1 - a
-        d = scratch[: g * r * n].reshape(g, r, n)
-        np.subtract(U[:, a : a + r, :n], X[:, a : a + r, None], out=d)
-        np.reciprocal(np.sqrt(d, out=d), out=d)
-        total += d.sum(axis=(1, 2))
+        d = gaps[: g * r * n].reshape(g, r, n)
+        v = vals[: g * r * n].reshape(g, r, n)
+        np.subtract(U[:, a : a + r, :n], Y[:, a : a + r, None], out=d)
+        np.take(tab, d, mode="clip", out=v)
+        total += v.sum(axis=(1, 2))
     return total
 
 
@@ -556,22 +565,27 @@ def w_statistic(paths: RenewalPath | RenewalPaths, L: int) -> float | np.ndarray
 
     A `RenewalPaths` batch gives one W per path, in input order; a single
     `RenewalPath` gives a float.  The paths are sorted by their point
-    count in [1, L] and cut into groups of `_W_GROUP`, each padded to its
-    longest path and summed by lag blocks (`_padded_pair_sums`) in one
-    scratch buffer sized to the longest group.
+    count in [1, L] and cut into groups of `_W_GROUP`, each padded with 0
+    to its longest path and summed by lag blocks (`_padded_pair_sums`) in
+    scratch sized to the longest group.  The gaps are integers below the
+    largest point D in [1, L], so each 1/sqrt(gap) is read from one table
+    of D entries (`_inv_sqrt_table`), sized by D and not by L.
     """
     if L < 3:
         raise InvalidParameter("need L >= 3")
     single = isinstance(paths, RenewalPath)
     offsets = np.array([0, paths.points.size]) if single else paths.offsets
-    pts = paths.points.astype(float)
+    pts = paths.points
     # every path starts at 0 <= L and increases, so its points in [1, L]
     # are the `counts` points after its first
-    below = np.concatenate([[0], np.cumsum(paths.points <= L)])
+    inside = pts <= L
+    below = np.concatenate([[0], np.cumsum(inside)])
     counts = below[offsets[1:]] - below[offsets[:-1]] - 1
+    tab = _inv_sqrt_table(int(pts[inside].max(initial=0)))
     order = np.argsort(counts, kind="stable")
     w = np.zeros(counts.size)
-    scratch = np.empty(_W_GROUP * _W_ROWS * int(counts.max(initial=0)))
+    size = _W_GROUP * _W_ROWS * int(counts.max(initial=0))
+    gaps, vals = np.empty(size, dtype=np.int64), np.empty(size)
     for lo in range(0, order.size, _W_GROUP):
         grp = order[lo : lo + _W_GROUP]
         c = counts[grp]
@@ -579,12 +593,10 @@ def w_statistic(paths: RenewalPath | RenewalPaths, L: int) -> float | np.ndarray
         if P < 2:
             continue
         col = np.arange(P)
-        valid = col < c[:, None]
         take = np.minimum(offsets[grp, None] + 1 + col, pts.size - 1)
-        Y = np.full((grp.size, 2 * P), np.inf)
-        Y[:, :P] = np.where(valid, pts[take], np.inf)
-        X = np.where(valid, Y[:, :P], -np.inf)
-        w[grp] = _padded_pair_sums(X, Y, scratch)
+        Y = np.zeros((grp.size, 2 * P), dtype=np.int64)
+        Y[:, :P] = np.where(col < c[:, None], pts[take], 0)
+        w[grp] = _padded_pair_sums(Y, tab, gaps, vals)
     w /= math.sqrt(L) * math.log(L)
     return float(w[0]) if single else w
 

@@ -104,20 +104,35 @@ def test_certification_judge_checks_the_pool_point():
     assert not judge(*_certification_records(17, 0.08 * 2**-16))[0]
 
 
-def _clt_record(ks: float, w_mean: float) -> RunRecord:
-    """A hand-built crit_13 record at the measured limit scale of the W law."""
+def _clt_record(ks: float = 0.0849, w_mean: float = 0.3415,
+                mean_over_log: float = 0.43582, var_ratio: float = 1.02282) -> RunRecord:
+    """A hand-built clt-check record at the measured values and limits
+    of crit_12 and crit_13."""
     rec = _record(acc._CLT)
     rec.estimates["ks_distance"] = estimate(ks)
     rec.estimates["w_mean"] = estimate(w_mean, 0.0033)
     rec.baselines["w_mean_limit"] = 0.34573
+    rec.estimates["weighted_mean_over_log"] = estimate(mean_over_log)
+    rec.baselines["weighted_mean_limit"] = 0.41577
+    rec.estimates["var_over_log_ratio"] = estimate(var_ratio)
     return rec
+
+
+def test_chung_erdos_judge_fails_doctored_records():
+    # negative control on doctored records: a weighted mean 6 % off its
+    # limit either way, or a variance ratio of 2, must fail crit_12
+    judge = _row(12).judge
+    assert judge(_clt_record())[0]
+    assert not judge(_clt_record(mean_over_log=1.06 * 0.41577))[0]
+    assert not judge(_clt_record(mean_over_log=0.94 * 0.41577))[0]
+    assert not judge(_clt_record(var_ratio=2.0))[0]
 
 
 def test_w_limit_law_judge_fails_doctored_records():
     # negative control on doctored records: a W normalization off by a
     # factor of 2, or a KS distance at the threshold, must fail crit_13
     judge = _row(13).judge
-    assert judge(_clt_record(0.0849, 0.3415))[0]
+    assert judge(_clt_record())[0]
     assert not judge(_clt_record(0.0849, 2 * 0.3415))[0]
     assert not judge(_clt_record(0.1, 0.3415))[0]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -271,6 +272,29 @@ def test_w_statistic_small_paths():
         Q.w_statistic(p2, 2)
 
 
+@pytest.mark.parametrize("L", [3, 2000])
+def test_w_statistic_reads_the_last_table_entry(L):
+    # the pair (1, L) has the largest gap a path in [1, L] can hold, so
+    # a table one entry short would clip it onto 1/sqrt(L - 2)
+    w = Q.w_statistic(R.RenewalPath(points=np.array([0, 1, L])), L)
+    assert w == (1 / math.sqrt(L - 1)) / (math.sqrt(L) * math.log(L))
+
+
+def test_w_statistic_table_is_sized_by_the_points():
+    # a table sized by L = 1e12 would take 8 TB; sized by the largest
+    # point it takes 12 doubles
+    L = 10**12
+    tracemalloc.start()
+    try:
+        w = Q.w_statistic(R.RenewalPath(points=np.array([0, 3, 10, 12])), L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expect = (1 / math.sqrt(7) + 1 / math.sqrt(9) + 1 / math.sqrt(2))
+    assert w == pytest.approx(expect / (math.sqrt(L) * math.log(L)), rel=1e-12)
+    assert peak < 2**20
+
+
 def test_w_statistic_matches_pair_sum_profile(law):
     # the p x p pair-sum profile is the independent path
     L = 2000
@@ -308,6 +332,30 @@ def test_w_statistic_batch_matches_pair_sum_profile(law):
     ref = [oracles.pair_sum_profile(np.asarray(p), L)[L] / norm for p in point_lists]
     np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0.0)
     assert w[30] == 0.0 and w[31] == 0.0
+
+
+def test_w_statistic_batch_below_the_horizon():
+    # the largest point in [1, L] is 50, so the table stops far below L
+    L = 10_000
+    point_lists = [[0, 1, 2, 5, 40], [0, 3, 9], [0, 7, 50, L + 2], [0, 12],
+                   [0, *range(2, 22, 2)], [0], [0, 49, 50], [0, 1], [0, 30, L, L + 1]]
+    w = Q.w_statistic(_batch(point_lists), L)
+    norm = math.sqrt(L) * math.log(L)
+    ref = [oracles.pair_sum_profile(np.asarray(p), L)[L] / norm for p in point_lists]
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0.0)
+
+
+@given(L=st.integers(3, 200),
+       gap_lists=st.lists(st.lists(st.integers(1, 40), max_size=30), min_size=1, max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_w_statistic_padding_and_clipping_match_oracle(L, gap_lists):
+    # groups of unequal paths, many running past L, element by element
+    # against the p x p profile
+    point_lists = [np.cumsum([0, *gaps]) for gaps in gap_lists]
+    w = Q.w_statistic(_batch(point_lists), L)
+    norm = math.sqrt(L) * math.log(L)
+    ref = [oracles.pair_sum_profile(p, L)[L] / norm for p in point_lists]
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0.0)
 
 
 def test_w_statistic_batch_edges(law):
