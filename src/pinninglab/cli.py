@@ -12,7 +12,7 @@ from pathlib import Path
 from . import acceptance as acc
 from .errors import ConfigError, InvalidParameter, PinningLabError
 from .experiments import run as run_experiment
-from .records import VERSION, ExperimentConfig, write_csv
+from .records import VERSION, ExperimentConfig, _jsonable, write_csv
 
 
 def _cmd_run(args) -> int:
@@ -39,13 +39,13 @@ def _cmd_acceptance(args) -> int:
         out = Path(args.dir)
         out.mkdir(parents=True, exist_ok=True)
         rows = [(r.number, r.name, "PASS" if r.passed else "FAIL",
-                 round(r.seconds, 3), json.dumps(r.details, default=str))
+                 round(r.seconds, 3), json.dumps(r.details, default=_jsonable))
                 for r in results]
         write_csv(out / "acceptance.summary.csv",
                   ["number", "name", "status", "wall_time_s", "details"],
                   rows, {"version": VERSION, "suite": "acceptance"})
         (out / "acceptance.summary.json").write_text(json.dumps(
-            [r.__dict__ for r in results], indent=2, default=str) + "\n")
+            [r.__dict__ for r in results], indent=2, default=_jsonable) + "\n")
     return 1 if n_fail else 0
 
 

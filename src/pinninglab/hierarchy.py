@@ -16,9 +16,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, ResourceGuard
 
 B_CRITICAL = math.sqrt(2.0)
+_FOLD_LEAVES = 1 << 19   # leaves per slice of realizations in the cascade's fold
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -185,31 +187,51 @@ def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
     """(overlap statistic, alive count) over `size` realizations.
 
     The cascade is drawn top-down keeping only each generation's kept-node
-    indices: the children of the kept nodes, in order, are the next
-    generation.  Y depends on the tree's shape alone, so it is folded
-    bottom-up over sibling pairs: a kept node at level a above the leaves
-    has leaf count c_L + c_R and adds 2 B^-(n+a-1) c_L c_R, the pairs that
-    join there.  Every term is positive, so Y agrees with y_statistic to
-    rounding; the draws match `oracles.gw_cascade_leaves` exactly.
+    indices, as int32: the children of the kept nodes, in order, are the
+    next generation.  Realization r owns the contiguous node range
+    at[g][r] : at[g][r + 1] of every generation g.  Y depends on the tree's
+    shape alone, so it is folded bottom-up over sibling pairs, one slice of
+    realizations (about `_FOLD_LEAVES` leaves) at a time: a kept node at
+    level a above the leaves has leaf count c_L + c_R and adds
+    2 B^-(n+a-1) c_L c_R, the pairs that join there.  The fold starts at
+    level 1, where every kept node has c = 2 and y = 2 B^-n.  Every term
+    is positive, so Y agrees with y_statistic to rounding; the draws match
+    `oracles.gw_cascade_leaves` exactly.
     """
     if n < 1:
         raise InvalidParameter("need generation >= 1")
     p = 1.0 / B
-    sizes, kept = [], []
+    kept, at = [], [np.arange(size + 1)]
     m = size
     for _ in range(n):
-        sizes.append(m)
-        kept.append(np.flatnonzero(rng.random(m) < p))
+        if m > _INT32_MAX:
+            raise ResourceGuard(f"a generation of {m} nodes overflows int32 indices")
+        kept.append(np.flatnonzero(rng.random(m) < p).astype(np.int32))
+        # int32 needles, so searchsorted does not cast the indices to int64
+        at.append(2 * kept[-1].searchsorted(at[-1].astype(np.int32)))
         m = 2 * kept[-1].size
-    c = np.ones(m)
-    y = np.zeros(m)
-    for a in range(1, n + 1):
-        m, k = sizes[n - a], kept[n - a]
-        cl, cr, yl, yr = c[0::2], c[1::2], y[0::2], y[1::2]
-        c, y = np.zeros(m), np.zeros(m)
-        c[k] = cl + cr
-        y[k] = yl + yr + 2.0 * float(B) ** -(n + a - 1.0) * cl * cr
-    return y / n, c
+
+    def nodes(g: int, r0: int, r1: int) -> tuple[np.ndarray, int]:
+        """Slice-local kept indices and node count of generation g."""
+        k = kept[g][at[g + 1][r0] // 2: at[g + 1][r1] // 2] - at[g][r0]
+        return k, at[g][r1] - at[g][r0]
+
+    y, c = np.empty(size), np.empty(size)
+    cuts = np.unique(np.r_[0, at[n].searchsorted(np.arange(0, at[n][-1], _FOLD_LEAVES)),
+                           size])
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        k, m = nodes(n - 1, r0, r1)
+        cs, ys = np.zeros(m), np.zeros(m)
+        cs[k] = 2.0
+        ys[k] = 2.0 * float(B) ** -float(n)
+        for a in range(2, n + 1):
+            cl, cr, yl, yr = cs[0::2], cs[1::2], ys[0::2], ys[1::2]
+            k, m = nodes(n - a, r0, r1)
+            cs, ys = np.zeros(m), np.zeros(m)
+            cs[k] = cl + cr
+            ys[k] = yl + yr + 2.0 * float(B) ** -(n + a - 1.0) * cl * cr
+        c[r0:r1], y[r0:r1] = cs, ys / n
+    return y, c
 
 
 def hier_log_partition_batch(params: HierParams, n: int,
@@ -228,10 +250,6 @@ def hier_log_partition_batch(params: HierParams, n: int,
     for _ in range(n):
         L = _combine_pair(L[..., 0::2] + L[..., 1::2], logB, logC)
     return L[..., 0]
-
-
-def hier_log_partition(params: HierParams, n: int, omega: np.ndarray) -> float:
-    return float(hier_log_partition_batch(params, n, np.asarray(omega, dtype=float)))
 
 
 def y_statistic(ls: LeafSet, B: float) -> float:

@@ -163,14 +163,26 @@ class PaleyZygmundReport:
     bound: float          # 1 / (4 E[Y^2]) from the exact second moment
     bound_running: float  # 1 / (4 K-hat)
     passed: bool
+    y_mean: float         # Monte Carlo E[Y] and E[Y^2] on the same draws
+    y_mean_stderr: float
+    y_sq_mean: float
+    y_sq_stderr: float
 
 
 def paley_zygmund_check(n: int, samples: int, rng: np.random.Generator) -> PaleyZygmundReport:
-    """Monte Carlo lower-tail mass of Y against 1/(4 E[Y^2]), at critical B."""
+    """Monte Carlo lower-tail mass of Y against 1/(4 E[Y^2]), at critical B.
+
+    The same draws also give E[Y] and E[Y^2], which the exact values 1 and
+    `hierarchy.y_second_moment(n)` check: a wrong fold can keep P above
+    the bound, but it moves the moments.
+    """
     hits = 0
+    acc, acc_sq = MeanAccumulator(), MeanAccumulator()
     for size in chunk_sizes(samples, _sparse_chunk(n)):
         y, _ = hierarchy.gw_overlap_samples(n, B_CRITICAL, rng, size)
         hits += int(np.count_nonzero(y >= 0.5))
+        acc.add(y)
+        acc_sq.add(y * y)
     p = hits / samples
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
     bound = 1.0 / (4.0 * hierarchy.y_second_moment(n))
@@ -178,6 +190,8 @@ def paley_zygmund_check(n: int, samples: int, rng: np.random.Generator) -> Paley
         n=n, prob=p, prob_stderr=se, bound=bound,
         bound_running=1.0 / (4.0 * hierarchy.k_hat()),
         passed=p >= bound - 3.0 * se,
+        y_mean=acc.mean, y_mean_stderr=acc.std_error,
+        y_sq_mean=acc_sq.mean, y_sq_stderr=acc_sq.std_error,
     )
 
 

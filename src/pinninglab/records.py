@@ -89,6 +89,8 @@ class RunRecord:
 
 
 def _jsonable(obj):
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):

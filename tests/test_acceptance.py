@@ -148,6 +148,25 @@ def test_mutation_hook_is_detected(monkeypatch):
     assert not res.passed
 
 
+@pytest.mark.parametrize("scale", [lambda n: 2**-0.5, lambda n: 2 / 3, lambda n: n],
+                         ids=["join-weight-B^-(n+a)", "two-thirds", "no-1/n"])
+def test_paley_zygmund_detects_a_broken_fold(monkeypatch, scale):
+    # negative control: each of these folds keeps P = 0.39-0.57 above the
+    # bound 0.079, so only the gates on E[Y] and E[Y^2] can fail crit_10
+    from pinninglab import hierarchy
+
+    exact = hierarchy.gw_overlap_samples
+
+    def broken(n, B, rng, size):
+        y, count = exact(n, B, rng, size)
+        return y * scale(n), count
+
+    monkeypatch.setattr(hierarchy, "gw_overlap_samples", broken)
+    [res] = acc.run_all({10}, echo=None)
+    print(res.line())
+    assert not res.passed
+
+
 def test_dp_consistency_detects_a_perturbed_green_table(monkeypatch):
     # negative control: the Green side sees K(1) lowered by a relative 1e-8,
     # which must trip criterion 6

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from pinninglab import acceptance as acc
 from pinninglab import cli
-from pinninglab.records import ExperimentConfig
+from pinninglab.records import ExperimentConfig, RunRecord, estimate
 from pinninglab.experiments import run as run_experiment
 
 
@@ -101,3 +103,22 @@ def test_acceptance_subset_and_summary(tmp_path):
     summary = (out / "acceptance.summary.csv").read_text().splitlines()
     assert any("overlap-identity" in line for line in summary)
     assert (out / "acceptance.summary.json").exists()
+
+
+def test_acceptance_summary_holds_json_booleans(monkeypatch, tmp_path):
+    # a doctored clt-check record, its W mean twice the limit, fails crit_13;
+    # the limit is a numpy float, as `quenched.w_limit_scale` gives it, so
+    # the judge returns a numpy.bool_, and the summary must still say false
+    def doctored(cfg, *out):
+        rec = RunRecord(experiment=cfg.experiment, seed=cfg.seed, config=cfg.to_dict(),
+                        config_sha256=cfg.sha256)
+        rec.estimates["ks_distance"] = estimate(0.0849)
+        rec.estimates["w_mean"] = estimate(2 * 0.3415, 0.0033)
+        rec.baselines["w_mean_limit"] = np.float64(0.34573)
+        return rec
+
+    monkeypatch.setattr(acc, "run_experiment", doctored)
+    rc = cli.main(["acceptance", "--criteria", "13", "--dir", str(tmp_path)])
+    assert rc == 1
+    [row] = json.loads((tmp_path / "acceptance.summary.json").read_text())
+    assert row["number"] == 13 and row["passed"] is False

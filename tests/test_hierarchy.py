@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pinninglab import hierarchy as H
 from pinninglab import oracles
-from pinninglab.errors import InvalidParameter
+from pinninglab.errors import InvalidParameter, ResourceGuard
 
 B_GRID = [1.2, 1.3, H.B_CRITICAL, 1.6, 1.9]
 
@@ -125,11 +126,11 @@ def test_sample_leafset_statistics():
 def test_log_partition_initial_and_annealed():
     params = H.HierParams(B=1.5, beta=0.7, h=0.2)
     om = np.array([0.4])
-    assert H.hier_log_partition(params, 0, om) == pytest.approx(
+    assert H.hier_log_partition_batch(params, 0, om) == pytest.approx(
         0.7 * 0.4 - 0.5 * 0.49 + 0.2)
     pure = H.HierParams(B=1.5, beta=0.0, h=0.2)
     for n in (1, 5, 12, 20):
-        lx = H.hier_log_partition(pure, n, np.zeros(2**n))
+        lx = H.hier_log_partition_batch(pure, n, np.zeros(2**n))
         ref = H.annealed_log_iterate(0.2, n, 1.5)
         assert lx == pytest.approx(ref, rel=1e-12)
 
@@ -140,16 +141,16 @@ def test_log_partition_floor_and_symmetry(n, seed):
     rng = np.random.default_rng(seed)
     params = H.HierParams(B=H.B_CRITICAL, beta=1.0, h=-0.3)
     om = rng.standard_normal(2**n)
-    lx = H.hier_log_partition(params, n, om)
+    lx = H.hier_log_partition_batch(params, n, om)
     assert lx >= math.log(H.annealed_envelope(n, params.B))
     swapped = np.concatenate([om[2**(n-1):], om[:2**(n-1)]])
-    assert H.hier_log_partition(params, n, swapped) == pytest.approx(lx, rel=1e-12)
+    assert H.hier_log_partition_batch(params, n, swapped) == pytest.approx(lx, rel=1e-12)
 
 
 def test_log_partition_no_overflow():
     params = H.HierParams(B=H.B_CRITICAL, beta=1.0, h=0.0)
     huge = np.full(4, 5e5)
-    val = H.hier_log_partition(params, 2, huge)
+    val = H.hier_log_partition_batch(params, 2, huge)
     assert np.isfinite(val)
     assert val > 1e6  # products of enormous leaf values survive in log form
 
@@ -197,11 +198,49 @@ def test_gw_overlap_samples_draw_identity(n, B, size):
     assert rng_f.random() == rng_o.random()
 
 
-def test_gw_overlap_samples_edge_sizes():
+def test_gw_overlap_samples_edge_sizes(monkeypatch):
     with pytest.raises(InvalidParameter, match="generation >= 1"):
         H.gw_overlap_samples(0, H.B_CRITICAL, np.random.default_rng(0), 10)
+    with monkeypatch.context() as mp:   # a generation past the int32 index range
+        mp.setattr(H, "_INT32_MAX", 100)
+        with pytest.raises(ResourceGuard, match="overflows int32"):
+            H.gw_overlap_samples(8, H.B_CRITICAL, np.random.default_rng(0), 60)
     y, counts = H.gw_overlap_samples(5, H.B_CRITICAL, np.random.default_rng(0), 0)
     assert y.shape == counts.shape == (0,)
+    # seed 7 kills all three roots: one slice with no leaves at all
+    y, counts = H.gw_overlap_samples(4, 1.9, np.random.default_rng(7), 3)
+    assert np.array_equal(y, np.zeros(3)) and np.array_equal(counts, np.zeros(3))
+
+
+@pytest.mark.parametrize("n, B, size", [(5, H.B_CRITICAL, 0), (1, H.B_CRITICAL, 60),
+                                        (7, 1.2, 40), (4, 1.9, 300)])
+def test_gw_overlap_samples_sliced_fold(monkeypatch, n, B, size):
+    # slices of a few leaves: every call crosses many slice edges, and
+    # the sliced fold must give the one-slice doubles and the oracle's Y
+    whole = H.gw_overlap_samples(n, B, np.random.default_rng(17), size)
+    monkeypatch.setattr(H, "_FOLD_LEAVES", 4)
+    y, counts = H.gw_overlap_samples(n, B, np.random.default_rng(17), size)
+    assert np.array_equal(y, whole[0]) and np.array_equal(counts, whole[1])
+    sid, leaf = oracles.gw_cascade_leaves(n, B, np.random.default_rng(17), size)
+    assert np.array_equal(counts, np.bincount(sid, minlength=size))
+    for i in range(size):
+        ls = H.LeafSet(n=n, alive=leaf[sid == i] + 1)
+        assert y[i] == pytest.approx(H.y_statistic(ls, B), abs=1e-12)
+    if n == 7:   # a realization wider than a slice
+        assert counts.max() > 4 * H._FOLD_LEAVES
+    if B == 1.9:   # two dead realizations in a row, away from the ends
+        assert np.any(counts[1:-2] + counts[2:-1] == 0)
+
+
+def test_gw_overlap_samples_peak_memory():
+    # int32 indices and the sliced fold keep certify-tuned's cascade small
+    tracemalloc.start()
+    try:
+        H.gw_overlap_samples(16, H.B_CRITICAL, np.random.default_rng(2), 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 def test_gw_overlap_samples_match_dense_moments():
