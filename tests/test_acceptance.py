@@ -9,7 +9,7 @@ import tempfile
 
 import pytest
 
-from pinninglab import acceptance as acc
+from pinninglab import acceptance as acc, hierarchy
 from pinninglab.experiments import EXPERIMENTS
 from pinninglab.records import ExperimentConfig, RunRecord, estimate
 
@@ -104,6 +104,29 @@ def test_certification_judge_checks_the_pool_point():
     assert not judge(*_certification_records(17, 0.08 * 2**-16))[0]
 
 
+def _annealed_record(renewal_slope: float = 1.99851, alpha_scale: float = 1.0) -> RunRecord:
+    """A hand-built annealed-scan record at crit_04's measured slopes; the
+    hierarchical baselines are 1 / (alpha_scale * alpha_of_B(B))."""
+    rec = _record(_row(4).configs[0])
+    for B, slope in ((1.3, 1.60644), (1.414, 1.99467), (1.7, 4.22780)):
+        rec.estimates[f"slope_low_B={B:.4g}"] = estimate(slope)
+        rec.baselines[f"inv_alpha_B={B:.4g}"] = 1.0 / (alpha_scale * hierarchy.alpha_of_B(B))
+    rec.estimates["slope_low_renewal"] = estimate(renewal_slope)
+    rec.baselines["inv_alpha_renewal"] = 2.0
+    return rec
+
+
+def test_annealed_scaling_judge_fails_doctored_records():
+    # negative control on doctored records: a renewal slope 0.2 off 1/alpha
+    # either way, or hierarchical baselines from alpha_of_B scaled by 2/3,
+    # must fail crit_04
+    judge = _row(4).judge
+    assert judge(_annealed_record())[0]
+    assert not judge(_annealed_record(renewal_slope=2.2))[0]
+    assert not judge(_annealed_record(renewal_slope=1.8))[0]
+    assert not judge(_annealed_record(alpha_scale=2 / 3))[0]
+
+
 def _clt_record(ks: float = 0.0849, w_mean: float = 0.3415,
                 mean_over_log: float = 0.43582, var_ratio: float = 1.02282) -> RunRecord:
     """A hand-built clt-check record at the measured values and limits
@@ -139,8 +162,6 @@ def test_w_limit_law_judge_fails_doctored_records():
 
 def test_mutation_hook_is_detected(monkeypatch):
     # negative control: a corrupted overlap normalization must trip criterion 2
-    from pinninglab import hierarchy
-
     exact = hierarchy.pair_overlap_sum
     monkeypatch.setattr(hierarchy, "pair_overlap_sum",
                         lambda n, B: exact(n, B) * (1.0 + 1e-6))
@@ -153,8 +174,6 @@ def test_mutation_hook_is_detected(monkeypatch):
 def test_paley_zygmund_detects_a_broken_fold(monkeypatch, scale):
     # negative control: each of these folds keeps P = 0.39-0.57 above the
     # bound 0.079, so only the gates on E[Y] and E[Y^2] can fail crit_10
-    from pinninglab import hierarchy
-
     exact = hierarchy.gw_overlap_samples
 
     def broken(n, B, rng, size):

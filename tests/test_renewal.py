@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -247,6 +250,60 @@ def test_free_energy_root_solves_characteristic(half_law):
     assert R.characteristic_sum(half_law, f) == pytest.approx(math.exp(-0.3), rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.125, 2.0])
+def test_tail_integral_matches_mpmath(alpha):
+    # both branches of the closed form, the recurrence below z = 1 and the
+    # continued fraction above, against 30-digit alpha z^alpha Gamma(-alpha, z)
+    law = R.make_power_law(alpha, 1000)
+    x0 = law.n_max + 0.5
+    for z in np.logspace(-10, math.log10(50), 40):
+        rate = z / x0
+        with mpmath.workdps(30):
+            zz = mpmath.mpf(rate) * mpmath.mpf(x0)
+            ref = alpha * zz**alpha * mpmath.gammainc(-mpmath.mpf(alpha), zz)
+        got = R._tail_integral(law, rate) / law.tail_mass
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0), (alpha, z)
+    assert R._tail_integral(law, 0.0) == law.tail_mass
+
+
+def test_tail_needs_a_positive_exponent():
+    # the tail's weighted fraction alpha z^alpha Gamma(-alpha, z) needs alpha > 0
+    for alpha in (0.0, -0.5, math.nan):
+        with pytest.raises(InvalidParameter):
+            R.law_from_mass([0.5, 0.3], alpha=alpha, c_k=0.1, tail_mass=0.2)
+    assert R.law_from_mass([0.5, 0.3], alpha=0.0).tail_mass == 0.0
+
+
+def test_characteristic_sum_rejects_negative_rates():
+    # the power-law tail diverges for rate < 0
+    law = R.make_power_law(0.5, 1000)
+    for rate in (-1e-3, math.nan):
+        with pytest.raises(InvalidParameter):
+            R.characteristic_sum(law, rate)
+
+
+def test_free_energy_solves_the_exact_equation_at_small_reward():
+    # alpha 0.2 puts F(1e-3) near 8e-16, where the tail sits at z ~ 1e-11 and
+    # carries 14 % of the mass: the root against a 30-digit tail
+    law = R.make_power_law(0.2, 10_000)
+    h = 1e-3
+    f = R.homogeneous_free_energy(law, h)
+    head = math.fsum(law.mass[1:] * np.exp(-f * np.arange(1, law.n_max + 1)))
+    with mpmath.workdps(30):
+        z = mpmath.mpf(f) * (law.n_max + 0.5)
+        tail = law.tail_mass * 0.2 * z**0.2 * mpmath.gammainc(-0.2, z)
+        assert abs(float(head + tail - mpmath.exp(-h))) < 1e-13
+
+
+def test_import_leaves_out_unused_scipy_subpackages():
+    code = ("import sys, pinninglab; "
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize', "
+            "'scipy.sparse', 'scipy.spatial') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split() == []
+
+
 def test_free_energy_monotone_convex(half_law):
     hs = np.linspace(0.05, 1.0, 12)
     f = np.array([R.homogeneous_free_energy(half_law, h) for h in hs])
@@ -320,7 +377,7 @@ def test_homogeneous_decay_matches_green(two_point):
 
 
 def test_homogeneous_decay_negative_reward_vanishes():
-    law = R.reduced_power_law(0.8, 10_000)
+    law = R.make_power_law(0.2, 10_000)
     prof = _homogeneous_decay_profile(law, -0.5, 10_000)
     peak = prof.max()
     assert prof[-1] < 1e-3 * peak
