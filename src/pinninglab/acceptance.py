@@ -235,6 +235,24 @@ def determinism():
     return identical, {"experiments": len(configs), "byte_identical": identical}
 
 
+def fractional_chain():
+    # the paper's fractional-moment chain on 9 sites in windows of 3:
+    # E Z^gamma <= the termwise sum over target sets (sample by sample)
+    # <= the tilted bound with its crude cost e^(|M|/2) (within 3 sigma)
+    out = quenched.fractional_sum_bound(0.8, 0.26, 0.75, renewal.make_power_law(0.5, 256),
+                                        omega_samples=50, N=9,
+                                        rng=derive_rng(MASTER_SEED, "crit16"),
+                                        tilt_samples=50)
+    ok = (out.pointwise_ok and out.termwise.mean >= out.direct.mean
+          and out.chain_margin_sigma >= -3.0 and out.holder_max_ratio <= 1.0 + 1e-9)
+    return ok, {
+        "pointwise": out.pointwise_ok,
+        "termwise_ge_direct": f"{out.termwise.mean:.4f}>= {out.direct.mean:.4f}",
+        "chain_margin_sigma": f"{out.chain_margin_sigma:.2f}",
+        "holder_max_ratio": _fmt(out.holder_max_ratio),
+    }
+
+
 # crit_12 and crit_13 read this one record: n_max 10 000 is crit_12's law,
 # and the W law is max(L_w, n_max) either way
 _CLT = _cfg("clt-check", alpha=0.5, n_max=10_000, L_w=100_000, w_samples=10_000)
@@ -275,6 +293,7 @@ CRITERIA = [
                     h_list=[1e-1, 1e-2, 1e-3], samples=4_000, cond_horizon=1_000),),
               lemma51_pipeline),
     Criterion(15, "determinism", (), determinism),
+    Criterion(16, "fractional-chain", (), fractional_chain),
 ]
 
 

@@ -247,7 +247,7 @@ def quenched_scan(cfg: ExperimentConfig, rec: RunRecord):
             qc = QuenchedConfig(law=law, beta=beta, h=h, N=N)
             rng = derive_rng(cfg.seed, "quenched-scan", i, j)
             est = quenched.quenched_free_energy(qc, samples, rng)
-            rate = quenched.annealed_rate(qc)
+            rate = renewal.homogeneous_free_energy(law, h)
             rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"] = estimate(
                 est.mean, est.std_error)
             rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] = est.annealed
@@ -293,8 +293,7 @@ def lemma51_scan(cfg: ExperimentConfig, rec: RunRecord):
     etas = []
     for i, h in enumerate(hs):
         rng = derive_rng(cfg.seed, "lemma51-scan", i)
-        rep = quenched.lemma51_conditions(beta, h, gamma, law, samples, rng,
-                                          cond_horizon=cond_h, c8=c8)
+        rep = quenched.lemma51_conditions(beta, h, gamma, law, samples, rng, c8)
         etas.append(rep.eta_min)
         rows.append((h, rep.k, rep.eta_min, rep.eta_err, rep.lhs1_over_sqrt_k,
                      rep.lhs2, rep.h_hat, int(rep.h_hat_negative), rep.eta_star,

@@ -194,23 +194,6 @@ def block_profile(k: int, gamma: float) -> np.ndarray:
     return h
 
 
-def block_hs_norm(k: int, gamma: float) -> float:
-    """Hilbert-Schmidt norm of the in-block coupling, in O(k) time."""
-    if k < 2:
-        raise InvalidParameter("degenerate block: need k >= 2")
-    d = np.arange(1, k, dtype=float)
-    s = 2.0 * np.sum((k - d) / d)
-    return float((1.0 - gamma) * math.sqrt(s / (_BLOCK_DENOM * k * math.log(k))))
-
-
-def smallest_block_size(gamma: float, k_max: int = 100_000) -> int:
-    """Smallest k with in-block HS norm <= (1-gamma)/2."""
-    for k in range(2, k_max + 1):
-        if block_hs_norm(k, gamma) <= (1.0 - gamma) / 2.0:
-            return k
-    raise InvalidParameter("no block size below the norm target in range")
-
-
 def build_block_coupling(k: int, gamma: float, M) -> BlockCoupling:
     """Block-diagonal coupling: the in-block profile on blocks listed in M,
     identity (zero coupling) elsewhere."""

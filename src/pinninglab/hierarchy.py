@@ -87,20 +87,6 @@ def alpha_of_B(B: float) -> float:
     return math.log(2.0 / B) / math.log(2.0)
 
 
-def annealed_iterate(x0: float, n: int, B: float) -> float:
-    x = x0
-    for _ in range(n):
-        x = annealed_map_step(x, B)
-    return x
-
-
-def annealed_envelope(n: int, B: float) -> float:
-    """n-fold iterate started from 0; climbs monotonically toward B - 1."""
-    if n < 0:
-        raise InvalidParameter("generation count must be nonnegative")
-    return annealed_iterate(0.0, n, B)
-
-
 def envelope_generation(B: float, tol: float) -> int:
     """First generation at which (B-1) minus the envelope drops below tol."""
     x, n = 0.0, 0
@@ -119,6 +105,8 @@ def _combine_pair(s: np.ndarray | float, logB: float, logC: float):
 
 
 def annealed_log_iterate(log_x0: float, n: int, B: float) -> float:
+    """log of the n-fold annealed iterate from e^log_x0; log_x0 = -inf starts
+    from 0, where the iterate climbs monotonically toward B - 1."""
     logB, logC = math.log(B), math.log(B - 1.0)
     L = log_x0
     for _ in range(n):

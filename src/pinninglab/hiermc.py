@@ -1,13 +1,13 @@
 """Monte Carlo layer for the hierarchical model.
 
-Free-energy pools, fractional moments, tilted-measure means (two
-independent estimators), the concentration check on the overlap
-statistic, and the delocalization certification pipeline.
+Free-energy pools, tilted-measure means (two independent estimators),
+the concentration check on the overlap statistic, and the
+delocalization certification pipeline.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,64 +47,6 @@ def pool_free_energy(params: HierParams, n: int, samples: int,
         acc.add(hierarchy.hier_log_partition_batch(params, n, om) / 2.0**n)
     return PoolEstimate.from_accumulator(acc, n, "pool-free-energy",
                                          annealed=annealed_value(params, n))
-
-
-@dataclass(frozen=True)
-class FractionalMomentEstimate:
-    estimate: PoolEstimate
-    gamma: float
-    clipped_mean: float          # mean of X^gamma itself
-    log_terms_max: float
-    step_bound_ok: bool | None = None   # set by fractional_moment_sequence
-
-
-def fractional_moment(params: HierParams, n: int, gamma: float, samples: int,
-                      rng: np.random.Generator) -> FractionalMomentEstimate:
-    """Monte Carlo mean of the gamma-th moment of the positive excess of X_n."""
-    if not 0.0 < gamma < 1.0:
-        raise InvalidParameter("moment order must lie in (0, 1)")
-    if n > MAX_GENERATION:
-        raise ResourceGuard(f"generation {n} beyond the guard {MAX_GENERATION}")
-    acc = MeanAccumulator()
-    acc_pow = MeanAccumulator()
-    logC = math.log(params.B - 1.0)
-    worst = -math.inf
-    for size in chunk_sizes(samples, _chunk_for(n)):
-        om = rng.standard_normal((size, 2**n))
-        logx = hierarchy.hier_log_partition_batch(params, n, om)
-        # [X - (B-1)]_+^gamma, evaluated from log X without overflow
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rel = np.exp(np.minimum(logC - logx, 0.0))
-            term = gamma * (logx + np.log1p(-rel))
-            excess = np.where(logx > logC, np.exp(term), 0.0)
-        worst = max(worst, float(logx.max()))
-        acc.add(excess)
-        acc_pow.add(np.exp(gamma * logx))
-    est = PoolEstimate.from_accumulator(acc, n, f"fractional-moment g={gamma}")
-    return FractionalMomentEstimate(estimate=est, gamma=gamma,
-                                    clipped_mean=acc_pow.mean, log_terms_max=worst)
-
-
-def fractional_moment_step_bound(a_n: float, B: float, gamma: float) -> float:
-    """One-step recursion bound: (A^2 + 2(B-1)^gamma A)/B^gamma."""
-    return (a_n**2 + 2.0 * (B - 1.0) ** gamma * a_n) / B**gamma
-
-
-def fractional_moment_sequence(params: HierParams, n_hi: int, gamma: float,
-                               samples: int, rng: np.random.Generator,
-                               n_lo: int = 1) -> list[FractionalMomentEstimate]:
-    """Estimates for consecutive generations, with the one-step bound checked.
-
-    Each returned entry carries `step_bound_ok`: whether the next estimate
-    sits below the recursion bound of this one within 3 sigma.
-    """
-    ests = [fractional_moment(params, n, gamma, samples, rng)
-            for n in range(n_lo, n_hi + 1)]
-    for i in range(len(ests) - 1):
-        bound = fractional_moment_step_bound(ests[i].estimate.mean, params.B, gamma)
-        ok = ests[i + 1].estimate.mean <= bound + 3.0 * ests[i + 1].estimate.std_error
-        ests[i] = replace(ests[i], step_bound_ok=ok)
-    return ests
 
 
 @dataclass(frozen=True)
@@ -257,7 +199,8 @@ def certify_delocalization(
     zeta = zeta_override if zeta_override is not None else 1.0 / (40.0 * khat)
     if not 0.0 < zeta < 1.0:
         raise InvalidParameter("zeta must lie in (0, 1)")
-    gamma = gamma_override if gamma_override is not None else gamma_for_zeta(zeta)
+    gamma = (gamma_override if gamma_override is not None
+             else hierarchy.gamma_for_gap(B, zeta))
     thr = hierarchy.fractional_threshold(B, gamma)
     gamma_gap_ok = thr > 0.0 and thr ** (1.0 / gamma) >= 2.0 - B - zeta / 4.0
     n_zeta = hierarchy.envelope_generation(B, zeta / 4.0)
@@ -311,42 +254,3 @@ def certify_delocalization(
         f_zero_declared=declared,
         h_c_lower_bound=h if declared else None,
     )
-
-
-def gamma_for_zeta(zeta: float) -> float:
-    return hierarchy.gamma_for_gap(B_CRITICAL, zeta)
-
-
-def hc_scan(beta: float, n: int, samples: int, tol: float,
-            rng: np.random.Generator, B: float = B_CRITICAL,
-            h_lo: float = -0.25, h_hi: float = 1.5,
-            detector_sigma: float = 4.0) -> tuple[float, float]:
-    """Bracket the finite-size localization onset in h by bisection.
-
-    The detector declares a positive free energy when the pooled estimate
-    exceeds detector_sigma standard errors.  This is a finite-size proxy
-    for the critical point, not the true critical value.
-    """
-    if tol <= 0.0:
-        raise InvalidParameter("tol must be positive")
-
-    def detect(h: float) -> bool:
-        est = pool_free_energy(HierParams(B=B, beta=beta, h=h), n, samples, rng)
-        return est.mean > detector_sigma * est.std_error
-
-    lo, hi = float(h_lo), float(h_hi)
-    for _ in range(16):
-        if not detect(lo):
-            break
-        lo -= max(0.5, abs(lo))
-    for _ in range(16):
-        if detect(hi):
-            break
-        hi += max(0.5, abs(hi))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if detect(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import HorizonExceeded, InvalidParameter
 from .hierarchy import B_CRITICAL
 from .numerics import logsumexp_1d
-from .renewal import RenewalLaw, RenewalPath, _convolve, green_function
+from .renewal import GreenTable, RenewalLaw, RenewalPath, _convolve, green_function
 
 
 @lru_cache(maxsize=None)
@@ -204,6 +204,19 @@ def log_renewal_dp_direct(logz: np.ndarray, logK: np.ndarray, band: int) -> np.n
         w = min(n, band)
         L[n] = logz[n] + logsumexp_1d(L[n - w : n][::-1] + logK[1 : w + 1])
     return L
+
+
+def w_mean_exact(table: GreenTable, L: int) -> float:
+    """Exact finite-L mean of the pair statistic `quenched.w_statistic`: the
+    sum over 1 <= i < j <= L of u(i) u(j - i) / sqrt(j - i), over sqrt(L) log L."""
+    u = table.u
+    if L > table.horizon:
+        raise HorizonExceeded("Green table shorter than L")
+    d = np.arange(1, L + 1, dtype=float)
+    prefix = np.concatenate([[0.0], np.cumsum(u[1 : L + 1] / np.sqrt(d))])
+    i = np.arange(1, L)
+    total = float(np.dot(u[1:L], prefix[L - i]))
+    return total / (math.sqrt(L) * math.log(L))
 
 
 def chung_erdos_direct(law: RenewalLaw, L: int) -> tuple[float, float]:

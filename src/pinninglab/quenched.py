@@ -18,14 +18,12 @@ import numpy as np
 from scipy import special
 from scipy.linalg import blas, toeplitz
 
-from .errors import (DimensionMismatch, HorizonExceeded, InvalidParameter,
-                     ResourceGuard)
+from .errors import DimensionMismatch, InvalidParameter, ResourceGuard
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
 from .numerics import MeanAccumulator, PoolEstimate, logsumexp_1d
 from .renewal import (GreenTable, RenewalLaw, RenewalPath, RenewalPaths, _convolve,
-                      conditioning_ratio, green_function, homogeneous_free_energy,
-                      sample_path)
+                      green_function, sample_path)
 
 MAX_DP_SIZE = 100_000
 MAX_BLOCK_COUNT = 6
@@ -185,11 +183,6 @@ def annealed_log_partition(cfg: QuenchedConfig) -> float:
     return log_partition_dp(pure, np.zeros(cfg.N))
 
 
-def annealed_rate(cfg: QuenchedConfig) -> float:
-    """Asymptotic annealed free energy from the characteristic equation."""
-    return homogeneous_free_energy(cfg.law, cfg.h)
-
-
 def _log_weights(cfg: QuenchedConfig, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The site log weights and log K(0..n_max) of the renewal DP."""
     with np.errstate(divide="ignore"):
@@ -347,9 +340,6 @@ class UWeightTable:
     s_err: np.ndarray
     samples: int
 
-    def s_of_gap(self, j: np.ndarray | int):
-        return self.s_mean[np.asarray(j) // 2]
-
     @property
     def u_over_c8(self) -> np.ndarray:
         j = np.arange(self.k)
@@ -449,10 +439,10 @@ def reduced_reward_threshold(gamma: float, c2: float, zeta_sum: float) -> float:
 
 
 def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
-                       samples: int, rng: np.random.Generator,
-                       cond_horizon: int = 400, c8: float | None = None) -> Lemma51Report:
+                       samples: int, rng: np.random.Generator, c8: float) -> Lemma51Report:
     """Assemble both window-sum conditions and the reduced-model reward.
 
+    c8 is e times the conditioning ratio (`renewal.conditioning_ratio`).
     Reports the smallest eta satisfying both conditions, the exact reduced
     reward at that eta, and the eta threshold below which the reward turns
     negative (the attainability frontier of the sign test).
@@ -463,15 +453,10 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
     if k < 2:
         raise InvalidParameter("h too large: window degenerates below 2")
     tab = u_weight_table(beta, k, gamma, law, samples, rng)
-    if c8 is None:
-        c_hat = conditioning_ratio(law, cond_horizon)
-        c8 = math.e * c_hat
-    else:
-        c_hat = c8 / math.e
+    c_hat = c8 / math.e
     uw = tab.u_over_c8 * c8
     uw_err = tab.u_err_over_c8 * c8
     lhs1 = float(uw.sum())
-    j = np.arange(k)
     surv = np.array([law.survival(k - 1 - jj) for jj in range(k)])
     lhs2 = float(np.dot(uw, surv))
     eta1 = lhs1 / math.sqrt(k)
@@ -495,44 +480,6 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
         h_hat=hhat, h_hat_negative=hhat < 0.0, eta_star=eta_star,
         delta_closing=s * s,
     )
-
-
-@dataclass(frozen=True)
-class SplitEstimate:
-    k: int
-    delta: float
-    window_sum: float           # sum of U(j), c8 included
-    small_part: float           # c8 + c8 c9 sum_{j <= delta k} 1/sqrt(j)
-    large_part: float           # c8 c9 sum_{j > delta k} s(k,j)/sqrt(j)
-    rhs: float                  # 4 c8 c9 (sqrt(delta)+delta) sqrt(k)
-    max_s_large: float          # largest anti-correlation factor on the large range
-    bound_holds: bool
-
-
-def split_estimate(beta: float, k: int, delta: float, gamma: float,
-                   law: RenewalLaw, samples: int, rng: np.random.Generator,
-                   c8: float | None = None, cond_horizon: int = 400) -> SplitEstimate:
-    """Evaluate both sides of the small/large gap split of the window sum."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter("delta must lie in (0, 1)")
-    tab = u_weight_table(beta, k, gamma, law, samples, rng)
-    if c8 is None:
-        c8 = math.e * conditioning_ratio(law, cond_horizon)
-    table = green_function(law, max(k - 1, 2))
-    c9 = green_bound_constant(table)
-    cut = int(delta * k)
-    j = np.arange(1, k)
-    inv_sqrt = 1.0 / np.sqrt(j)
-    s_vals = tab.s_of_gap(j)
-    small = c8 + c8 * c9 * float(inv_sqrt[:cut].sum())
-    large = c8 * c9 * float(np.dot(inv_sqrt[cut:], s_vals[cut:]))
-    window_sum = c8 * float(tab.u_over_c8.sum())
-    rhs = 4.0 * c8 * c9 * (math.sqrt(delta) + delta) * math.sqrt(k)
-    max_s = float(s_vals[cut:].max()) if cut < k - 1 else 0.0
-    return SplitEstimate(k=k, delta=delta, window_sum=window_sum,
-                         small_part=small, large_part=large, rhs=rhs,
-                         max_s_large=max_s,
-                         bound_holds=window_sum <= rhs)
 
 
 def _padded_pair_sums(Y: np.ndarray, tab: np.ndarray, gaps: np.ndarray,
@@ -606,18 +553,6 @@ def w_limit_scale(law: RenewalLaw) -> float:
     return (2.0 * math.pi) ** -1.5 / law.c_k**2
 
 
-def w_mean_exact(table: GreenTable, L: int) -> float:
-    """Exact finite-size mean of the pair statistic from the Green table."""
-    u = table.u
-    if L > table.horizon:
-        raise HorizonExceeded("Green table shorter than L")
-    d = np.arange(1, L + 1, dtype=float)
-    prefix = np.concatenate([[0.0], np.cumsum(u[1 : L + 1] / np.sqrt(d))])
-    i = np.arange(1, L)
-    total = float(np.dot(u[1:L], prefix[L - i]))
-    return total / (math.sqrt(L) * math.log(L))
-
-
 def chung_erdos_check(law: RenewalLaw, L: int,
                       guard: int = 20_000) -> tuple[float, float]:
     """Exact mean and variance of the inverse-sqrt-weighted contact count.
@@ -668,13 +603,10 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     k = window_size(h)
     if N % k != 0:
         raise InvalidParameter("N must be a multiple of the window size")
-    n_blocks = N // k
-    if n_blocks > MAX_BLOCK_COUNT:
-        raise ResourceGuard(f"too many blocks ({n_blocks} > {MAX_BLOCK_COUNT})")
     if tilt_samples is None:
         tilt_samples = omega_samples
     cfg = QuenchedConfig(law=law, beta=beta, h=h, N=N)
-    sets = list(enumerate_target_sets(n_blocks))
+    sets = list(enumerate_target_sets(N // k))
 
     v_direct = np.empty(omega_samples)
     v_sum = np.empty(omega_samples)
@@ -687,7 +619,7 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
         parts = [math.exp(gamma * log_coarse_grain_term(cfg, om, t, k, rows=rows))
                  for t in sets]
         v_sum[s] = float(np.sum(parts))
-        ok = ok and v_direct[s] <= v_sum[s] * (1.0 + 1e-9)
+        ok = ok and bool(v_direct[s] <= v_sum[s] * (1.0 + 1e-9))
 
     acc_d, acc_t = MeanAccumulator(), MeanAccumulator()
     acc_d.add(v_direct)

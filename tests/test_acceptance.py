@@ -9,7 +9,7 @@ import tempfile
 
 import pytest
 
-from pinninglab import acceptance as acc, hierarchy
+from pinninglab import acceptance as acc, hierarchy, quenched
 from pinninglab.experiments import EXPERIMENTS
 from pinninglab.records import ExperimentConfig, RunRecord, estimate
 
@@ -42,7 +42,7 @@ def test_suite_runs_each_table_config_once(suite):
 
 
 def test_table_structure():
-    assert [c.number for c in acc.CRITERIA] == list(range(1, 16))
+    assert [c.number for c in acc.CRITERIA] == list(range(1, 17))
     for crit in acc.CRITERIA:
         for raw in crit.configs:
             cfg = ExperimentConfig.from_dict(raw)
@@ -204,3 +204,23 @@ def test_dp_consistency_detects_a_perturbed_green_table(monkeypatch):
     [res] = acc.run_all({6}, echo=None)
     print(res.line())
     assert not res.passed
+
+
+def test_dropped_target_set_fails_decomposition_and_chain(monkeypatch):
+    # negative control: the target sets lose the all-blocks set (1, ..., nb)
+    # whenever nb >= 2 (with one block it is the only set, and an empty sum
+    # would raise rather than fail). crit_07's residual jumps from roundoff to
+    # about 0.8, and crit_16's Z^gamma exceeds its termwise sum. A +0.3 shift
+    # on every log_coarse_grain_term still passes crit_16, whose checks are
+    # all inequalities; crit_07's residual is what catches that one.
+    exact = quenched.enumerate_target_sets
+
+    def dropping(n_blocks):
+        full = tuple(range(1, n_blocks + 1))
+        return (t for t in exact(n_blocks) if n_blocks < 2 or t != full)
+
+    monkeypatch.setattr(quenched, "enumerate_target_sets", dropping)
+    results = acc.run_all({7, 16}, echo=None)
+    for res in results:
+        print(res.line())
+    assert [(r.number, r.passed) for r in results] == [(7, False), (16, False)]

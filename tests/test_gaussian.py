@@ -169,33 +169,6 @@ def test_block_profile_basics():
         G.block_profile(1, 0.75)
 
 
-def test_block_hs_norm_analytic_vs_dense():
-    for k, gamma in [(4, 0.7), (32, 0.75), (200, 0.8)]:
-        dense = math.sqrt(float(np.sum(G.block_profile(k, gamma) ** 2)))
-        assert G.block_hs_norm(k, gamma) == pytest.approx(dense, rel=1e-12)
-
-
-def test_block_hs_norm_limit():
-    gamma = 0.75
-    val = G.block_hs_norm(10_000, gamma) ** 2
-    limit = 2.0 * (1 - gamma) ** 2 / 9.0
-    assert abs(val / limit - 1.0) < 0.05
-    assert math.sqrt(val) <= (1 - gamma) / 2
-
-
-def test_smallest_block_size_and_norm_trend():
-    # the in-block norm rises monotonically toward its limit but stays
-    # under the (1-gamma)/2 target for every window size
-    gamma = 0.75
-    k0 = G.smallest_block_size(gamma)
-    assert k0 == 2
-    norms = [G.block_hs_norm(k, gamma) for k in range(2, 400)]
-    assert all(b >= a for a, b in zip(norms, norms[1:]))
-    limit = (1 - gamma) * math.sqrt(2.0 / 9.0)
-    assert all(v <= (1 - gamma) / 2 for v in norms)
-    assert norms[-1] < limit
-
-
 def test_block_spec_sampling_and_cost():
     spec = G.factorize(G.build_block_coupling(8, 0.75, (1, 2, 4)))
     assert spec.dim == 32

@@ -38,13 +38,14 @@ def test_alpha_of_B():
 def test_envelope_monotone():
     prev = -1.0
     for n in range(0, 40):
-        x = H.annealed_envelope(n, H.B_CRITICAL)
+        x = math.exp(H.annealed_log_iterate(-math.inf, n, H.B_CRITICAL))
         assert x > prev
         assert x < H.B_CRITICAL - 1.0
         prev = x
-    assert H.annealed_envelope(0, 1.5) == 0.0
+    assert math.exp(H.annealed_log_iterate(-math.inf, 0, 1.5)) == 0.0
     n_star = H.envelope_generation(H.B_CRITICAL, 1e-6)
-    assert (H.B_CRITICAL - 1.0) - H.annealed_envelope(n_star, H.B_CRITICAL) < 1e-6
+    envelope = math.exp(H.annealed_log_iterate(-math.inf, n_star, H.B_CRITICAL))
+    assert (H.B_CRITICAL - 1.0) - envelope < 1e-6
 
 
 def test_subtree_node_count_examples():
@@ -142,7 +143,7 @@ def test_log_partition_floor_and_symmetry(n, seed):
     params = H.HierParams(B=H.B_CRITICAL, beta=1.0, h=-0.3)
     om = rng.standard_normal(2**n)
     lx = H.hier_log_partition_batch(params, n, om)
-    assert lx >= math.log(H.annealed_envelope(n, params.B))
+    assert lx >= H.annealed_log_iterate(-math.inf, n, params.B)
     swapped = np.concatenate([om[2**(n-1):], om[:2**(n-1)]])
     assert H.hier_log_partition_batch(params, n, swapped) == pytest.approx(lx, rel=1e-12)
 
@@ -161,7 +162,7 @@ def test_log_partition_mc_mean_vs_annealed():
     params = H.HierParams(B=H.B_CRITICAL, beta=0.6, h=0.05)
     om = rng.standard_normal((40_000, 2**n))
     x = np.exp(H.hier_log_partition_batch(params, n, om))
-    ref = H.annealed_iterate(math.exp(0.05), n, H.B_CRITICAL)
+    ref = math.exp(H.annealed_log_iterate(0.05, n, H.B_CRITICAL))
     se = x.std(ddof=1) / math.sqrt(x.shape[0])
     assert abs(x.mean() - ref) <= 3 * se
 

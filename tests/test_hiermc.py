@@ -10,10 +10,6 @@ from pinninglab.errors import ResourceGuard
 from pinninglab.hierarchy import B_CRITICAL, HierParams
 
 
-def rng_of(tag):
-    return np.random.default_rng(abs(hash(tag)) % 2**32)
-
-
 def test_pool_zero_disorder_is_exact():
     params = HierParams(B=B_CRITICAL, beta=0.0, h=0.3)
     est = MC.pool_free_energy(params, 10, 50, np.random.default_rng(1))
@@ -37,23 +33,6 @@ def test_pool_resource_guard():
     with pytest.raises(ResourceGuard):
         MC.pool_free_energy(HierParams(B=B_CRITICAL, beta=1.0, h=0.0), 21, 10,
                             np.random.default_rng(0))
-
-
-def test_fractional_moment_recursion_and_decay():
-    params = HierParams(B=B_CRITICAL, beta=0.6, h=-0.6)
-    gamma = 0.7
-    rng = np.random.default_rng(4)
-    ests = MC.fractional_moment_sequence(params, 7, gamma, 60_000, rng, n_lo=4)
-    means = [e.estimate.mean for e in ests]
-    # deep in the delocalized phase the moments shrink with the generation
-    assert all(b < a for a, b in zip(means, means[1:]))
-    # one-step recursion bound between consecutive generations
-    assert all(e.step_bound_ok for e in ests[:-1])
-    assert ests[-1].step_bound_ok is None
-    # the raw gamma-moment stays below the split through the excess part
-    for e in ests:
-        bound = (B_CRITICAL - 1.0) ** gamma + e.estimate.mean
-        assert e.clipped_mean <= bound + 3 * e.estimate.std_error
 
 
 def test_tilted_mean_trivial_point():
@@ -148,21 +127,3 @@ def test_certification_draws_no_tilted_disorder(monkeypatch):
         n_override=12, samples=1_000, rng=np.random.default_rng(1))
     assert paper.verdict == "infeasible-at-paper-constants"
     assert tuned.verdict in ("pass", "fail")
-
-
-def test_hc_scan_pure_brackets_zero():
-    lo, hi = MC.hc_scan(0.0, 12, 10, 0.01, np.random.default_rng(10))
-    assert lo <= 0.0 <= hi
-    assert hi - lo <= 0.01
-
-
-def test_hc_scan_disordered_nonnegative():
-    lo, hi = MC.hc_scan(1.0, 12, 120, 0.02, np.random.default_rng(11))
-    assert lo >= 0.0
-    assert hi - lo <= 0.02
-
-
-def test_hc_scan_nesting():
-    lo1, hi1 = MC.hc_scan(0.0, 10, 10, 0.05, np.random.default_rng(12))
-    lo2, hi2 = MC.hc_scan(0.0, 10, 10, 0.0125, np.random.default_rng(12))
-    assert lo1 - 1e-12 <= lo2 and hi2 <= hi1 + 1e-12

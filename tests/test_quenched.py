@@ -100,7 +100,7 @@ def test_quenched_free_energy_pure_limit():
     cfg = QuenchedConfig(law=law, beta=0.0, h=0.2, N=10_000)
     est = Q.quenched_free_energy(cfg, 2, np.random.default_rng(0))
     assert est.std_error == 0.0
-    rate = Q.annealed_rate(cfg)
+    rate = R.homogeneous_free_energy(law, cfg.h)
     assert abs(est.mean - rate) / rate < 0.02
 
 
@@ -214,7 +214,8 @@ def test_u_weight_monotone_in_beta(law):
 
 def test_lemma51_report(law):
     rng = np.random.default_rng(5)
-    rep = Q.lemma51_conditions(1.0, 0.02, 0.75, law, 2000, rng, cond_horizon=300)
+    rep = Q.lemma51_conditions(1.0, 0.02, 0.75, law, 2000, rng,
+                               c8=math.e * R.conditioning_ratio(law, 300))
     assert rep.k == 50
     assert rep.eta_min == max(rep.lhs1_over_sqrt_k, rep.lhs2)
     # the reward formula is reproduced exactly
@@ -234,22 +235,7 @@ def test_lemma51_report(law):
 def test_lemma51_requires_positive_reward():
     law = R.make_power_law(0.5, 128)
     with pytest.raises(InvalidParameter):
-        Q.lemma51_conditions(1.0, -0.1, 0.75, law, 10, np.random.default_rng(0))
-
-
-def test_split_estimate(law):
-    rng = np.random.default_rng(6)
-    s = Q.split_estimate(1.0, 64, 0.3, 0.75, law, 2000, rng, cond_horizon=300)
-    assert s.window_sum <= s.small_part + s.large_part + 1e-9
-    assert s.bound_holds
-    # the small-gap part shrinks like sqrt(delta)
-    s2 = Q.split_estimate(1.0, 64, 0.075, 0.75, law, 2000,
-                          np.random.default_rng(6), cond_horizon=300)
-    shrink = (s2.small_part - s2.window_sum * 0) / s.small_part
-    assert s2.small_part < s.small_part
-    assert shrink > 0.3  # roughly sqrt(0.075/0.3) = 1/2 plus the fixed c8 offset
-    with pytest.raises(InvalidParameter):
-        Q.split_estimate(1.0, 64, 1.5, 0.75, law, 10, rng)
+        Q.lemma51_conditions(1.0, -0.1, 0.75, law, 10, np.random.default_rng(0), c8=1.0)
 
 
 def test_green_bound_constant_stable(law):
@@ -370,7 +356,7 @@ def test_w_statistic_batch_edges(law):
 def test_w_mean_exact_vs_mc(law):
     L = 400
     table = R.green_function(law, L)
-    exact = Q.w_mean_exact(table, L)
+    exact = oracles.w_mean_exact(table, L)
     rng = np.random.default_rng(7)
     vals = Q.w_statistic(R.sample_path(law, L, rng, size=4000), L)
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -445,16 +431,6 @@ def test_chung_erdos_vs_mc(law):
 def test_chung_erdos_guard(law):
     with pytest.raises(ResourceGuard):
         Q.chung_erdos_check(law, 10**6)
-
-
-def test_fractional_sum_bound_chain(law_small):
-    rng = np.random.default_rng(9)
-    out = Q.fractional_sum_bound(0.8, 0.26, 0.75, law_small,
-                                 omega_samples=50, N=9, rng=rng, tilt_samples=50)
-    assert out.pointwise_ok
-    assert out.termwise.mean >= out.direct.mean
-    assert out.chain_margin_sigma >= -3.0
-    assert out.holder_max_ratio <= 1.0 + 1e-9
 
 
 def test_fractional_sum_bound_single_block(law_small):
