@@ -20,6 +20,7 @@ from .errors import InvalidParameter, ResourceGuard
 
 B_CRITICAL = math.sqrt(2.0)
 _FOLD_LEAVES = 1 << 19   # leaves per slice of realizations in the cascade's fold
+_DRAW_NODES = 1 << 16    # uniforms per block of one generation's draw (512 KB)
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -170,12 +171,24 @@ def sample_leafset_batch(n: int, B: float, rng: np.random.Generator,
     return alive
 
 
+def _kept_nodes(rng: np.random.Generator, m: int, p: float, buf: np.ndarray) -> np.ndarray:
+    """int32 indices i < m with u_i < p.  The m uniforms are drawn into buf,
+    one block at a time in order, so they are the stream of rng.random(m)."""
+    parts = [np.empty(0, np.int32)]
+    for s in range(0, m, buf.size):
+        u = rng.random(out=buf[: min(buf.size, m - s)])
+        parts.append(np.flatnonzero(u < p).astype(np.int32))
+        parts[-1] += s
+    return np.concatenate(parts)
+
+
 def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
                        size: int) -> tuple[np.ndarray, np.ndarray]:
     """(overlap statistic, alive count) over `size` realizations.
 
     The cascade is drawn top-down keeping only each generation's kept-node
-    indices, as int32: the children of the kept nodes, in order, are the
+    indices, as int32, from uniforms drawn `_DRAW_NODES` at a time into one
+    reused buffer: the children of the kept nodes, in order, are the
     next generation.  Realization r owns the contiguous node range
     at[g][r] : at[g][r + 1] of every generation g.  Y depends on the tree's
     shape alone, so it is folded bottom-up over sibling pairs, one slice of
@@ -189,12 +202,13 @@ def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
     if n < 1:
         raise InvalidParameter("need generation >= 1")
     p = 1.0 / B
+    buf = np.empty(_DRAW_NODES)
     kept, at = [], [np.arange(size + 1)]
     m = size
     for _ in range(n):
         if m > _INT32_MAX:
             raise ResourceGuard(f"a generation of {m} nodes overflows int32 indices")
-        kept.append(np.flatnonzero(rng.random(m) < p).astype(np.int32))
+        kept.append(_kept_nodes(rng, m, p, buf))
         # int32 needles, so searchsorted does not cast the indices to int64
         at.append(2 * kept[-1].searchsorted(at[-1].astype(np.int32)))
         m = 2 * kept[-1].size

@@ -17,10 +17,12 @@ from .hierarchy import B_CRITICAL, HierParams
 from .numerics import MeanAccumulator, PoolEstimate, chunk_sizes
 
 MAX_GENERATION = 20
+_POOL_LEAVES = 1 << 16   # leaves per block of rows in the pool's draw and fold (512 KB)
 
 
 def _chunk_for(n: int) -> int:
-    # keep disorder batches near ~32 MB
+    # rows per accumulator chunk: fixes how the pool's estimates are summed,
+    # and sizes the tilted arm's disorder batches (up to 2^22 leaves, 32 MB)
     return max(8, min(4096, (1 << 22) // max(1, 2**n)))
 
 
@@ -36,15 +38,27 @@ def annealed_value(params: HierParams, n: int) -> float:
 
 def pool_free_energy(params: HierParams, n: int, samples: int,
                      rng: np.random.Generator) -> PoolEstimate:
-    """Mean of 2^-n log X_n over fresh disorder arrays, with standard error."""
+    """Mean of 2^-n log X_n over fresh disorder arrays, with standard error.
+
+    The disorder is drawn and folded one block of about `_POOL_LEAVES`
+    leaves at a time, into one reused buffer.  Filling the rows in order
+    consumes the generator stream as one whole-chunk draw would, and the
+    recursion treats each row alike, so the estimates are those of the
+    whole draw bit for bit; each `_chunk_for` chunk is one accumulator add.
+    """
     if n > MAX_GENERATION:
         raise ResourceGuard(f"generation {n} beyond the direct-sampling guard {MAX_GENERATION}")
     if samples < 2:
         raise InvalidParameter("need at least 2 samples")
+    rows = max(1, _POOL_LEAVES >> n)
+    buf = np.empty((min(rows, samples), 2**n))
     acc = MeanAccumulator()
     for size in chunk_sizes(samples, _chunk_for(n)):
-        om = rng.standard_normal((size, 2**n))
-        acc.add(hierarchy.hier_log_partition_batch(params, n, om) / 2.0**n)
+        vals = np.empty(size)
+        for i in range(0, size, rows):
+            block = rng.standard_normal(out=buf[: min(rows, size - i)])
+            vals[i : i + block.shape[0]] = hierarchy.hier_log_partition_batch(params, n, block)
+        acc.add(vals / 2.0**n)
     return PoolEstimate.from_accumulator(acc, n, "pool-free-energy",
                                          annealed=annealed_value(params, n))
 

@@ -71,6 +71,13 @@ class RenewalLaw:
         return np.cumsum(self.mass)
 
     @cached_property
+    def sites(self) -> np.ndarray:
+        """The stored sites 1..n_max, as floats."""
+        ns = np.arange(1, self.n_max + 1, dtype=float)
+        ns.setflags(write=False)
+        return ns
+
+    @cached_property
     def guide(self) -> np.ndarray:
         """Guide table for the gap lookup (Chen & Asau 1974): bucket b holds
         cdf[1:].searchsorted(b / 2^16), the lookup of every u in
@@ -432,8 +439,7 @@ def _tail_integral(law: RenewalLaw, rate: float) -> float:
 
 def characteristic_sum(law: RenewalLaw, rate: float) -> float:
     """sum_n K(n) exp(-rate n), with the analytic tail correction."""
-    ns = np.arange(1, law.n_max + 1, dtype=float)
-    head = float(np.dot(law.mass[1:], np.exp(-rate * ns)))
+    head = float(np.dot(law.mass[1:], np.exp(-rate * law.sites)))
     return head + _tail_integral(law, rate)
 
 

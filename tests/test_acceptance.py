@@ -5,6 +5,7 @@ config runs once for the module; each test asserts one criterion of it
 and prints the measured values. Negative controls rerun single rows
 under a fault, and hand-built records exercise the judges directly.
 """
+import dataclasses
 import tempfile
 
 import pytest
@@ -224,3 +225,22 @@ def test_dropped_target_set_fails_decomposition_and_chain(monkeypatch):
     for res in results:
         print(res.line())
     assert [(r.number, r.passed) for r in results] == [(7, False), (16, False)]
+
+
+def _shifted_h(fn):
+    """fn(params, ...) run at h + beta^2/2: the -beta^2/2 leaf normalization dropped."""
+    return lambda params, *args: fn(
+        dataclasses.replace(params, h=params.h + params.beta**2 / 2), *args)
+
+
+@pytest.mark.parametrize("owner, attr", [(hierarchy, "hier_log_partition_batch"),
+                                         (quenched, "_site_log_weights")],
+                         ids=["hierarchical-pool", "quenched-scan"])
+def test_jensen_detects_a_dropped_normalization(monkeypatch, owner, attr):
+    # negative control: without -beta^2/2 each site's weight has mean e^(h + beta^2/2),
+    # so the quenched estimates climb above the annealed values at h, which
+    # both baselines (computed without disorder) keep; crit_09 must fail
+    monkeypatch.setattr(owner, attr, _shifted_h(getattr(owner, attr)))
+    [res] = acc.run_all({9}, echo=None)
+    print(res.line())
+    assert not res.passed

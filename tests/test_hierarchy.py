@@ -216,10 +216,12 @@ def test_gw_overlap_samples_edge_sizes(monkeypatch):
 @pytest.mark.parametrize("n, B, size", [(5, H.B_CRITICAL, 0), (1, H.B_CRITICAL, 60),
                                         (7, 1.2, 40), (4, 1.9, 300)])
 def test_gw_overlap_samples_sliced_fold(monkeypatch, n, B, size):
-    # slices of a few leaves: every call crosses many slice edges, and
-    # the sliced fold must give the one-slice doubles and the oracle's Y
+    # slices of a few leaves and uniforms drawn 5 at a time: every call
+    # crosses many slice and block edges, and must give the one-slice,
+    # one-draw doubles and the oracle's Y
     whole = H.gw_overlap_samples(n, B, np.random.default_rng(17), size)
     monkeypatch.setattr(H, "_FOLD_LEAVES", 4)
+    monkeypatch.setattr(H, "_DRAW_NODES", 5)
     y, counts = H.gw_overlap_samples(n, B, np.random.default_rng(17), size)
     assert np.array_equal(y, whole[0]) and np.array_equal(counts, whole[1])
     sid, leaf = oracles.gw_cascade_leaves(n, B, np.random.default_rng(17), size)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pinninglab import hierarchy as H
 from pinninglab import hiermc as MC
 from pinninglab.errors import ResourceGuard
 from pinninglab.hierarchy import B_CRITICAL, HierParams
+from pinninglab.numerics import MeanAccumulator, chunk_sizes
 
 
 def test_pool_zero_disorder_is_exact():
@@ -27,6 +29,45 @@ def test_pool_jensen():
     params = HierParams(B=B_CRITICAL, beta=0.5, h=0.5)
     est = MC.pool_free_energy(params, 12, 300, np.random.default_rng(3))
     assert est.mean <= est.annealed + 3 * est.std_error
+
+
+def _whole_draw_pool(params, n, samples, rng):
+    """The pool as one disorder array per accumulator chunk."""
+    acc = MeanAccumulator()
+    for size in chunk_sizes(samples, MC._chunk_for(n)):
+        om = rng.standard_normal((size, 2**n))
+        acc.add(H.hier_log_partition_batch(params, n, om) / 2.0**n)
+    return acc
+
+
+# sample counts off the block rows (300 in blocks of 16; 5, 37 and 22 in
+# blocks of 3), and 14 x 400, which spans two accumulator chunks of 256 rows
+@pytest.mark.parametrize("n, samples, rows, beta, h", [
+    (1, 5, None, 0.5, -0.2), (1, 5, 3, 1.5, 0.6), (6, 37, None, 1.5, 0.6),
+    (6, 37, 3, 0.5, -0.2), (12, 300, None, 0.5, -0.2), (12, 300, 3, 1.5, 0.6),
+    (14, 400, None, 1.5, 0.6), (16, 22, 3, 0.5, -0.2)])
+def test_pool_blocks_match_the_whole_draw(monkeypatch, n, samples, rows, beta, h):
+    if rows:
+        monkeypatch.setattr(MC, "_POOL_LEAVES", rows << n)
+    params = HierParams(B=B_CRITICAL, beta=beta, h=h)
+    rng, rng_whole = np.random.default_rng(n + samples), np.random.default_rng(n + samples)
+    est = MC.pool_free_energy(params, n, samples, rng)
+    acc = _whole_draw_pool(params, n, samples, rng_whole)
+    assert (est.mean, est.std_error, est.sample_count) == (acc.mean, acc.std_error, acc.count)
+    assert rng.bit_generator.state == rng_whole.bit_generator.state
+
+
+@pytest.mark.parametrize("n, samples", [(12, 300), (16, 400)])
+def test_pool_peak_memory(n, samples):
+    # blocks of 2^16 leaves: one whole-chunk draw peaked at 39 and 134 MB
+    params = HierParams(B=B_CRITICAL, beta=1.0, h=0.1)
+    tracemalloc.start()
+    try:
+        MC.pool_free_energy(params, n, samples, np.random.default_rng(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_pool_resource_guard():

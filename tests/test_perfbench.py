@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from pinninglab import quenched, renewal
+from pinninglab import hiermc, quenched, renewal
+from pinninglab.hierarchy import B_CRITICAL, HierParams
 from pinninglab.quenched import QuenchedConfig
 
 
@@ -47,6 +48,29 @@ def test_tracer_bindings_resolve_and_restore(monkeypatch):
     counts = tracing.call_counts(spans, calls)
     for name in ("quenched.dp", "numerics.logsumexp", "renewal.green", "quenched.w_statistic"):
         assert counts[name] > 0, f"{name} recorded no calls"
+
+
+def test_tracer_counts_every_leaf_of_a_blocked_pool(monkeypatch):
+    # the pool calls the recursion once per block of rows: the leaves of
+    # all blocks must sum to samples x 2^n, under one pool call
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    n, samples = 12, 40   # blocks of 16, 16 and 8 rows
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        hiermc.pool_free_energy(HierParams(B=B_CRITICAL, beta=1.0, h=0.1), n, samples,
+                                np.random.default_rng(0))
+        spans, calls = tracer.take()
+    finally:
+        tracer.uninstall()
+
+    counts = tracing.call_counts(spans, calls)
+    assert counts["hiermc.pool"] == 1
+    assert counts["hierarchy.recursion"] == 3
+    metrics = tracing.layer_metrics(spans, calls)
+    assert metrics["hierarchy.recursion.leaves"] == samples * 2**n
 
 
 def test_workload_direct_calls_run(monkeypatch):
