@@ -9,6 +9,7 @@ prints one PASS/FAIL line per criterion and pytest asserts the same rows.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import tempfile
 import time
@@ -221,7 +222,16 @@ def lemma51_pipeline(rec):
     }
 
 
+def _artifact(path: Path):
+    """A run's CSV bytes, or its record less the wall time."""
+    if path.suffix == ".json":
+        return {**json.loads(path.read_text()), "wall_time_s": None}
+    return path.read_bytes()
+
+
 def determinism():
+    # no CSV of these two holds a random value: gw-check's Monte Carlo
+    # estimates are in its record, so the records are compared too
     configs = ({"experiment": "overlap-identity", "seed": 7, "n_max_gen": 12, "brute_n": 3},
                {"experiment": "gw-check", "seed": 7, "mc_n": 5, "mc_samples": 20_000})
     identical = True
@@ -230,8 +240,8 @@ def determinism():
             d1, d2 = Path(tmp, f"{raw['experiment']}-a"), Path(tmp, f"{raw['experiment']}-b")
             for d in (d1, d2):
                 run_experiment(ExperimentConfig.from_dict(raw), d)
-            identical = identical and all(f.read_bytes() == (d2 / f.name).read_bytes()
-                                          for f in sorted(d1.glob("*.csv")))
+            identical = identical and all(_artifact(f) == _artifact(d2 / f.name)
+                                          for f in sorted(d1.iterdir()))
     return identical, {"experiments": len(configs), "byte_identical": identical}
 
 

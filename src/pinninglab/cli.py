@@ -10,20 +10,16 @@ import sys
 from pathlib import Path
 
 from . import acceptance as acc
-from .errors import ConfigError, InvalidParameter, PinningLabError
+from .errors import PinningLabError
 from .experiments import run as run_experiment
 from .records import VERSION, ExperimentConfig, _jsonable, write_csv
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_json(args.config)
-        if args.seed is not None:
-            cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
-        record = run_experiment(cfg, args.out)
-    except (ConfigError, InvalidParameter) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = ExperimentConfig.from_json(args.config)
+    if args.seed is not None:
+        cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+    record = run_experiment(cfg, args.out)
     print(record.to_json())
     return 0
 

@@ -1,16 +1,22 @@
 """Named batch experiments behind the CLI.
 
-Each experiment is a thin driver: it pulls windows from the config,
-calls library operations, and assembles one run record plus CSV tables.
+Each experiment is a thin driver: it calls library operations and
+assembles one run record plus CSV tables. Its keyword-only parameters,
+with their annotations and defaults, are its config schema: `resolve`
+checks a config against them, and `run` passes the typed values in.
 All randomness derives from the config seed through keyed substreams, so
 results do not depend on scheduling.
 """
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import itertools
 import math
+import numbers
+import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +39,45 @@ def experiment(name):
     return deco
 
 
+def _typed(key: str, value, kind):
+    """`value` as the annotated type `kind`: float, int, list[...] or ... | None."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return [_typed(key, v, args[0]) for v in value]
+    if args:  # X | None
+        return None if value is None else _typed(key, value, args[0])
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max or (kind is int and value != int(value)):
+        raise ConfigError(f"{key} must be a finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def resolve(cfg: ExperimentConfig) -> ExperimentConfig:
+    """`cfg` checked against its experiment's keyword-only parameters, with
+    every parameter typed and every default filled in."""
+    if cfg.experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {cfg.experiment!r}; known: {sorted(EXPERIMENTS)}")
+    # the benchmark's certify configs still send this inert key (ROADMAP item 1)
+    params = {k: v for k, v in cfg.params.items()
+              if (cfg.experiment, k) != ("hier-certify", "disorder_samples")}
+    sig = inspect.signature(EXPERIMENTS[cfg.experiment], eval_str=True)
+    schema = {k: p for k, p in sig.parameters.items() if p.kind is p.KEYWORD_ONLY}
+    unknown = sorted(set(params) - set(schema))
+    if unknown:
+        raise ConfigError(f"{cfg.experiment}: unknown keys {unknown}; known: {sorted(schema)}")
+    return ExperimentConfig(cfg.experiment, cfg.seed, {
+        k: _typed(k, params.get(k, p.default), p.annotation) for k, p in schema.items()})
+
+
 def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecord:
     """Dispatch one experiment; write its record and CSV artifacts."""
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {cfg.experiment!r}; known: {sorted(EXPERIMENTS)}"
-        )
+    cfg = resolve(cfg)
     t0 = time.perf_counter()
     record = RunRecord(experiment=cfg.experiment, seed=cfg.seed,
                        config=cfg.to_dict(), config_sha256=cfg.sha256)
-    tables = EXPERIMENTS[cfg.experiment](cfg, record)
+    tables = EXPERIMENTS[cfg.experiment](record, **cfg.params)
     record.wall_time_s = time.perf_counter() - t0
     if out_dir is not None:
         out = Path(out_dir)
@@ -53,22 +88,15 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecord:
     return record
 
 
-def _law_from_config(cfg: ExperimentConfig, default_n_max: int = 20_000) -> renewal.RenewalLaw:
-    alpha = float(cfg.get("alpha", 0.5))
-    n_max = int(cfg.get("n_max", default_n_max))
-    return renewal.make_power_law(alpha, n_max)
-
-
 @experiment("annealed-scan")
-def annealed_scan(cfg: ExperimentConfig, rec: RunRecord):
-    b_list = [float(b) for b in cfg.get("B_list", [1.3, B_CRITICAL, 1.7])]
-    hs = np.logspace(math.log10(float(cfg.get("h_min", 1e-3))),
-                     math.log10(float(cfg.get("h_max", 1e-1))),
-                     int(cfg.get("points", 9)))
-    law = _law_from_config(cfg, default_n_max=100_000)
+def annealed_scan(rec: RunRecord, *, B_list: list[float] = [1.3, B_CRITICAL, 1.7],
+                  h_min: float = 1e-3, h_max: float = 1e-1, points: int = 9,
+                  fit_h_max: float = 1e-2, alpha: float = 0.5, n_max: int = 100_000):
+    hs = np.logspace(math.log10(h_min), math.log10(h_max), points)
+    law = renewal.make_power_law(alpha, n_max)
     rows = []
-    low_mask = hs <= float(cfg.get("fit_h_max", 1e-2)) * (1 + 1e-9)
-    for B in b_list:
+    low_mask = hs <= fit_h_max * (1 + 1e-9)
+    for B in B_list:
         F = np.array([hierarchy.annealed_free_energy(B, h) for h in hs])
         local = np.gradient(np.log(F), np.log(hs))
         for h, f, sl in zip(hs, F, local):
@@ -91,11 +119,11 @@ def annealed_scan(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("gw-check")
-def gw_check(cfg: ExperimentConfig, rec: RunRecord):
-    B = float(cfg.get("B", B_CRITICAL))
+def gw_check(rec: RunRecord, *, B: float = B_CRITICAL, n_exact: int = 3, mc_n: int = 6,
+             mc_samples: int = 100_000):
     rows = []
     worst = 0.0
-    for n in range(1, int(cfg.get("n_exact", 3)) + 1):
+    for n in range(1, n_exact + 1):
         for r in range(1, 2**n + 1):
             for leaves in itertools.combinations(range(1, 2**n + 1), r):
                 idx = hierarchy.TreeIndexSet(n=n, leaves=leaves)
@@ -107,16 +135,14 @@ def gw_check(cfg: ExperimentConfig, rec: RunRecord):
     rec.estimates["max_identity_error"] = estimate(worst)
     rec.flags["identities_exact"] = worst <= 1e-12
 
-    n_mc = int(cfg.get("mc_n", 6))
-    samples = int(cfg.get("mc_samples", 100_000))
-    rng = derive_rng(cfg.seed, "gw-check")
-    alive = hierarchy.sample_leafset_batch(n_mc, B, rng, samples)
+    rng = derive_rng(rec.seed, "gw-check")
+    alive = hierarchy.sample_leafset_batch(mc_n, B, rng, mc_samples)
     p1 = float(alive[:, 0].mean())
-    se1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / samples)
+    se1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / mc_samples)
     pair = float((alive[:, 0] & alive[:, 2]).mean())
-    se2 = math.sqrt(max(pair * (1 - pair), 1e-12) / samples)
-    t1 = B**-n_mc
-    t2 = hierarchy.gw_product_expectation(hierarchy.TreeIndexSet(n=n_mc, leaves=(1, 3)), B)
+    se2 = math.sqrt(max(pair * (1 - pair), 1e-12) / mc_samples)
+    t1 = B**-mc_n
+    t2 = hierarchy.gw_product_expectation(hierarchy.TreeIndexSet(n=mc_n, leaves=(1, 3)), B)
     rec.estimates["mc_single_leaf"] = estimate(p1, se1)
     rec.estimates["mc_pair"] = estimate(pair, se2)
     rec.baselines["single_leaf"] = t1
@@ -127,17 +153,16 @@ def gw_check(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("overlap-identity")
-def overlap_identity(cfg: ExperimentConfig, rec: RunRecord):
-    n_hi = int(cfg.get("n_max_gen", 30))
+def overlap_identity(rec: RunRecord, *, n_max_gen: int = 30, brute_n: int = 4):
     rows = []
     worst = 0.0
-    for n in range(1, n_hi + 1):
+    for n in range(1, n_max_gen + 1):
         val = hierarchy.pair_overlap_sum(n, B_CRITICAL)
         err = abs(val - n)
         worst = max(worst, err)
         rows.append((n, float(val), float(err)))
     brute_worst = 0.0
-    for n in range(1, int(cfg.get("brute_n", 4)) + 1):
+    for n in range(1, brute_n + 1):
         brute_worst = max(brute_worst, abs(
             hierarchy.pair_overlap_sum(n, B_CRITICAL) - oracles.overlap_sum_brute(n, B_CRITICAL)))
     rec.estimates["max_identity_error"] = estimate(worst)
@@ -148,11 +173,10 @@ def overlap_identity(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("second-moment-scan")
-def second_moment_scan(cfg: ExperimentConfig, rec: RunRecord):
-    n_hi = int(cfg.get("n_max_gen", 30))
+def second_moment_scan(rec: RunRecord, *, n_max_gen: int = 30):
     rows = []
     running = 0.0
-    for n in range(2, n_hi + 1):
+    for n in range(2, n_max_gen + 1):
         v = hierarchy.y_second_moment(n)
         running = max(running, v)
         rows.append((n, float(v), float(running)))
@@ -167,15 +191,12 @@ def second_moment_scan(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("hier-free-energy")
-def hier_free_energy(cfg: ExperimentConfig, rec: RunRecord):
-    B = float(cfg.get("B", B_CRITICAL))
-    beta = float(cfg.get("beta", 1.0))
-    n = int(cfg.get("n", 14))
-    samples = int(cfg.get("samples", 400))
-    hs = [float(h) for h in cfg.get("h_grid", [-0.2, 0.0, 0.2, 0.4, 0.6])]
+def hier_free_energy(rec: RunRecord, *, B: float = B_CRITICAL, beta: float = 1.0,
+                     n: int = 14, samples: int = 400,
+                     h_grid: list[float] = [-0.2, 0.0, 0.2, 0.4, 0.6]):
     rows = []
-    for i, h in enumerate(hs):
-        rng = derive_rng(cfg.seed, "hier-free-energy", repr(B), repr(beta), n, i)
+    for i, h in enumerate(h_grid):
+        rng = derive_rng(rec.seed, "hier-free-energy", repr(B), repr(beta), n, i)
         est = hiermc.pool_free_energy(HierParams(B=B, beta=beta, h=h), n, samples, rng)
         rec.estimates[f"free_energy_h={h!r}"] = estimate(est.mean, est.std_error)
         rec.baselines[f"annealed_h={h!r}"] = est.annealed
@@ -186,18 +207,12 @@ def hier_free_energy(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("hier-certify")
-def hier_certify(cfg: ExperimentConfig, rec: RunRecord):
-    beta = float(cfg.get("beta", 1.0))
-    kwargs = {}
-    for key in ("zeta_override", "n_override", "gamma_override", "epsilon_override"):
-        if cfg.get(key) is not None:
-            kwargs[key] = cfg.get(key)
-    cert = hiermc.certify_delocalization(
-        beta,
-        samples=int(cfg.get("samples", 40_000)),
-        rng=derive_rng(cfg.seed, "hier-certify"),
-        **kwargs,
-    )
+def hier_certify(rec: RunRecord, *, beta: float = 1.0, zeta_override: float | None = None,
+                 n_override: int | None = None, gamma_override: float | None = None,
+                 epsilon_override: float | None = None, samples: int = 40_000):
+    cert = hiermc.certify_delocalization(beta, zeta_override, n_override, gamma_override,
+                                         epsilon_override, samples,
+                                         rng=derive_rng(rec.seed, "hier-certify"))
     rec.notes["certificate"] = dataclasses.asdict(cert)
     rec.constants["k_hat"] = cert.k_hat
     rec.flags["pass"] = cert.verdict == "pass"
@@ -215,13 +230,12 @@ def hier_certify(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("renewal-green")
-def renewal_green(cfg: ExperimentConfig, rec: RunRecord):
-    law = _law_from_config(cfg)
-    N = int(cfg.get("N", 10_000))
+def renewal_green(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 20_000,
+                  N: int = 10_000, checkpoints: list[int] | None = None):
+    law = renewal.make_power_law(alpha, n_max)
     table = renewal.green_function(law, N)
-    checkpoints = [int(c) for c in cfg.get("checkpoints", [100, 1000, N])]
     rows = []
-    for c in checkpoints:
+    for c in [100, 1000, N] if checkpoints is None else checkpoints:
         ratio = table.u[c] * 2.0 * math.pi * law.c_k * math.sqrt(c)
         rows.append((c, float(table.u[c]), float(ratio)))
     rec.estimates["asymptotic_ratio_at_N"] = estimate(rows[-1][2])
@@ -234,18 +248,16 @@ def renewal_green(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("quenched-scan")
-def quenched_scan(cfg: ExperimentConfig, rec: RunRecord):
-    law = _law_from_config(cfg, default_n_max=2_000)
-    N = int(cfg.get("N", 1_200))
-    samples = int(cfg.get("samples", 32))
-    betas = [float(b) for b in cfg.get("beta_list", [0.5, 1.0])]
-    hs = [float(h) for h in cfg.get("h_list", [-0.3, 0.0, 0.2, 0.5, 1.0, 2.0])]
+def quenched_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 2_000, N: int = 1_200,
+                  samples: int = 32, beta_list: list[float] = [0.5, 1.0],
+                  h_list: list[float] = [-0.3, 0.0, 0.2, 0.5, 1.0, 2.0]):
+    law = renewal.make_power_law(alpha, n_max)
     rows = []
     ok = True
-    for i, beta in enumerate(betas):
-        for j, h in enumerate(hs):
+    for i, beta in enumerate(beta_list):
+        for j, h in enumerate(h_list):
             qc = QuenchedConfig(law=law, beta=beta, h=h, N=N)
-            rng = derive_rng(cfg.seed, "quenched-scan", i, j)
+            rng = derive_rng(rec.seed, "quenched-scan", i, j)
             est = quenched.quenched_free_energy(qc, samples, rng)
             rate = renewal.homogeneous_free_energy(law, h)
             rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"] = estimate(
@@ -260,15 +272,15 @@ def quenched_scan(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("decomposition-check")
-def decomposition_check(cfg: ExperimentConfig, rec: RunRecord):
-    law = _law_from_config(cfg, default_n_max=256)
-    trials = int(cfg.get("trials", 100))
-    rng = derive_rng(cfg.seed, "decomposition-check")
+def decomposition_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 256,
+                        trials: int = 100, k_max: int = 5, max_blocks: int = 6):
+    law = renewal.make_power_law(alpha, n_max)
+    rng = derive_rng(rec.seed, "decomposition-check")
     rows = []
     worst = 0.0
     for t in range(trials):
-        k = int(rng.integers(2, int(cfg.get("k_max", 5)) + 1))
-        blocks = int(rng.integers(1, int(cfg.get("max_blocks", 6)) + 1))
+        k = int(rng.integers(2, k_max + 1))
+        blocks = int(rng.integers(1, max_blocks + 1))
         beta = float(rng.uniform(0.0, 1.5))
         h = float(rng.uniform(-0.5, 0.5))
         qc = QuenchedConfig(law=law, beta=beta, h=h, N=k * blocks)
@@ -281,18 +293,15 @@ def decomposition_check(cfg: ExperimentConfig, rec: RunRecord):
 
 
 @experiment("lemma51-scan")
-def lemma51_scan(cfg: ExperimentConfig, rec: RunRecord):
-    law = _law_from_config(cfg, default_n_max=4_096)
-    beta = float(cfg.get("beta", 1.0))
-    gamma = float(cfg.get("gamma", 0.75))
-    hs = [float(h) for h in cfg.get("h_list", [1e-1, 1e-2, 1e-3])]
-    samples = int(cfg.get("samples", 4_000))
-    cond_h = int(cfg.get("cond_horizon", 1_000))
-    c8 = math.e * renewal.conditioning_ratio(law, cond_h)
+def lemma51_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 4_096, beta: float = 1.0,
+                 gamma: float = 0.75, h_list: list[float] = [1e-1, 1e-2, 1e-3],
+                 samples: int = 4_000, cond_horizon: int = 1_000):
+    law = renewal.make_power_law(alpha, n_max)
+    c8 = math.e * renewal.conditioning_ratio(law, cond_horizon)
     rows = []
     etas = []
-    for i, h in enumerate(hs):
-        rng = derive_rng(cfg.seed, "lemma51-scan", i)
+    for i, h in enumerate(h_list):
+        rng = derive_rng(rec.seed, "lemma51-scan", i)
         rep = quenched.lemma51_conditions(beta, h, gamma, law, samples, rng, c8)
         etas.append(rep.eta_min)
         rows.append((h, rep.k, rep.eta_min, rep.eta_err, rep.lhs1_over_sqrt_k,
@@ -315,13 +324,11 @@ _W_BATCH = 512  # paths drawn and summed per call, which bounds the memory they 
 
 
 @experiment("clt-check")
-def clt_check(cfg: ExperimentConfig, rec: RunRecord):
-    law = _law_from_config(cfg)
-    L_exact = int(cfg.get("L_exact", 10_000))
-    L = int(cfg.get("L_w", 100_000))
-    m = int(cfg.get("w_samples", 10_000))
-    if m < 2:
-        raise InvalidParameter(f"w_samples must be at least 2, got {m}")
+def clt_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 20_000,
+              L_exact: int = 10_000, L_w: int = 100_000, w_samples: int = 10_000):
+    law = renewal.make_power_law(alpha, n_max)
+    if w_samples < 2:
+        raise InvalidParameter(f"w_samples must be at least 2, got {w_samples}")
     if L_exact // 10 < 2:
         raise InvalidParameter(f"L_exact // 10 must be at least 2, got L_exact {L_exact}")
     mean_hi, var_hi = quenched.chung_erdos_check(law, L_exact)
@@ -332,16 +339,17 @@ def clt_check(cfg: ExperimentConfig, rec: RunRecord):
     rec.estimates["var_over_log_ratio"] = estimate(
         (var_hi / math.log(L_exact)) / (var_lo / math.log(L_exact // 10)))
 
-    law_w = renewal.make_power_law(law.alpha, max(L, law.n_max))
-    rng = derive_rng(cfg.seed, "clt-check")
-    w = np.empty(m)
-    for lo in range(0, m, _W_BATCH):
-        paths = renewal.sample_path(law_w, L, rng, size=min(_W_BATCH, m - lo))
-        w[lo : lo + len(paths)] = quenched.w_statistic(paths, L)
+    law_w = renewal.make_power_law(law.alpha, max(L_w, law.n_max))
+    rng = derive_rng(rec.seed, "clt-check")
+    w = np.empty(w_samples)
+    for lo in range(0, w_samples, _W_BATCH):
+        paths = renewal.sample_path(law_w, L_w, rng, size=min(_W_BATCH, w_samples - lo))
+        w[lo : lo + len(paths)] = quenched.w_statistic(paths, L_w)
     c = quenched.w_limit_scale(law_w)
     dist = ks_distance(w, lambda x: special.erf(np.maximum(x, 0.0) / (c * math.sqrt(2))))
     rec.estimates["ks_distance"] = estimate(dist)
-    rec.estimates["w_mean"] = estimate(float(w.mean()), float(w.std(ddof=1) / math.sqrt(m)))
+    rec.estimates["w_mean"] = estimate(float(w.mean()),
+                                       float(w.std(ddof=1) / math.sqrt(w_samples)))
     rec.baselines["w_mean_limit"] = c * math.sqrt(2.0 / math.pi)
     rec.flags["ks_below_0.1"] = dist < 0.1
     rows = [(L_exact, mean_hi / math.log(L_exact), target,

@@ -49,9 +49,6 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_dict(raw)
 
-    def get(self, key: str, default=None):
-        return self.params.get(key, default)
-
     def to_dict(self) -> dict:
         return {"experiment": self.experiment, "seed": self.seed, **self.params}
 

@@ -6,11 +6,12 @@ and prints the measured values. Negative controls rerun single rows
 under a fault, and hand-built records exercise the judges directly.
 """
 import dataclasses
+import itertools
 import tempfile
 
 import pytest
 
-from pinninglab import acceptance as acc, hierarchy, quenched
+from pinninglab import acceptance as acc, experiments, hierarchy, quenched
 from pinninglab.experiments import EXPERIMENTS
 from pinninglab.records import ExperimentConfig, RunRecord, estimate
 
@@ -68,6 +69,17 @@ def test_determinism_leaves_no_temp_dir(monkeypatch, tmp_path):
     [res] = acc.run_all({15}, echo=None)
     assert res.passed
     assert not list(tmp_path.iterdir())
+
+
+def test_determinism_detects_a_drifting_substream(monkeypatch):
+    # negative control: every derive_rng call gets a fresh substream, so a
+    # rerun draws new Monte Carlo values; no CSV of crit_15 holds one, but
+    # gw-check's record does, and crit_15 must fail
+    fresh = itertools.count()
+    real = experiments.derive_rng
+    monkeypatch.setattr(experiments, "derive_rng", lambda *key: real(*key, next(fresh)))
+    [res] = acc.run_all({15}, echo=None)
+    assert not res.passed
 
 
 def _row(number: int) -> acc.Criterion:

@@ -1,10 +1,17 @@
+import contextlib
+import functools
+import inspect
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pinninglab import acceptance as acc
-from pinninglab import cli
+from pinninglab import cli, experiments
 from pinninglab.records import ExperimentConfig, RunRecord, estimate
 from pinninglab.experiments import run as run_experiment
 
@@ -65,6 +72,66 @@ def test_run_config_missing_file(tmp_path):
 def test_run_bad_window(tmp_path):
     cfg = write_config(tmp_path, "annealed-scan", seed=1, B_list=[2.5])
     assert cli.main(["run", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("gw-check", {"n_exact": "abc"}),             # a string for an int
+    ("overlap-identity", {"n_max_genn": 3}),      # a misspelled key
+    ("hier-free-energy", {"n": 4.7}),             # a non-integral int
+    ("hier-free-energy", {"n": True}),            # a bool for an int
+    ("quenched-scan", {"h_list": [0.1, "x"]}),    # a string in a float list
+    ("hier-free-energy", {"h_grid": 0.1}),        # a number for a list
+])
+def test_run_bad_parameter_exits_2(tmp_path, capsys, name, bad):
+    cfg = write_config(tmp_path, name, seed=1, **bad)
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def _stub(body):
+    """`body`'s signature, and so its schema, with no work behind it."""
+    @functools.wraps(body)
+    def stub(rec, **params):
+        rec.notes["params"] = params
+        return {}
+    return stub
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+
+
+@st.composite
+def _configs(draw):
+    """A JSON object over one experiment's keys, "rec" among them, and junk keys."""
+    name = draw(st.sampled_from(sorted(experiments.EXPERIMENTS)))
+    keys = [*inspect.signature(experiments.EXPERIMENTS[name]).parameters, "n_max_genn",
+            "disorder_samples"]
+    params = draw(st.dictionaries(st.sampled_from(keys),
+                                  st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+                                  max_size=4))
+    seed = draw(st.one_of(st.integers(0, 2**32), _SCALARS))
+    return {"experiment": name, "seed": seed, **params}
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_configs())
+def test_any_config_runs_or_exits_2(raw):
+    # every drawn config runs (0) or is refused (2): never 1, never a traceback
+    stubs = {k: _stub(body) for k, body in experiments.EXPERIMENTS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr(experiments, "EXPERIMENTS", stubs)
+        path = Path(tmp, "config.json")
+        path.write_text(json.dumps(raw))
+        rc = cli.main(["run", "--config", str(path)])
+    assert rc in (0, 2) and "Traceback" not in err.getvalue()
+    if rc == 0:  # no key dropped unread, and the record holds what the body got
+        rec = json.loads(out.getvalue())
+        params = rec["notes"]["params"]
+        assert set(raw) - {"experiment", "seed", "disorder_samples"} <= set(params)
+        assert rec["config"] == {"experiment": raw["experiment"], "seed": raw["seed"], **params}
 
 
 @pytest.mark.parametrize("bad", [{"w_samples": 0}, {"w_samples": 1},

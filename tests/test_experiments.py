@@ -1,11 +1,16 @@
 import copy
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pinninglab import hiermc
-from pinninglab.experiments import EXPERIMENTS, run
+from pinninglab import acceptance, hiermc
+from pinninglab.experiments import EXPERIMENTS, resolve, run
 from pinninglab.records import ExperimentConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 QUICK = {
     "annealed-scan": {"points": 5, "n_max": 20_000},
@@ -94,3 +99,40 @@ def test_free_energy_record_carries_each_grid_point(name, table, point, annealed
             "value": float(row["mean"]), "std_error": float(row["std_error"])}
         assert rec.baselines[f"annealed_{key}"] == float(row[annealed])
     assert sum(k.startswith("free_energy") for k in rec.estimates) == len(rows)
+
+
+def test_spelled_out_defaults_change_nothing(tmp_path):
+    # the record holds the resolved config, so a default left out and the
+    # same default written in hash alike and write the same CSV bytes
+    bare = {"experiment": "overlap-identity", "seed": 1}
+    recs = [run(ExperimentConfig.from_dict(raw), tmp_path / str(i)) for i, raw in
+            enumerate((bare, {**bare, "n_max_gen": 30, "brute_n": 4}))]
+    assert recs[0].config == recs[1].config == {**bare, "n_max_gen": 30, "brute_n": 4}
+    assert recs[0].config_sha256 == recs[1].config_sha256
+    csv = "overlap-identity.values.csv"
+    assert (tmp_path / "0" / csv).read_bytes() == (tmp_path / "1" / csv).read_bytes()
+
+
+def test_certify_drops_the_inert_disorder_samples_key():
+    # the certify jobs of the benchmark still send it
+    raw = {"experiment": "hier-certify", "seed": 5, **QUICK["hier-certify"], "samples": 2_000}
+    with_key, without = (json.loads(run(ExperimentConfig.from_dict(cfg)).to_json())
+                         for cfg in ({**raw, "disorder_samples": 400}, raw))
+    assert "disorder_samples" not in with_key["config"]
+    assert {**with_key, "wall_time_s": 0} == {**without, "wall_time_s": 0}
+
+
+def test_shipped_configs_resolve(monkeypatch):
+    # every config the benchmark, the acceptance table and README.md run must
+    # pass the schema check, so a schema change cannot first break a benchmark job
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    import workloads
+
+    bench = [job.config for build in workloads.WORKLOADS.values() for job in build(0)
+             if job.config is not None]
+    table = [raw for crit in acceptance.CRITERIA for raw in crit.configs]
+    readme = [json.loads(block) for block in
+              re.findall(r"```json\n(.*?)```", (REPO / "README.md").read_text(), re.S)]
+    assert len(bench) == 11 and len(readme) == 4
+    for raw in bench + table + readme:
+        resolve(ExperimentConfig.from_dict(raw))

@@ -10,7 +10,7 @@ from pinninglab.records import ExperimentConfig, RunRecord, estimate, write_csv
 def test_config_roundtrip(tmp_path):
     raw = {"experiment": "gw-check", "seed": 4, "mc_n": 5}
     cfg = ExperimentConfig.from_dict(raw)
-    assert cfg.get("mc_n") == 5
+    assert cfg.params == {"mc_n": 5}
     assert cfg.to_dict() == raw
     assert len(cfg.sha256) == 64
     with pytest.raises(ConfigError):
