@@ -10,7 +10,7 @@ from .records import VERSION as __version__
 from .errors import (ConfigError, DimensionMismatch, HorizonExceeded,
                      InvalidParameter, NotPositiveDefinite,
                      PinningLabError, ResourceGuard)
-from .hierarchy import B_CRITICAL, HierParams, LeafSet, TreeIndexSet
+from .hierarchy import B_CRITICAL, HierParams, TreeIndexSet
 from .renewal import (GreenTable, RenewalLaw, RenewalPath, RenewalPaths, green_function,
                       homogeneous_free_energy, make_power_law, sample_path)
 from .gaussian import BlockCoupling, HierCoupling, build_block_coupling, \
@@ -26,7 +26,7 @@ __all__ = [
     "NotPositiveDefinite", "ResourceGuard", "ConfigError",
     "RenewalLaw", "GreenTable", "RenewalPath", "RenewalPaths", "make_power_law",
     "green_function", "sample_path", "homogeneous_free_energy",
-    "HierParams", "LeafSet", "TreeIndexSet",
+    "HierParams", "TreeIndexSet",
     "HierCoupling", "BlockCoupling", "build_hier_coupling", "build_block_coupling",
     "factorize", "holder_cost",
     "PoolEstimate", "Certificate", "pool_free_energy", "tilted_mean",

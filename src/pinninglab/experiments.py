@@ -121,6 +121,13 @@ def annealed_scan(rec: RunRecord, *, B_list: list[float] = [1.3, B_CRITICAL, 1.7
 @experiment("gw-check")
 def gw_check(rec: RunRecord, *, B: float = B_CRITICAL, n_exact: int = 3, mc_n: int = 6,
              mc_samples: int = 100_000):
+    # outcome enumeration stops at depth 4, and the pair holds leaves 1 and 3
+    if n_exact > 4:
+        raise InvalidParameter(f"n_exact must be at most 4, got {n_exact}")
+    if mc_n < 2:
+        raise InvalidParameter(f"mc_n must be at least 2, got {mc_n}")
+    if mc_samples < 1:
+        raise InvalidParameter(f"mc_samples must be at least 1, got {mc_samples}")
     rows = []
     worst = 0.0
     for n in range(1, n_exact + 1):
@@ -136,10 +143,11 @@ def gw_check(rec: RunRecord, *, B: float = B_CRITICAL, n_exact: int = 3, mc_n: i
     rec.flags["identities_exact"] = worst <= 1e-12
 
     rng = derive_rng(rec.seed, "gw-check")
-    alive = hierarchy.sample_leafset_batch(mc_n, B, rng, mc_samples)
-    p1 = float(alive[:, 0].mean())
+    # the cascade's leaf-index replay: 0-based leaves 0 and 2 are leaves 1 and 3
+    sid, leaf = oracles.gw_cascade_leaves(mc_n, B, rng, mc_samples)
+    p1 = sid[leaf == 0].size / mc_samples
     se1 = math.sqrt(max(p1 * (1 - p1), 1e-12) / mc_samples)
-    pair = float((alive[:, 0] & alive[:, 2]).mean())
+    pair = np.intersect1d(sid[leaf == 0], sid[leaf == 2], assume_unique=True).size / mc_samples
     se2 = math.sqrt(max(pair * (1 - pair), 1e-12) / mc_samples)
     t1 = B**-mc_n
     t2 = hierarchy.gw_product_expectation(hierarchy.TreeIndexSet(n=mc_n, leaves=(1, 3)), B)

@@ -95,7 +95,7 @@ class HierCoupling(_Coupling):
         log_den = coupling_logdet(self, epsilon)
         value = math.exp((1.0 - gamma) / (2.0 * gamma) * log_num - log_den / (2.0 * gamma))
         bound = math.exp(-(epsilon * self.hs_norm) ** 2 / (2.0 * gamma * (1.0 - gamma)))
-        return HolderCost(value=value, bound=bound, bound_side="lower")
+        return HolderCost(value=value, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,7 @@ class BlockCoupling(_Coupling):
             raise InvalidParameter("invalid tilt: the numerator determinant vanishes")
         value = math.exp(0.5 * (coupling_logdet(self, epsilon)
                                 - (1.0 - gamma) * coupling_logdet(self, t)))
-        return HolderCost(value=value, bound=math.exp(0.5 * len(self.blocks)),
-                          bound_side="upper")
+        return HolderCost(value=value, bound=math.exp(0.5 * len(self.blocks)))
 
 
 Coupling = HierCoupling | BlockCoupling
@@ -255,7 +254,6 @@ def coupling_logdet(spec: Coupling, t: float) -> float:
 class HolderCost:
     value: float
     bound: float
-    bound_side: str   # "lower" for the hierarchical form, "upper" for blocks
 
 
 def holder_cost(spec: Coupling, epsilon: float, gamma: float) -> HolderCost:

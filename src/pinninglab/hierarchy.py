@@ -38,26 +38,6 @@ class HierParams:
 
 
 @dataclass(frozen=True)
-class LeafSet:
-    """Surviving leaves of one branching realization, indices in 1..2^n."""
-
-    n: int
-    alive: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alive, dtype=np.int64)
-        a = np.unique(a)
-        if a.size and (a[0] < 1 or a[-1] > 2**self.n):
-            raise InvalidParameter("leaf indices out of range")
-        a.setflags(write=False)
-        object.__setattr__(self, "alive", a)
-
-    @property
-    def size(self) -> int:
-        return int(self.alive.size)
-
-
-@dataclass(frozen=True)
 class TreeIndexSet:
     """A nonempty set of leaves of the depth-n binary tree."""
 
@@ -160,17 +140,6 @@ def pair_overlap_sum(n: int, B: float) -> float:
     return float(val)
 
 
-def sample_leafset_batch(n: int, B: float, rng: np.random.Generator,
-                         size: int) -> np.ndarray:
-    """Boolean matrix (size, 2^n): which leaves survive, per realization."""
-    alive = np.ones((size, 1), dtype=bool)
-    p = 1.0 / B
-    for _ in range(n):
-        branch = alive & (rng.random(alive.shape) < p)
-        alive = np.repeat(branch, 2, axis=1)
-    return alive
-
-
 def _kept_nodes(rng: np.random.Generator, m: int, p: float, buf: np.ndarray) -> np.ndarray:
     """int32 indices i < m with u_i < p.  The m uniforms are drawn into buf,
     one block at a time in order, so they are the stream of rng.random(m)."""
@@ -196,8 +165,8 @@ def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
     level a above the leaves has leaf count c_L + c_R and adds
     2 B^-(n+a-1) c_L c_R, the pairs that join there.  The fold starts at
     level 1, where every kept node has c = 2 and y = 2 B^-n.  Every term
-    is positive, so Y agrees with y_statistic to rounding; the draws match
-    `oracles.gw_cascade_leaves` exactly.
+    is positive, so Y agrees with `oracles.y_statistic` to rounding; the
+    draws match `oracles.gw_cascade_leaves` exactly.
     """
     if n < 1:
         raise InvalidParameter("need generation >= 1")
@@ -252,23 +221,6 @@ def hier_log_partition_batch(params: HierParams, n: int,
     for _ in range(n):
         L = _combine_pair(L[..., 0::2] + L[..., 1::2], logB, logC)
     return L[..., 0]
-
-
-def y_statistic(ls: LeafSet, B: float) -> float:
-    """Overlap statistic of one leaf set: pair sum of two-point functions over n.
-
-    O(p^2) over the p surviving leaves, join levels from index arithmetic.
-    """
-    if ls.n < 1:
-        raise InvalidParameter("need generation >= 1")
-    if ls.size < 2:
-        return 0.0
-    idx = ls.alive - 1
-    x = np.bitwise_xor.outer(idx, idx)
-    a = np.frexp(x.astype(float))[1]  # bit length of the xor = join level
-    w = float(B) ** -(ls.n + a - 1.0)
-    np.fill_diagonal(w, 0.0)
-    return float(w.sum()) / ls.n
 
 
 def y_second_moment(n: int) -> float:

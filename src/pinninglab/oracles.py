@@ -49,8 +49,8 @@ def gw_cascade_leaves(n: int, B: float, rng: np.random.Generator,
 
     The leaf-index replay of the cascade: it consumes the generator exactly
     as `hierarchy.gw_overlap_samples` does, but tracks an explicit sample id
-    and leaf index for every alive node, so each realization's leaf set can
-    be handed to `hierarchy.y_statistic`.  Rows come out sorted by
+    and 0-based leaf index for every alive node, so each realization's leaf
+    set can be handed to `y_statistic`.  Rows come out sorted by
     (sample, leaf).
     """
     sid = np.arange(size, dtype=np.int64)
@@ -62,6 +62,24 @@ def gw_cascade_leaves(n: int, B: float, rng: np.random.Generator,
         nid = np.repeat(nid[keep] << 1, 2)
         nid[1::2] |= 1
     return sid, nid
+
+
+def y_statistic(n: int, leaves, B: float) -> float:
+    """Overlap statistic of one leaf set, given as distinct 0-based leaf
+    indices: the pair sum of two-point functions over n.
+
+    O(p^2) over the p surviving leaves, join levels from index arithmetic.
+    """
+    if n < 1:
+        raise InvalidParameter("need generation >= 1")
+    idx = np.asarray(leaves, dtype=np.int64)
+    if idx.size < 2:
+        return 0.0
+    x = np.bitwise_xor.outer(idx, idx)
+    a = np.frexp(x.astype(float))[1]  # bit length of the xor = join level
+    w = float(B) ** -(n + a - 1.0)
+    np.fill_diagonal(w, 0.0)
+    return float(w.sum()) / n
 
 
 def subtree_nodes_by_paths(n: int, leaves) -> int:
@@ -290,13 +308,8 @@ def zeta_by_series(s: float, terms: int = 200_000) -> float:
 
 def y_mean_by_enumeration(n: int, B: float) -> float:
     """E[Y_n] by summing the overlap statistic over all branching outcomes."""
-    from .hierarchy import LeafSet, y_statistic
-
-    total = 0.0
-    for p, alive in gw_outcomes(n, B):
-        if len(alive) >= 2:
-            total += p * y_statistic(LeafSet(n=n, alive=np.array(sorted(alive))), B)
-    return total
+    return sum(p * y_statistic(n, [i - 1 for i in sorted(alive)], B)
+               for p, alive in gw_outcomes(n, B))
 
 
 def weighted_contact_mean_brute(law: RenewalLaw, L: int) -> float:

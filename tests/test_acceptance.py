@@ -11,7 +11,7 @@ import tempfile
 
 import pytest
 
-from pinninglab import acceptance as acc, experiments, hierarchy, quenched
+from pinninglab import acceptance as acc, experiments, hierarchy, oracles, quenched
 from pinninglab.experiments import EXPERIMENTS
 from pinninglab.records import ExperimentConfig, RunRecord, estimate
 
@@ -171,6 +171,29 @@ def test_w_limit_law_judge_fails_doctored_records():
     assert judge(_clt_record())[0]
     assert not judge(_clt_record(0.0849, 2 * 0.3415))[0]
     assert not judge(_clt_record(0.1, 0.3415))[0]
+
+
+def test_gw_identities_detect_an_off_by_one_node_count(monkeypatch):
+    # negative control: one internal node too many on every set of two or
+    # more leaves moves B^-v off the enumerated expectation; crit_01 must fail
+    exact = hierarchy.subtree_node_count
+    monkeypatch.setattr(hierarchy, "subtree_node_count",
+                        lambda idx: exact(idx) + (len(idx.leaves) >= 2))
+    [res] = acc.run_all({1}, echo=None)
+    print(res.line())
+    assert not res.passed
+
+
+def test_gw_check_flags_a_cascade_at_the_wrong_B(monkeypatch):
+    # negative control: the replay draws at B = 1.5 while the baselines stay
+    # at sqrt 2; at the default size both z read about -40
+    exact = oracles.gw_cascade_leaves
+    monkeypatch.setattr(oracles, "gw_cascade_leaves",
+                        lambda n, B, rng, size: exact(n, 1.5, rng, size))
+    rec = experiments.run(ExperimentConfig.from_dict(
+        {"experiment": "gw-check", "seed": acc.MASTER_SEED}))
+    assert rec.flags["identities_exact"]
+    assert not rec.flags["mc_single_3sigma"] and not rec.flags["mc_pair_3sigma"]
 
 
 def test_mutation_hook_is_detected(monkeypatch):

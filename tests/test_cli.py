@@ -81,6 +81,11 @@ def test_run_bad_window(tmp_path):
     ("hier-free-energy", {"n": True}),            # a bool for an int
     ("quenched-scan", {"h_list": [0.1, "x"]}),    # a string in a float list
     ("hier-free-energy", {"h_grid": 0.1}),        # a number for a list
+    ("gw-check", {"mc_samples": 0}),              # no frequency from no samples
+    ("gw-check", {"mc_samples": -5}),
+    ("gw-check", {"mc_n": 1}),                    # no leaf 3 below depth 2
+    ("gw-check", {"mc_n": 0}),
+    ("gw-check", {"n_exact": 5}),                 # no outcome enumeration past depth 4
 ])
 def test_run_bad_parameter_exits_2(tmp_path, capsys, name, bad):
     cfg = write_config(tmp_path, name, seed=1, **bad)

@@ -105,21 +105,22 @@ def test_pair_overlap_trends():
     assert sub[-1] > 100 * sub[0]
 
 
-def test_sample_leafset_statistics():
+def test_gw_cascade_leaves_statistics():
+    # the branching law on the leaf-index replay, the draws gw-check counts
     rng = np.random.default_rng(2)
     n, B = 5, H.B_CRITICAL
     m = 100_000
-    alive = H.sample_leafset_batch(n, B, rng, m)
-    p1 = alive[:, 0].mean()
+    sid, leaf = oracles.gw_cascade_leaves(n, B, rng, m)
+    p1 = sid[leaf == 0].size / m
     t1 = B**-n
     assert abs(p1 - t1) <= 3 * math.sqrt(t1 * (1 - t1) / m)
     # extinction at the first generation: the root stays childless
-    gen1 = H.sample_leafset_batch(1, B, rng, m)
-    p_ext = (~gen1.any(axis=1)).mean()
+    sid1, _ = oracles.gw_cascade_leaves(1, B, rng, m)
+    p_ext = 1.0 - np.unique(sid1).size / m
     t_ext = (B - 1.0) / B
     assert abs(p_ext - t_ext) <= 3 * math.sqrt(t_ext * (1 - t_ext) / m)
-    # pair frequency against the closed two-point form
-    pair = (alive[:, 0] & alive[:, 5]).mean()
+    # pair frequency against the closed two-point form: leaves 1 and 6 are 0 and 5
+    pair = np.intersect1d(sid[leaf == 0], sid[leaf == 5]).size / m
     t2 = H.gw_product_expectation(H.TreeIndexSet(n=n, leaves=(1, 6)), B)
     assert abs(pair - t2) <= 3 * math.sqrt(t2 * (1 - t2) / m)
 
@@ -168,8 +169,10 @@ def test_log_partition_mc_mean_vs_annealed():
 
 
 def test_y_statistic_empty_and_exact_mean():
-    assert H.y_statistic(H.LeafSet(n=3, alive=np.array([])), H.B_CRITICAL) == 0.0
-    assert H.y_statistic(H.LeafSet(n=3, alive=np.array([5])), H.B_CRITICAL) == 0.0
+    assert oracles.y_statistic(3, [], H.B_CRITICAL) == 0.0
+    assert oracles.y_statistic(3, [4], H.B_CRITICAL) == 0.0
+    with pytest.raises(InvalidParameter, match="generation >= 1"):
+        oracles.y_statistic(0, [0, 1], H.B_CRITICAL)
     mean2 = oracles.y_mean_by_enumeration(2, H.B_CRITICAL)
     assert mean2 == pytest.approx(1.0, abs=1e-12)
 
@@ -183,9 +186,8 @@ def test_gw_overlap_samples_match_y_statistic():
         y, counts = H.gw_overlap_samples(n, B, np.random.default_rng(9), size)
         assert np.count_nonzero(counts >= 2) > 10
         for i in range(size):
-            ls = H.LeafSet(n=n, alive=leaf[sid == i] + 1)
-            assert counts[i] == ls.size
-            assert y[i] == pytest.approx(H.y_statistic(ls, B), abs=1e-12)
+            assert counts[i] == np.count_nonzero(sid == i)
+            assert y[i] == pytest.approx(oracles.y_statistic(n, leaf[sid == i], B), abs=1e-12)
 
 
 @pytest.mark.parametrize("n, B, size", [(10, H.B_CRITICAL, 4000), (16, H.B_CRITICAL, 300),
@@ -227,8 +229,7 @@ def test_gw_overlap_samples_sliced_fold(monkeypatch, n, B, size):
     sid, leaf = oracles.gw_cascade_leaves(n, B, np.random.default_rng(17), size)
     assert np.array_equal(counts, np.bincount(sid, minlength=size))
     for i in range(size):
-        ls = H.LeafSet(n=n, alive=leaf[sid == i] + 1)
-        assert y[i] == pytest.approx(H.y_statistic(ls, B), abs=1e-12)
+        assert y[i] == pytest.approx(oracles.y_statistic(n, leaf[sid == i], B), abs=1e-12)
     if n == 7:   # a realization wider than a slice
         assert counts.max() > 4 * H._FOLD_LEAVES
     if B == 1.9:   # two dead realizations in a row, away from the ends
