@@ -11,25 +11,24 @@ from .errors import (ConfigError, DimensionMismatch, HorizonExceeded,
                      InvalidParameter, NotPositiveDefinite,
                      PinningLabError, ResourceGuard)
 from .hierarchy import B_CRITICAL, HierParams, TreeIndexSet
-from .renewal import (GreenTable, RenewalLaw, RenewalPath, RenewalPaths, green_function,
+from .renewal import (GreenTable, RenewalLaw, RenewalPaths, green_function,
                       homogeneous_free_energy, make_power_law, sample_path)
 from .gaussian import BlockCoupling, HierCoupling, build_block_coupling, \
     build_hier_coupling, factorize, holder_cost
 from .hiermc import Certificate, PoolEstimate, certify_delocalization, \
     pool_free_energy, tilted_mean
-from .quenched import CoarseGrainPlan, QuenchedConfig, log_partition_dp, \
-    quenched_free_energy
+from .quenched import QuenchedConfig, log_partition_dp, quenched_free_energy
 
 __all__ = [
     "__version__", "B_CRITICAL",
     "PinningLabError", "InvalidParameter", "HorizonExceeded", "DimensionMismatch",
     "NotPositiveDefinite", "ResourceGuard", "ConfigError",
-    "RenewalLaw", "GreenTable", "RenewalPath", "RenewalPaths", "make_power_law",
+    "RenewalLaw", "GreenTable", "RenewalPaths", "make_power_law",
     "green_function", "sample_path", "homogeneous_free_energy",
     "HierParams", "TreeIndexSet",
     "HierCoupling", "BlockCoupling", "build_hier_coupling", "build_block_coupling",
     "factorize", "holder_cost",
     "PoolEstimate", "Certificate", "pool_free_energy", "tilted_mean",
     "certify_delocalization",
-    "QuenchedConfig", "CoarseGrainPlan", "log_partition_dp", "quenched_free_energy",
+    "QuenchedConfig", "log_partition_dp", "quenched_free_energy",
 ]

@@ -251,8 +251,7 @@ def fractional_chain():
     # <= the tilted bound with its crude cost e^(|M|/2) (within 3 sigma)
     out = quenched.fractional_sum_bound(0.8, 0.26, 0.75, renewal.make_power_law(0.5, 256),
                                         omega_samples=50, N=9,
-                                        rng=derive_rng(MASTER_SEED, "crit16"),
-                                        tilt_samples=50)
+                                        rng=derive_rng(MASTER_SEED, "crit16"))
     ok = (out.pointwise_ok and out.termwise.mean >= out.direct.mean
           and out.chain_margin_sigma >= -3.0 and out.holder_max_ratio <= 1.0 + 1e-9)
     return ok, {

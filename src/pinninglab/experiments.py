@@ -202,6 +202,8 @@ def second_moment_scan(rec: RunRecord, *, n_max_gen: int = 30):
 def hier_free_energy(rec: RunRecord, *, B: float = B_CRITICAL, beta: float = 1.0,
                      n: int = 14, samples: int = 400,
                      h_grid: list[float] = [-0.2, 0.0, 0.2, 0.4, 0.6]):
+    if n < 0:
+        raise InvalidParameter(f"n must be nonnegative, got {n}")
     rows = []
     for i, h in enumerate(h_grid):
         rng = derive_rng(rec.seed, "hier-free-energy", repr(B), repr(beta), n, i)
@@ -240,10 +242,16 @@ def hier_certify(rec: RunRecord, *, beta: float = 1.0, zeta_override: float | No
 @experiment("renewal-green")
 def renewal_green(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 20_000,
                   N: int = 10_000, checkpoints: list[int] | None = None):
+    if N < 1:
+        raise InvalidParameter(f"N must be at least 1, got {N}")
+    checkpoints = [100, 1000, N] if checkpoints is None else checkpoints
+    if not checkpoints or not all(0 <= c <= N for c in checkpoints):
+        raise InvalidParameter(f"checkpoints (by default 100, 1000 and N) must be a "
+                               f"nonempty list in 0..N = {N}, got {checkpoints}")
     law = renewal.make_power_law(alpha, n_max)
     table = renewal.green_function(law, N)
     rows = []
-    for c in [100, 1000, N] if checkpoints is None else checkpoints:
+    for c in checkpoints:
         ratio = table.u[c] * 2.0 * math.pi * law.c_k * math.sqrt(c)
         rows.append((c, float(table.u[c]), float(ratio)))
     rec.estimates["asymptotic_ratio_at_N"] = estimate(rows[-1][2])
@@ -304,6 +312,8 @@ def decomposition_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 256,
 def lemma51_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 4_096, beta: float = 1.0,
                  gamma: float = 0.75, h_list: list[float] = [1e-1, 1e-2, 1e-3],
                  samples: int = 4_000, cond_horizon: int = 1_000):
+    if not h_list:
+        raise InvalidParameter("h_list must not be empty")
     law = renewal.make_power_law(alpha, n_max)
     c8 = math.e * renewal.conditioning_ratio(law, cond_horizon)
     rows = []

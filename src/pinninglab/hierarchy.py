@@ -22,6 +22,10 @@ B_CRITICAL = math.sqrt(2.0)
 _FOLD_LEAVES = 1 << 19   # leaves per slice of realizations in the cascade's fold
 _DRAW_NODES = 1 << 16    # uniforms per block of one generation's draw (512 KB)
 _INT32_MAX = np.iinfo(np.int32).max
+_ANNEALED_REL_TOL = 1e-12   # the growth rate stops once a generation moves it less
+_ANNEALED_MAX_GEN = 400
+_K_HAT_N_CAP = 30           # the last generation of k_hat's running max
+_GAMMA_TOL = 1e-12          # width of gamma_for_gap's final bracket
 
 
 @dataclass(frozen=True)
@@ -95,18 +99,17 @@ def annealed_log_iterate(log_x0: float, n: int, B: float) -> float:
     return L
 
 
-def annealed_free_energy(B: float, h: float, rel_tol: float = 1e-12,
-                         max_gen: int = 400) -> float:
+def annealed_free_energy(B: float, h: float) -> float:
     """Growth rate 2^-n log(iterate from e^h); 0 for h <= 0."""
     if h <= 0.0:
         return 0.0
     logB, logC = math.log(B), math.log(B - 1.0)
     L = h
     prev = h
-    for n in range(1, max_gen + 1):
+    for n in range(1, _ANNEALED_MAX_GEN + 1):
         L = float(_combine_pair(2.0 * L, logB, logC))
         cur = L / 2.0**n
-        if n > 8 and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+        if n > 8 and abs(cur - prev) <= _ANNEALED_REL_TOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     return prev
@@ -277,9 +280,9 @@ def y_second_moment(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def k_hat(n_cap: int = 30) -> float:
-    """Running max of the overlap second moment over generations 2..n_cap."""
-    return max(y_second_moment(n) for n in range(2, n_cap + 1))
+def k_hat() -> float:
+    """Running max of the overlap second moment over generations 2.._K_HAT_N_CAP."""
+    return max(y_second_moment(n) for n in range(2, _K_HAT_N_CAP + 1))
 
 
 def fractional_threshold(B: float, gamma: float) -> float:
@@ -294,7 +297,7 @@ def gamma_positive_threshold(B: float) -> float:
     return math.log(2.0) / math.log(B / (B - 1.0))
 
 
-def gamma_for_gap(B: float, zeta: float, tol: float = 1e-12) -> float:
+def gamma_for_gap(B: float, zeta: float) -> float:
     """Moment order at which the threshold^(1/gamma) reaches 2 - B - zeta/4.
 
     The gap function increases toward 2 - B as gamma -> 1, so bisection
@@ -312,7 +315,7 @@ def gamma_for_gap(B: float, zeta: float, tol: float = 1e-12) -> float:
     hi = 1.0 - 1e-15
     if gap(hi) < target:
         raise InvalidParameter("zeta too large: the gap condition is unreachable")
-    while hi - lo > tol:
+    while hi - lo > _GAMMA_TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) >= target:
             hi = mid

@@ -59,8 +59,7 @@ def pool_free_energy(params: HierParams, n: int, samples: int,
             block = rng.standard_normal(out=buf[: min(rows, size - i)])
             vals[i : i + block.shape[0]] = hierarchy.hier_log_partition_batch(params, n, block)
         acc.add(vals / 2.0**n)
-    return PoolEstimate.from_accumulator(acc, n, "pool-free-energy",
-                                         annealed=annealed_value(params, n))
+    return PoolEstimate.from_accumulator(acc, annealed=annealed_value(params, n))
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,9 @@ def tilted_mean(params: HierParams, n: int, epsilon: float, samples: int,
     for size in chunk_sizes(samples, _sparse_chunk(n)):
         y, count = hierarchy.gw_overlap_samples(n, params.B, rng, size)
         acc_r.add(np.exp(-coeff * y + params.h * count))
-    est_d = (PoolEstimate.from_accumulator(acc_d, n, "tilted-mean disorder-mc")
-             if acc_d.count else PoolEstimate(math.nan, math.nan, 0, n, "skipped"))
-    est_r = PoolEstimate.from_accumulator(acc_r, n, "tilted-mean renewal-mc")
+    est_d = (PoolEstimate.from_accumulator(acc_d) if acc_d.count
+             else PoolEstimate(math.nan, math.nan, 0))
+    est_r = PoolEstimate.from_accumulator(acc_r)
     return TiltedMean(disorder_mc=est_d, renewal_mc=est_r, epsilon=epsilon)
 
 
@@ -187,17 +186,17 @@ def _paper_generation(k_hat_value: float, beta: float, epsilon: float) -> float:
 
 def certify_delocalization(
     beta: float,
-    zeta_override: float | None = None,
-    n_override: int | None = None,
-    gamma_override: float | None = None,
-    epsilon_override: float | None = None,
-    samples: int = 40_000,
+    zeta_override: float | None,
+    n_override: int | None,
+    gamma_override: float | None,
+    epsilon_override: float | None,
+    samples: int,
     *,
     rng: np.random.Generator,
 ) -> Certificate:
     """Run the fractional-moment / change-of-measure certification at B critical.
 
-    Without overrides the tuning constants follow the published recipe
+    With every override None the tuning constants follow the published recipe
     (zeta from the overlap second-moment sup, the moment order from the
     contraction-gap condition, the tilt maximal under the cost bound and
     the positive-definiteness window, the generation from the explicit

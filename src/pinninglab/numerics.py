@@ -51,13 +51,11 @@ class MeanAccumulator:
 
 @dataclass(frozen=True)
 class PoolEstimate:
-    """A Monte Carlo estimate with its standard error and provenance."""
+    """A Monte Carlo estimate with its standard error and sample count."""
 
     mean: float
     std_error: float
     sample_count: int
-    n: int
-    estimator: str
     annealed: float | None = None
 
     def __post_init__(self):
@@ -65,9 +63,9 @@ class PoolEstimate:
             raise ValueError("std_error must be nonnegative")
 
     @classmethod
-    def from_accumulator(cls, acc: MeanAccumulator, n: int, estimator: str,
+    def from_accumulator(cls, acc: MeanAccumulator,
                          annealed: float | None = None) -> "PoolEstimate":
-        return cls(acc.mean, acc.std_error, acc.count, n, estimator, annealed)
+        return cls(acc.mean, acc.std_error, acc.count, annealed)
 
 
 def chunk_sizes(total: int, chunk: int):

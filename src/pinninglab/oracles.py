@@ -13,7 +13,7 @@ import numpy as np
 from .errors import HorizonExceeded, InvalidParameter
 from .hierarchy import B_CRITICAL
 from .numerics import logsumexp_1d
-from .renewal import GreenTable, RenewalLaw, RenewalPath, _convolve, green_function
+from .renewal import GreenTable, RenewalLaw, _convolve, green_function
 
 
 @lru_cache(maxsize=None)
@@ -169,8 +169,9 @@ def green_direct(law: RenewalLaw, N: int) -> np.ndarray:
     return u
 
 
-def sample_path_sequential(law: RenewalLaw, N: int, rng: np.random.Generator) -> RenewalPath:
-    """One path on [0, N], drawing gaps 256 uniforms at a time until one leaves.
+def sample_path_sequential(law: RenewalLaw, N: int, rng: np.random.Generator) -> np.ndarray:
+    """The int64 points of one path on [0, N], drawing gaps 256 uniforms at
+    a time until one leaves.
 
     The per-block loop that `renewal.sample_path` replaced: it draws the
     same gaps from the same uniforms, so n calls in turn give the paths of
@@ -194,7 +195,7 @@ def sample_path_sequential(law: RenewalLaw, N: int, rng: np.random.Generator) ->
         if inside.size < cum.size:
             break
         pos = int(cum[-1])
-    return RenewalPath(points=np.concatenate(segs))
+    return np.concatenate(segs)
 
 
 def pair_sum_profile(points: np.ndarray, horizon: int) -> np.ndarray:

@@ -22,11 +22,13 @@ from .errors import DimensionMismatch, InvalidParameter, ResourceGuard
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
 from .numerics import MeanAccumulator, PoolEstimate, logsumexp_1d
-from .renewal import (GreenTable, RenewalLaw, RenewalPath, RenewalPaths, _convolve,
-                      green_function, sample_path)
+from .renewal import (GreenTable, RenewalLaw, RenewalPaths, _convolve, green_function,
+                      sample_path)
 
 MAX_DP_SIZE = 100_000
 MAX_BLOCK_COUNT = 6
+MAX_CHUNG_ERDOS_L = 20_000
+_LONG_JUMP_D_MAX = 512   # the largest gap, in windows, long_jump_constant scans
 _BLOCK = 64           # sites per block of the renewal DP
 _EXP_RANGE = 600.0    # widest exponent range a DP block may span (e^709 overflows)
 _W_GROUP = 8          # paths per padded group of the pair kernel
@@ -47,33 +49,10 @@ class QuenchedConfig:
             raise InvalidParameter("disorder strength must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CoarseGrainPlan:
-    """Window size k, target blocks of the first-return scan, and the
-    tilted block set M (targets plus their right neighbors)."""
-
-    k: int
-    targets: tuple[int, ...]
-    gamma: float
-
-    def __post_init__(self):
-        t = tuple(int(i) for i in self.targets)
-        if not t or any(b <= a for a, b in zip(t, t[1:])) or t[0] < 1:
-            raise InvalidParameter("targets must be strictly increasing, 1-based")
-        object.__setattr__(self, "targets", t)
-
-    @property
-    def n_blocks(self) -> int:
-        return self.targets[-1]
-
-    @property
-    def N(self) -> int:
-        return self.k * self.n_blocks
-
-    @property
-    def M(self) -> tuple[int, ...]:
-        m = set(self.targets) | {i + 1 for i in self.targets[:-1]}
-        return tuple(sorted(m))
+def tilted_blocks(targets: tuple[int, ...]) -> tuple[int, ...]:
+    """The tilted block set M of a coarse-grained term: its target blocks
+    plus the right neighbor of each target but the last."""
+    return tuple(sorted(set(targets) | {i + 1 for i in targets[:-1]}))
 
 
 def window_size(h: float) -> int:
@@ -173,8 +152,7 @@ def quenched_free_energy(cfg: QuenchedConfig, samples: int,
     for _ in range(samples):
         acc.add(np.array([log_partition_dp(cfg, rng.standard_normal(cfg.N)) / cfg.N]))
     annealed = annealed_log_partition(cfg) / cfg.N
-    return PoolEstimate.from_accumulator(acc, cfg.N, "quenched-free-energy",
-                                         annealed=annealed)
+    return PoolEstimate.from_accumulator(acc, annealed=annealed)
 
 
 def annealed_log_partition(cfg: QuenchedConfig) -> float:
@@ -189,34 +167,27 @@ def _log_weights(cfg: QuenchedConfig, omega: np.ndarray) -> tuple[np.ndarray, np
         return _site_log_weights(cfg, omega), np.log(cfg.law.mass)
 
 
-def pinned_rows(cfg: QuenchedConfig, omega: np.ndarray, k: int,
-                starts=None) -> dict[int, np.ndarray]:
-    """The log partition pinned at both ends, per start site a (all of 1..N
-    by default): rows[a][b - a] for b in [a, min(a + k - 1, N)].
+def pinned_rows(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> dict[int, np.ndarray]:
+    """The log partition pinned at both ends, per start site a of 1..N:
+    rows[a][b - a] for b in [a, min(a + k - 1, N)].
 
     The rows depend on (cfg, omega, k) only, so every coarse-grained term
-    of one disorder draw can share them.
+    of one disorder draw shares them.
     """
     logz, logK = _log_weights(cfg, omega)
-    if starts is None:
-        starts = range(1, cfg.N + 1)
     return {a: _log_renewal_dp(logz[a : min(a + k - 1, cfg.N) + 1], logK, cfg.law.n_max)
-            for a in starts}
+            for a in range(1, cfg.N + 1)}
 
 
-def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
-                          k: int | None = None, *,
-                          rows: dict[int, np.ndarray] | None = None) -> float:
+def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets, k: int, *,
+                          rows: dict[int, np.ndarray]) -> float:
     """log of one coarse-grained term of the partition decomposition.
 
     The term collects every pinned path whose first-return scan visits
     exactly the given target blocks: first return n_r in block i_r, last
     contact j_r before n_r + k, no contacts in the long gaps between.
-    `rows` takes `pinned_rows(cfg, omega, k)` when several terms share one
-    draw; by default the rows of the target blocks are built here.
+    `rows` is `pinned_rows(cfg, omega, k)`.
     """
-    if k is None:
-        k = window_size(cfg.h)
     targets = tuple(int(i) for i in targets)
     if cfg.N % k != 0:
         raise InvalidParameter("N must be divisible by the window size")
@@ -230,8 +201,6 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets,
     block_positions = {
         b: np.arange((b - 1) * k + 1, b * k + 1) for b in set(targets)
     }
-    if rows is None:
-        rows = pinned_rows(cfg, omega, k, {int(n) for b in targets for n in block_positions[b]})
     n_max = cfg.law.n_max
 
     ell = len(targets)
@@ -392,11 +361,10 @@ def green_bound_constant(table: GreenTable) -> float:
     return float(np.max(table.u[1:] * np.sqrt(n)))
 
 
-def long_jump_constant(law: RenewalLaw, k: int, d_max: int | None = None) -> float:
+def long_jump_constant(law: RenewalLaw, k: int) -> float:
     """Empirical C2: max of K(m) d^(3/2) k^(3/2) at the long-jump onset
-    m = (d-2)k + 2, floored at 2^(3/2)."""
-    if d_max is None:
-        d_max = min(law.n_max // max(k, 1), 512)
+    m = (d-2)k + 2 for d up to min(n_max // k, _LONG_JUMP_D_MAX), floored at 2^(3/2)."""
+    d_max = min(law.n_max // max(k, 1), _LONG_JUMP_D_MAX)
     best = 2.0**1.5
     for d in range(3, max(d_max + 1, 4)):
         m = (d - 2) * k + 2
@@ -507,11 +475,10 @@ def _padded_pair_sums(Y: np.ndarray, tab: np.ndarray, gaps: np.ndarray,
     return total
 
 
-def w_statistic(paths: RenewalPath | RenewalPaths, L: int) -> float | np.ndarray:
+def w_statistic(paths: RenewalPaths, L: int) -> np.ndarray:
     """Normalized pair sum of inverse square-root gaps over each path in [1, L].
 
-    A `RenewalPaths` batch gives one W per path, in input order; a single
-    `RenewalPath` gives a float.  The paths are sorted by their point
+    One W per path, in input order.  The paths are sorted by their point
     count in [1, L] and cut into groups of `_W_GROUP`, each padded with 0
     to its longest path and summed by lag blocks (`_padded_pair_sums`) in
     scratch sized to the longest group.  The gaps are integers below the
@@ -520,9 +487,7 @@ def w_statistic(paths: RenewalPath | RenewalPaths, L: int) -> float | np.ndarray
     """
     if L < 3:
         raise InvalidParameter("need L >= 3")
-    single = isinstance(paths, RenewalPath)
-    offsets = np.array([0, paths.points.size]) if single else paths.offsets
-    pts = paths.points
+    offsets, pts = paths.offsets, paths.points
     # every path starts at 0 <= L and increases, so its points in [1, L]
     # are the `counts` points after its first
     inside = pts <= L
@@ -545,7 +510,7 @@ def w_statistic(paths: RenewalPath | RenewalPaths, L: int) -> float | np.ndarray
         Y[:, :P] = np.where(col < c[:, None], pts[take], 0)
         w[grp] = _padded_pair_sums(Y, tab, gaps, vals)
     w /= math.sqrt(L) * math.log(L)
-    return float(w[0]) if single else w
+    return w
 
 
 def w_limit_scale(law: RenewalLaw) -> float:
@@ -553,8 +518,7 @@ def w_limit_scale(law: RenewalLaw) -> float:
     return (2.0 * math.pi) ** -1.5 / law.c_k**2
 
 
-def chung_erdos_check(law: RenewalLaw, L: int,
-                      guard: int = 20_000) -> tuple[float, float]:
+def chung_erdos_check(law: RenewalLaw, L: int) -> tuple[float, float]:
     """Exact mean and variance of the inverse-sqrt-weighted contact count.
 
     The variance's cross term is sum_{i < L} u(i) i^-1/2 (A_i - B_i) with
@@ -564,8 +528,8 @@ def chung_erdos_check(law: RenewalLaw, L: int,
     and the FFT's roundoff then scales with the decaying part of u only.
     O(L log L) past the Green table; guarded at desk scale.
     """
-    if L > guard:
-        raise ResourceGuard(f"L={L} beyond the desk-scale guard {guard}")
+    if L > MAX_CHUNG_ERDOS_L:
+        raise ResourceGuard(f"L={L} beyond the desk-scale guard {MAX_CHUNG_ERDOS_L}")
     u = green_function(law, L).u
     idx = np.arange(1, L + 1, dtype=float)
     mean = float(np.sum(u[1:] / np.sqrt(idx)))
@@ -591,20 +555,20 @@ class FractionalSumBound:
 
 
 def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
-                         omega_samples: int, N: int, rng: np.random.Generator,
-                         tilt_samples: int | None = None) -> FractionalSumBound:
+                         omega_samples: int, N: int,
+                         rng: np.random.Generator) -> FractionalSumBound:
     """Assemble the fractional-moment chain on a small block system.
 
     (i) direct Monte Carlo of the gamma-moment of Z; (ii) the termwise
     sum over coarse-grained pieces; (iii) the tilted-measure bound with
-    the crude per-set cost e^(|M|/2).  (i) <= (ii) holds pointwise by
-    subadditivity; (ii) <= (iii) within Monte Carlo error.
+    the crude per-set cost e^(|M|/2).  (i) and (ii) share `omega_samples`
+    iid draws, and (iii) takes as many tilted draws per target set.
+    (i) <= (ii) holds pointwise by subadditivity; (ii) <= (iii) within
+    Monte Carlo error.
     """
     k = window_size(h)
     if N % k != 0:
         raise InvalidParameter("N must be a multiple of the window size")
-    if tilt_samples is None:
-        tilt_samples = omega_samples
     cfg = QuenchedConfig(law=law, beta=beta, h=h, N=N)
     sets = list(enumerate_target_sets(N // k))
 
@@ -629,26 +593,27 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     var3 = 0.0
     hratio = 0.0
     for t in sets:
-        plan = CoarseGrainPlan(k=k, targets=t, gamma=gamma)
-        spec = factorize(build_block_coupling(k, gamma, plan.M))
+        M = tilted_blocks(t)
+        spec = factorize(build_block_coupling(k, gamma, M))
         cost = holder_cost(spec, 1.0, gamma)
         hratio = max(hratio, cost.value / cost.bound)
-        vals = np.empty(tilt_samples)
+        vals = np.empty(omega_samples)
         filled = spec.dim
-        for s in range(tilt_samples):
+        for s in range(omega_samples):
             om = np.empty(N)
             om[:filled] = sample_tilted_batch(spec, 1.0, rng, 1)[0]
             if filled < N:
                 om[filled:] = rng.standard_normal(N - filled)
-            vals[s] = math.exp(log_coarse_grain_term(cfg, om, t, k))
+            vals[s] = math.exp(log_coarse_grain_term(cfg, om, t, k,
+                                                     rows=pinned_rows(cfg, om, k)))
         m = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(tilt_samples))
-        factor = math.exp(0.5 * len(plan.M))
+        se = float(vals.std(ddof=1) / math.sqrt(omega_samples))
+        factor = math.exp(0.5 * len(M))
         total3 += factor * m**gamma
         var3 += (factor * gamma * m ** (gamma - 1.0) * se) ** 2
 
-    est_d = PoolEstimate.from_accumulator(acc_d, N, "direct-gamma-moment")
-    est_t = PoolEstimate.from_accumulator(acc_t, N, "termwise-gamma-moment")
+    est_d = PoolEstimate.from_accumulator(acc_d)
+    est_t = PoolEstimate.from_accumulator(acc_t)
     sigma = math.sqrt(est_t.std_error**2 + var3)
     return FractionalSumBound(
         direct=est_d, termwise=est_t, tilted_bound=total3,

@@ -18,6 +18,9 @@ from scipy.linalg import blas
 from .errors import HorizonExceeded, InvalidParameter
 
 RECURRENT_TOL = 1e-9
+_FREE_ENERGY_REL_TOL = 1e-10   # bisection stops once the bracket is this narrow, relatively
+_FREE_ENERGY_MAX_ITER = 200
+_GREEN_BLOCK = 512   # sites per triangular solve of the Green table
 _GUIDE = 1 << 16  # gap-lookup buckets: u * 2^16 is exact, so its floor is u's bucket
 
 
@@ -96,15 +99,6 @@ class RenewalLaw:
             return self.grand_total - float(self.cdf[-1])
         return float(self.grand_total - self.cdf[m])
 
-    def tail_consistency(self) -> float:
-        """Max deviation of mass(n) n^(1+alpha)/c_k from 1 on the last decade."""
-        if not np.isfinite(self.alpha) or self.c_k <= 0.0:
-            return float("nan")
-        lo = max(1, self.n_max // 10 * 9)
-        ns = np.arange(lo, self.n_max + 1, dtype=float)
-        ratio = self.mass[lo:] * ns ** (1.0 + self.alpha) / self.c_k
-        return float(np.max(np.abs(ratio - 1.0)))
-
 
 @dataclass(frozen=True)
 class GreenTable:
@@ -123,22 +117,6 @@ class GreenTable:
     @property
     def horizon(self) -> int:
         return self.u.size - 1
-
-
-@dataclass(frozen=True)
-class RenewalPath:
-    """The renewal set within [0, N]: strictly increasing points, first is 0."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=np.int64)
-        p.setflags(write=False)
-        object.__setattr__(self, "points", p)
-        if p.size == 0 or p[0] != 0:
-            raise InvalidParameter("a path starts at 0")
-        if p.size > 1 and np.any(np.diff(p) < 1):
-            raise InvalidParameter("points must be strictly increasing")
 
 
 def make_power_law(alpha: float, n_max: int) -> RenewalLaw:
@@ -174,10 +152,10 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray
     return fft.irfft(fft.rfft(a, m) * fft.rfft(b, m), m)[start:stop]
 
 
-def _green_divide_conquer(mass: np.ndarray, N: int, base: int = 512) -> np.ndarray:
+def _green_divide_conquer(mass: np.ndarray, N: int) -> np.ndarray:
     """u(0..N) for the gap masses mass[1..], zero beyond their end.
 
-    A block [lo, hi) of at most `base` sites solves (I - T) u[lo:hi] = acc[lo:hi]
+    A block [lo, hi) of at most `_GREEN_BLOCK` sites solves (I - T) u[lo:hi] = acc[lo:hi]
     by one forward substitution, where T[i, i'] = K(i - i') is strictly lower
     triangular and acc holds the contributions of the sites before lo.  A
     larger block solves its left half, carries that half into acc over the
@@ -192,7 +170,7 @@ def _green_divide_conquer(mass: np.ndarray, N: int, base: int = 512) -> np.ndarr
     u = np.zeros(N + 1)
     u[0] = 1.0
     acc = K.copy()  # contributions of u(0); acc[m] accumulates sums over finalized t < lo
-    rows = min(base, N)
+    rows = min(_GREEN_BLOCK, N)
     step = K.itemsize
     # neg_T[i, i'] = -K(i - i'): Kneg holds -K(j) at rows + j for j in (-rows, rows)
     Kneg = np.zeros(2 * rows)
@@ -214,7 +192,7 @@ def _green_divide_conquer(mass: np.ndarray, N: int, base: int = 512) -> np.ndarr
                 acc[mid : mid + r] += np.convolve(u[mid - s : mid], K[1 : s + 1])[s - 1 : s - 1 + r]
             else:
                 acc[mid:hi] += _convolve(u[lo:mid], K[1:b], mid - lo - 1, b - 1)
-        elif b <= base:
+        elif b <= _GREEN_BLOCK:
             rhs[:b] = acc[lo:hi]
             u[lo:hi] = blas.dtrsv(neg_T, rhs, lower=1, diag=1)[:b]
         else:
@@ -246,11 +224,8 @@ def renewal_residual(table: GreenTable) -> float:
 
 @dataclass(frozen=True)
 class RenewalPaths:
-    """Paths drawn as one batch, ragged: path i is points[offsets[i]:offsets[i + 1]].
-
-    Iterating or indexing yields each path as a `RenewalPath` view into
-    `points`, checked once here for the whole batch.
-    """
+    """Paths drawn as one batch, ragged: path i is points[offsets[i]:offsets[i + 1]],
+    strictly increasing from 0."""
 
     offsets: np.ndarray
     points: np.ndarray
@@ -275,16 +250,6 @@ class RenewalPaths:
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def __getitem__(self, i: int) -> RenewalPath:
-        i = range(len(self))[i]
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        path = object.__new__(RenewalPath)  # a checked slice: skip re-validation
-        object.__setattr__(path, "points", self.points[lo:hi])
-        return path
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 _DRAW = 256          # uniforms per draw; a path consumes whole draws
 _MAX_DRAWS = 64      # draws carved per round, which bounds the working memory
@@ -304,8 +269,8 @@ def _gaps(law: RenewalLaw, u: np.ndarray, N: int) -> np.ndarray:
 
 
 def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
-                size: int | None = None) -> RenewalPath | RenewalPaths:
-    """IID gaps from the full law, path stopped at the horizon N.
+                size: int) -> RenewalPaths:
+    """`size` paths of IID gaps from the full law, each stopped at the horizon N.
 
     A draw landing in the mass beyond n_max (or in the terminating
     deficit of a sub-probability law) leaves the window or ends the
@@ -319,21 +284,20 @@ def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
     its last draw holds the gap that leaves [0, N], and the rest of that
     draw is discarded.  A uniform u maps to the gap
     1 + cdf[1:].searchsorted(u) through the law's guide table, with a
-    binary search only in the buckets that hold a cdf value.  `size=n`
-    returns n paths as one `RenewalPaths`, equal to n single draws in turn
-    (`oracles.sample_path_sequential`), and leaves `rng` where those draws
-    would.  Each round draws only as
-    many uniforms as the unfinished paths must still consume (every gap
-    within the window is at most n_max + 1, and a path that can end at
-    any draw still consumes one), so nothing is drawn that the sequential
-    sampler would not draw, and the batch is carved from one cumulative
-    sum.
+    binary search only in the buckets that hold a cdf value.  The paths
+    equal `size` single draws in turn (`oracles.sample_path_sequential`),
+    and `rng` is left where those draws would leave it.  Each round draws
+    only as many uniforms as the unfinished paths must still consume
+    (every gap within the window is at most n_max + 1, and a path that can
+    end at any draw still consumes one), so nothing is drawn that the
+    sequential sampler would not draw, and the batch is carved from one
+    cumulative sum.
     """
     if law.tail_mass > 0.0 and N > law.n_max:
         raise HorizonExceeded(
             f"exact sampling needs N <= n_max = {law.n_max} for tailed laws"
         )
-    n = 1 if size is None else int(size)
+    n = int(size)
     if n < 0:
         raise InvalidParameter(f"size must be nonnegative, got {size}")
     # a path standing at pos still consumes at least ceil((N + 1 - pos) / span)
@@ -380,8 +344,6 @@ def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
         if after[starts[-1]] > m:  # the last path goes on into the next round
             emitted, pos = counts.pop(), int(walk[-1] - base[starts[-1]])
     points = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
-    if size is None:
-        return RenewalPath(points=points)
     return RenewalPaths(offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
                         points=points)
 
@@ -443,8 +405,7 @@ def characteristic_sum(law: RenewalLaw, rate: float) -> float:
     return head + _tail_integral(law, rate)
 
 
-def homogeneous_free_energy(law: RenewalLaw, h: float,
-                            rel_tol: float = 1e-10, max_iter: int = 200) -> float:
+def homogeneous_free_energy(law: RenewalLaw, h: float) -> float:
     """Pure-model free energy: the positive root of the characteristic equation.
 
     For h <= 0 the model is delocalized and the value is 0.
@@ -462,13 +423,13 @@ def homogeneous_free_energy(law: RenewalLaw, h: float,
         hi *= 2.0
         if hi > 1e6:
             raise InvalidParameter("failed to bracket the free-energy root")
-    for _ in range(max_iter):
+    for _ in range(_FREE_ENERGY_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if characteristic_sum(law, mid) > target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= _FREE_ENERGY_REL_TOL * hi:
             break
     return 0.5 * (lo + hi)
 

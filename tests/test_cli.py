@@ -86,6 +86,11 @@ def test_run_bad_window(tmp_path):
     ("gw-check", {"mc_n": 1}),                    # no leaf 3 below depth 2
     ("gw-check", {"mc_n": 0}),
     ("gw-check", {"n_exact": 5}),                 # no outcome enumeration past depth 4
+    ("renewal-green", {"N": 100}),                # the default checkpoint 1000 exceeds N
+    ("renewal-green", {"N": 0}),                  # no sites to sum over
+    ("renewal-green", {"checkpoints": []}),       # no checkpoint to report at N
+    ("lemma51-scan", {"h_list": []}),             # no smallest h
+    ("hier-free-energy", {"n": -1}),              # no negative generation
 ])
 def test_run_bad_parameter_exits_2(tmp_path, capsys, name, bad):
     cfg = write_config(tmp_path, name, seed=1, **bad)

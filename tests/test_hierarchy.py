@@ -287,7 +287,7 @@ def test_y_second_moment_vs_mc():
 def test_y_second_moment_bounded_and_jensen():
     vals = [H.y_second_moment(n) for n in range(2, 31)]
     assert all(v >= 1.0 for v in vals)
-    assert H.k_hat(30) == pytest.approx(max(vals))
+    assert H.k_hat() == pytest.approx(max(vals))
 
 
 def test_fractional_threshold_values():

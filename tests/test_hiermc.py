@@ -130,7 +130,7 @@ def test_paley_zygmund():
 
 
 def test_certificate_paper_mode_infeasible():
-    cert = MC.certify_delocalization(1.0, samples=2_000,
+    cert = MC.certify_delocalization(1.0, None, None, None, None, samples=2_000,
                                       rng=np.random.default_rng(123))
     assert cert.verdict == "infeasible-at-paper-constants"
     assert cert.n_paper > cert.n
@@ -161,7 +161,7 @@ def test_certification_draws_no_tilted_disorder(monkeypatch):
         raise AssertionError("certification sampled tilted disorder")
 
     monkeypatch.setattr(G, "sample_tilted_batch", refuse)
-    paper = MC.certify_delocalization(1.0, samples=1_000,
+    paper = MC.certify_delocalization(1.0, None, None, None, None, samples=1_000,
                                       rng=np.random.default_rng(1))
     tuned = MC.certify_delocalization(
         1.0, zeta_override=0.08, gamma_override=0.5, epsilon_override=0.09,

@@ -115,9 +115,7 @@ def test_quenched_jensen_and_delocalized(law):
 
 
 def test_plan_block_set():
-    plan = Q.CoarseGrainPlan(k=5, targets=(3, 9, 10, 14), gamma=0.75)
-    assert plan.M == (3, 4, 9, 10, 11, 14)
-    assert plan.N == 70
+    assert Q.tilted_blocks((3, 9, 10, 14)) == (3, 4, 9, 10, 11, 14)
 
 
 def _decomposition_instances(law):
@@ -136,15 +134,6 @@ def test_decomposition_identity(law_small):
         assert Q.decomposition_residual(cfg, om, k) < 1e-10
 
 
-def test_shared_pinned_rows_are_exact(law_small):
-    # rows built once per draw give every term bit for bit
-    for cfg, om, k in _decomposition_instances(law_small):
-        rows = Q.pinned_rows(cfg, om, k)
-        for t in Q.enumerate_target_sets(cfg.N // k):
-            assert (Q.log_coarse_grain_term(cfg, om, t, k, rows=rows)
-                    == Q.log_coarse_grain_term(cfg, om, t, k))
-
-
 def test_single_target_term_is_residual(law_small):
     # the last-block-only term equals the full value minus all other terms
     rng = np.random.default_rng(3)
@@ -152,9 +141,10 @@ def test_single_target_term_is_residual(law_small):
     cfg = QuenchedConfig(law=law_small, beta=0.9, h=0.1, N=k * blocks)
     om = rng.standard_normal(cfg.N)
     full = math.exp(Q.log_partition_dp(cfg, om))
-    others = sum(math.exp(Q.log_coarse_grain_term(cfg, om, t, k))
+    rows = Q.pinned_rows(cfg, om, k)
+    others = sum(math.exp(Q.log_coarse_grain_term(cfg, om, t, k, rows=rows))
                  for t in Q.enumerate_target_sets(blocks) if t != (blocks,))
-    solo = math.exp(Q.log_coarse_grain_term(cfg, om, (blocks,), k))
+    solo = math.exp(Q.log_coarse_grain_term(cfg, om, (blocks,), k, rows=rows))
     assert solo == pytest.approx(full - others, rel=1e-9)
     assert solo >= 0.0
 
@@ -162,10 +152,11 @@ def test_single_target_term_is_residual(law_small):
 def test_coarse_grain_window_validation(law_small):
     cfg = QuenchedConfig(law=law_small, beta=0.5, h=0.3, N=12)
     om = np.zeros(12)
+    rows = Q.pinned_rows(cfg, om, 4)
     with pytest.raises(InvalidParameter):
-        Q.log_coarse_grain_term(cfg, om, (1, 2), k=4)  # last target must be 3
+        Q.log_coarse_grain_term(cfg, om, (1, 2), 4, rows=rows)  # last target must be 3
     with pytest.raises(InvalidParameter):
-        Q.log_coarse_grain_term(cfg, om, (2, 1, 3), k=4)
+        Q.log_coarse_grain_term(cfg, om, (2, 1, 3), 4, rows=rows)
 
 
 def test_u_weight_trivial_cases(law):
@@ -195,8 +186,8 @@ def test_batched_pair_sum_profiles_match_oracle(m_max):
     paths = R.sample_path(law, m_max, np.random.default_rng(m_max), size=300)
     rows = np.vstack(list(Q._pair_sum_profiles(paths, m_max)))
     assert rows.shape == (300, m_max + 1)
-    for row, path in zip(rows, paths):
-        ref = oracles.pair_sum_profile(path.points, m_max)
+    for row, points in zip(rows, np.split(paths.points, paths.offsets[1:-1])):
+        ref = oracles.pair_sum_profile(points, m_max)
         np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
 
 
@@ -247,13 +238,18 @@ def test_green_bound_constant_stable(law):
     assert np.isfinite(c2)
 
 
+def _batch(point_lists) -> R.RenewalPaths:
+    offsets = np.cumsum([0] + [len(p) for p in point_lists])
+    points = np.concatenate([np.zeros(0, np.int64)] + [np.asarray(p) for p in point_lists])
+    return R.RenewalPaths(offsets=offsets, points=points)
+
+
 def test_w_statistic_small_paths():
-    p = R.RenewalPath(points=np.array([0, 7]))
-    assert Q.w_statistic(p, 100) == 0.0
-    p2 = R.RenewalPath(points=np.array([0, 3, 10, 12]))
+    assert Q.w_statistic(_batch([[0, 7]]), 100).tolist() == [0.0]
+    p2 = _batch([[0, 3, 10, 12]])
     expect = (1 / math.sqrt(7) + 1 / math.sqrt(9) + 1 / math.sqrt(2))
     expect /= math.sqrt(100) * math.log(100)
-    assert Q.w_statistic(p2, 100) == pytest.approx(expect, rel=1e-12)
+    assert Q.w_statistic(p2, 100)[0] == pytest.approx(expect, rel=1e-12)
     with pytest.raises(InvalidParameter):
         Q.w_statistic(p2, 2)
 
@@ -262,7 +258,7 @@ def test_w_statistic_small_paths():
 def test_w_statistic_reads_the_last_table_entry(L):
     # the pair (1, L) has the largest gap a path in [1, L] can hold, so
     # a table one entry short would clip it onto 1/sqrt(L - 2)
-    w = Q.w_statistic(R.RenewalPath(points=np.array([0, 1, L])), L)
+    w = Q.w_statistic(_batch([[0, 1, L]]), L)[0]
     assert w == (1 / math.sqrt(L - 1)) / (math.sqrt(L) * math.log(L))
 
 
@@ -272,7 +268,7 @@ def test_w_statistic_table_is_sized_by_the_points():
     L = 10**12
     tracemalloc.start()
     try:
-        w = Q.w_statistic(R.RenewalPath(points=np.array([0, 3, 10, 12])), L)
+        w = Q.w_statistic(_batch([[0, 3, 10, 12]]), L)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,19 +280,13 @@ def test_w_statistic_table_is_sized_by_the_points():
 def test_w_statistic_matches_pair_sum_profile(law):
     # the p x p pair-sum profile is the independent path
     L = 2000
-    rng = np.random.default_rng(11)
-    paths = [R.sample_path(law, L, rng) for _ in range(200)]
-    paths += [R.RenewalPath(points=np.array(p))
-              for p in ([0], [0, L + 4], [0, 7], [0, 7, L + 1], [0, 5, 9, L + 3])]
-    for path in paths:
-        ref = oracles.pair_sum_profile(path.points, L)[L] / (math.sqrt(L) * math.log(L))
-        assert Q.w_statistic(path, L) == pytest.approx(ref, rel=1e-12)
-
-
-def _batch(point_lists) -> R.RenewalPaths:
-    offsets = np.cumsum([0] + [len(p) for p in point_lists])
-    points = np.concatenate([np.zeros(0, np.int64)] + [np.asarray(p) for p in point_lists])
-    return R.RenewalPaths(offsets=offsets, points=points)
+    sampled = R.sample_path(law, L, np.random.default_rng(11), size=200)
+    point_lists = np.split(sampled.points, sampled.offsets[1:-1])
+    point_lists += [[0], [0, L + 4], [0, 7], [0, 7, L + 1], [0, 5, 9, L + 3]]
+    w = Q.w_statistic(_batch(point_lists), L)
+    for p, value in zip(point_lists, w, strict=True):
+        ref = oracles.pair_sum_profile(np.asarray(p), L)[L] / (math.sqrt(L) * math.log(L))
+        assert value == pytest.approx(ref, rel=1e-12)
 
 
 def test_w_statistic_batch_matches_pair_sum_profile(law):
@@ -307,9 +297,10 @@ def test_w_statistic_batch_matches_pair_sum_profile(law):
     # 7..9 and 15..17 points in [1, L] straddle the group size and its double,
     # and L + 5 or L + 9 sit past the horizon
     sized = [[0, *range(3, 3 * p + 1, 3)] + [L + 5] * (p % 2) for p in (7, 8, 9, 15, 16, 17)]
-    point_lists = [sampled[i].points for i in range(30)]
+    split = np.split(sampled.points, sampled.offsets[1:-1])
+    point_lists = split[:30]
     point_lists += [[0], [0, 7], [0, L + 9], [0, 7, L + 1], [0, 5, 9, L + 3]] + sized
-    point_lists += [sampled[i].points for i in range(30, 47)]
+    point_lists += split[30:]
     batch = _batch(point_lists)
     w = Q.w_statistic(batch, L)
     assert w.shape == (len(point_lists),)
@@ -412,14 +403,13 @@ def test_chung_erdos_vs_mc(law):
     L = 1000
     mean, var = Q.chung_erdos_check(law, L)
 
-    def y_log_weight_sum(path):
+    def y_log_weight_sum(points):
         """sum over path points 1 <= p <= L of 1/sqrt(p)."""
-        pts = path.points[(path.points >= 1) & (path.points <= L)]
+        pts = points[(points >= 1) & (points <= L)]
         return float(np.sum(1.0 / np.sqrt(pts))) if pts.size else 0.0
 
-    rng = np.random.default_rng(8)
-    vals = np.array([y_log_weight_sum(R.sample_path(law, L, rng))
-                     for _ in range(6000)])
+    paths = R.sample_path(law, L, np.random.default_rng(8), size=6000)
+    vals = np.array([y_log_weight_sum(p) for p in np.split(paths.points, paths.offsets[1:-1])])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - mean) <= 3 * se
     sample_var = vals.var(ddof=1)
@@ -436,7 +426,7 @@ def test_chung_erdos_guard(law):
 def test_fractional_sum_bound_single_block(law_small):
     rng = np.random.default_rng(10)
     out = Q.fractional_sum_bound(0.6, 0.5, 0.75, law_small,
-                                 omega_samples=80, N=2, rng=rng, tilt_samples=80)
+                                 omega_samples=80, N=2, rng=rng)
     assert out.pointwise_ok
     assert out.tilted_bound + 3 * out.tilted_bound_err >= out.direct.mean
 
