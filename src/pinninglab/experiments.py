@@ -3,7 +3,8 @@
 Each experiment is a thin driver: it calls library operations and
 assembles one run record plus CSV tables. Its keyword-only parameters,
 with their annotations and defaults, are its config schema: `resolve`
-checks a config against them, and `run` passes the typed values in.
+checks a config against them, each value's type and declared `Window`,
+and `run` passes the typed values in.
 All randomness derives from the config seed through keyed substreams, so
 results do not depend on scheduling.
 """
@@ -18,6 +19,7 @@ import sys
 import time
 import typing
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 from scipy import special
@@ -39,9 +41,24 @@ def experiment(name):
     return deco
 
 
+class Window(typing.NamedTuple):
+    """The values lo..hi a config key takes (a list key: its lengths); `open` drops both ends."""
+
+    lo: float
+    hi: float = math.inf
+    open: bool = False
+
+
 def _typed(key: str, value, kind):
-    """`value` as the annotated type `kind`: float, int, list[...] or ... | None."""
+    """`value` as the annotated type `kind`: float, int, list[...], ... | None or Annotated."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is Annotated:
+        value, (lo, hi, is_open) = _typed(key, value, args[0]), args[1]
+        name, x = (f"len({key})", len(value)) if isinstance(value, list) else (key, value)
+        if not (lo < x < hi if is_open else lo <= x <= hi):
+            ends = "()" if is_open else "[)" if hi == math.inf else "[]"
+            raise ConfigError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {value!r}")
+        return value
     if origin is list:
         if not isinstance(value, list):
             raise ConfigError(f"{key} must be a list, got {value!r}")
@@ -89,8 +106,11 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecord:
 
 
 @experiment("annealed-scan")
-def annealed_scan(rec: RunRecord, *, B_list: list[float] = [1.3, B_CRITICAL, 1.7],
-                  h_min: float = 1e-3, h_max: float = 1e-1, points: int = 9,
+def annealed_scan(rec: RunRecord, *,
+                  B_list: list[Annotated[float, Window(1, 2, open=True)]] = [1.3, B_CRITICAL, 1.7],
+                  h_min: Annotated[float, Window(0, open=True)] = 1e-3,
+                  h_max: Annotated[float, Window(0, open=True)] = 1e-1,
+                  points: Annotated[int, Window(2)] = 9,
                   fit_h_max: float = 1e-2, alpha: float = 0.5, n_max: int = 100_000):
     hs = np.logspace(math.log10(h_min), math.log10(h_max), points)
     law = renewal.make_power_law(alpha, n_max)
@@ -119,15 +139,10 @@ def annealed_scan(rec: RunRecord, *, B_list: list[float] = [1.3, B_CRITICAL, 1.7
 
 
 @experiment("gw-check")
-def gw_check(rec: RunRecord, *, B: float = B_CRITICAL, n_exact: int = 3, mc_n: int = 6,
-             mc_samples: int = 100_000):
-    # outcome enumeration stops at depth 4, and the pair holds leaves 1 and 3
-    if n_exact > 4:
-        raise InvalidParameter(f"n_exact must be at most 4, got {n_exact}")
-    if mc_n < 2:
-        raise InvalidParameter(f"mc_n must be at least 2, got {mc_n}")
-    if mc_samples < 1:
-        raise InvalidParameter(f"mc_samples must be at least 1, got {mc_samples}")
+def gw_check(rec: RunRecord, *, B: Annotated[float, Window(1, 2, open=True)] = B_CRITICAL,
+             # outcome enumeration stops at depth 4, and the pair holds leaves 1 and 3
+             n_exact: Annotated[int, Window(1, 4)] = 3, mc_n: Annotated[int, Window(2)] = 6,
+             mc_samples: Annotated[int, Window(1)] = 100_000):
     rows = []
     worst = 0.0
     for n in range(1, n_exact + 1):
@@ -161,7 +176,8 @@ def gw_check(rec: RunRecord, *, B: float = B_CRITICAL, n_exact: int = 3, mc_n: i
 
 
 @experiment("overlap-identity")
-def overlap_identity(rec: RunRecord, *, n_max_gen: int = 30, brute_n: int = 4):
+def overlap_identity(rec: RunRecord, *, n_max_gen: Annotated[int, Window(1)] = 30,
+                     brute_n: Annotated[int, Window(1)] = 4):
     rows = []
     worst = 0.0
     for n in range(1, n_max_gen + 1):
@@ -181,7 +197,7 @@ def overlap_identity(rec: RunRecord, *, n_max_gen: int = 30, brute_n: int = 4):
 
 
 @experiment("second-moment-scan")
-def second_moment_scan(rec: RunRecord, *, n_max_gen: int = 30):
+def second_moment_scan(rec: RunRecord, *, n_max_gen: Annotated[int, Window(2)] = 30):
     rows = []
     running = 0.0
     for n in range(2, n_max_gen + 1):
@@ -200,10 +216,8 @@ def second_moment_scan(rec: RunRecord, *, n_max_gen: int = 30):
 
 @experiment("hier-free-energy")
 def hier_free_energy(rec: RunRecord, *, B: float = B_CRITICAL, beta: float = 1.0,
-                     n: int = 14, samples: int = 400,
-                     h_grid: list[float] = [-0.2, 0.0, 0.2, 0.4, 0.6]):
-    if n < 0:
-        raise InvalidParameter(f"n must be nonnegative, got {n}")
+                     n: Annotated[int, Window(0)] = 14, samples: int = 400,
+                     h_grid: Annotated[list[float], Window(1)] = [-0.2, 0.0, 0.2, 0.4, 0.6]):
     rows = []
     for i, h in enumerate(h_grid):
         rng = derive_rng(rec.seed, "hier-free-energy", repr(B), repr(beta), n, i)
@@ -217,9 +231,10 @@ def hier_free_energy(rec: RunRecord, *, B: float = B_CRITICAL, beta: float = 1.0
 
 
 @experiment("hier-certify")
-def hier_certify(rec: RunRecord, *, beta: float = 1.0, zeta_override: float | None = None,
-                 n_override: int | None = None, gamma_override: float | None = None,
-                 epsilon_override: float | None = None, samples: int = 40_000):
+def hier_certify(rec: RunRecord, *, beta: Annotated[float, Window(0, open=True)] = 1.0,
+                 zeta_override: float | None = None, n_override: int | None = None,
+                 gamma_override: float | None = None, samples: Annotated[int, Window(2)] = 40_000,
+                 epsilon_override: Annotated[float, Window(0, open=True)] | None = None):
     cert = hiermc.certify_delocalization(beta, zeta_override, n_override, gamma_override,
                                          epsilon_override, samples,
                                          rng=derive_rng(rec.seed, "hier-certify"))
@@ -241,13 +256,12 @@ def hier_certify(rec: RunRecord, *, beta: float = 1.0, zeta_override: float | No
 
 @experiment("renewal-green")
 def renewal_green(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 20_000,
-                  N: int = 10_000, checkpoints: list[int] | None = None):
-    if N < 1:
-        raise InvalidParameter(f"N must be at least 1, got {N}")
+                  N: Annotated[int, Window(1)] = 10_000,
+                  checkpoints: Annotated[list[int], Window(1)] | None = None):
     checkpoints = [100, 1000, N] if checkpoints is None else checkpoints
-    if not checkpoints or not all(0 <= c <= N for c in checkpoints):
-        raise InvalidParameter(f"checkpoints (by default 100, 1000 and N) must be a "
-                               f"nonempty list in 0..N = {N}, got {checkpoints}")
+    if not all(0 <= c <= N for c in checkpoints):
+        raise InvalidParameter(f"checkpoints (by default 100, 1000 and N) must lie "
+                               f"in 0..N = {N}, got {checkpoints}")
     law = renewal.make_power_law(alpha, n_max)
     table = renewal.green_function(law, N)
     rows = []
@@ -265,8 +279,9 @@ def renewal_green(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 20_000,
 
 @experiment("quenched-scan")
 def quenched_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 2_000, N: int = 1_200,
-                  samples: int = 32, beta_list: list[float] = [0.5, 1.0],
-                  h_list: list[float] = [-0.3, 0.0, 0.2, 0.5, 1.0, 2.0]):
+                  samples: Annotated[int, Window(2)] = 32,
+                  beta_list: Annotated[list[float], Window(1)] = [0.5, 1.0],
+                  h_list: Annotated[list[float], Window(1)] = [-0.3, 0.0, 0.2, 0.5, 1.0, 2.0]):
     law = renewal.make_power_law(alpha, n_max)
     rows = []
     ok = True
@@ -289,7 +304,9 @@ def quenched_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 2_000, N: 
 
 @experiment("decomposition-check")
 def decomposition_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 256,
-                        trials: int = 100, k_max: int = 5, max_blocks: int = 6):
+                        trials: Annotated[int, Window(1)] = 100,
+                        k_max: Annotated[int, Window(2)] = 5,
+                        max_blocks: Annotated[int, Window(1)] = 6):
     law = renewal.make_power_law(alpha, n_max)
     rng = derive_rng(rec.seed, "decomposition-check")
     rows = []
@@ -310,10 +327,10 @@ def decomposition_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 256,
 
 @experiment("lemma51-scan")
 def lemma51_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 4_096, beta: float = 1.0,
-                 gamma: float = 0.75, h_list: list[float] = [1e-1, 1e-2, 1e-3],
-                 samples: int = 4_000, cond_horizon: int = 1_000):
-    if not h_list:
-        raise InvalidParameter("h_list must not be empty")
+                 # the zeta sum over n^(-3 gamma / 2) converges for gamma > 2/3 only
+                 gamma: Annotated[float, Window(2 / 3, 1, open=True)] = 0.75,
+                 h_list: Annotated[list[float], Window(1)] = [1e-1, 1e-2, 1e-3],
+                 samples: int = 4_000, cond_horizon: Annotated[int, Window(1)] = 1_000):
     law = renewal.make_power_law(alpha, n_max)
     c8 = math.e * renewal.conditioning_ratio(law, cond_horizon)
     rows = []
@@ -343,12 +360,11 @@ _W_BATCH = 512  # paths drawn and summed per call, which bounds the memory they 
 
 @experiment("clt-check")
 def clt_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 20_000,
-              L_exact: int = 10_000, L_w: int = 100_000, w_samples: int = 10_000):
+              # a standard error needs 2 samples, and the log ratio L_exact // 10 >= 2
+              L_exact: Annotated[int, Window(20)] = 10_000,
+              L_w: Annotated[int, Window(3)] = 100_000,
+              w_samples: Annotated[int, Window(2)] = 10_000):
     law = renewal.make_power_law(alpha, n_max)
-    if w_samples < 2:
-        raise InvalidParameter(f"w_samples must be at least 2, got {w_samples}")
-    if L_exact // 10 < 2:
-        raise InvalidParameter(f"L_exact // 10 must be at least 2, got L_exact {L_exact}")
     mean_hi, var_hi = quenched.chung_erdos_check(law, L_exact)
     mean_lo, var_lo = quenched.chung_erdos_check(law, L_exact // 10)
     target = 1.0 / (2.0 * math.pi * law.c_k)

@@ -68,7 +68,6 @@ class TiltedMean:
 
     disorder_mc: PoolEstimate
     renewal_mc: PoolEstimate
-    epsilon: float
 
     @property
     def mean(self) -> float:
@@ -107,7 +106,7 @@ def tilted_mean(params: HierParams, n: int, epsilon: float, samples: int,
     est_d = (PoolEstimate.from_accumulator(acc_d) if acc_d.count
              else PoolEstimate(math.nan, math.nan, 0))
     est_r = PoolEstimate.from_accumulator(acc_r)
-    return TiltedMean(disorder_mc=est_d, renewal_mc=est_r, epsilon=epsilon)
+    return TiltedMean(disorder_mc=est_d, renewal_mc=est_r)
 
 
 @dataclass(frozen=True)

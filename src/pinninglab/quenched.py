@@ -301,13 +301,10 @@ class UWeightTable:
     [1, j/2].
     """
 
-    beta: float
     k: int
-    gamma: float
     u: np.ndarray          # Green values u(0..k-1)
     s_mean: np.ndarray     # indexed by the half-window m = 0..(k-1)//2
     s_err: np.ndarray
-    samples: int
 
     @property
     def u_over_c8(self) -> np.ndarray:
@@ -351,8 +348,7 @@ def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
             totsq += (vals * vals).sum(axis=0)
     mean = tot / samples
     var = np.maximum(totsq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
-    return UWeightTable(beta=beta, k=k, gamma=gamma, u=table.u,
-                        s_mean=mean, s_err=np.sqrt(var / samples), samples=samples)
+    return UWeightTable(k=k, u=table.u, s_mean=mean, s_err=np.sqrt(var / samples))
 
 
 def green_bound_constant(table: GreenTable) -> float:
@@ -376,14 +372,10 @@ def long_jump_constant(law: RenewalLaw, k: int) -> float:
 
 @dataclass(frozen=True)
 class Lemma51Report:
-    beta: float
-    h: float
     gamma: float
     k: int
-    c_hat: float
     c8: float
-    lhs1: float                 # sum of U(j) over the window (c8 included)
-    lhs1_over_sqrt_k: float
+    lhs1_over_sqrt_k: float     # sum of U(j) over the window (c8 included) / sqrt(k)
     lhs2: float                 # window sum against the long-gap mass
     eta_min: float
     eta_err: float
@@ -415,19 +407,13 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
     reward at that eta, and the eta threshold below which the reward turns
     negative (the attainability frontier of the sign test).
     """
-    if h <= 0.0:
-        raise InvalidParameter("the window size is defined for h > 0 only")
     k = window_size(h)
-    if k < 2:
-        raise InvalidParameter("h too large: window degenerates below 2")
     tab = u_weight_table(beta, k, gamma, law, samples, rng)
-    c_hat = c8 / math.e
     uw = tab.u_over_c8 * c8
     uw_err = tab.u_err_over_c8 * c8
-    lhs1 = float(uw.sum())
     surv = np.array([law.survival(k - 1 - jj) for jj in range(k)])
     lhs2 = float(np.dot(uw, surv))
-    eta1 = lhs1 / math.sqrt(k)
+    eta1 = float(uw.sum()) / math.sqrt(k)
     eta_min = max(eta1, lhs2)
     err1 = float(np.sqrt(np.sum(uw_err**2))) / math.sqrt(k)
     err2 = float(np.sqrt(np.sum((uw_err * surv) ** 2)))
@@ -442,8 +428,7 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
     ratio = eta_min / (4.0 * c8 * c9)
     s = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * ratio))
     return Lemma51Report(
-        beta=beta, h=h, gamma=gamma, k=k, c_hat=c_hat, c8=c8,
-        lhs1=lhs1, lhs1_over_sqrt_k=eta1, lhs2=lhs2,
+        gamma=gamma, k=k, c8=c8, lhs1_over_sqrt_k=eta1, lhs2=lhs2,
         eta_min=eta_min, eta_err=eta_err, c9=c9, c2_hat=c2, zeta_sum=zsum,
         h_hat=hhat, h_hat_negative=hhat < 0.0, eta_star=eta_star,
         delta_closing=s * s,
@@ -567,8 +552,6 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     Monte Carlo error.
     """
     k = window_size(h)
-    if N % k != 0:
-        raise InvalidParameter("N must be a multiple of the window size")
     cfg = QuenchedConfig(law=law, beta=beta, h=h, N=N)
     sets = list(enumerate_target_sets(N // k))
 

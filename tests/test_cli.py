@@ -91,6 +91,39 @@ def test_run_bad_window(tmp_path):
     ("renewal-green", {"checkpoints": []}),       # no checkpoint to report at N
     ("lemma51-scan", {"h_list": []}),             # no smallest h
     ("hier-free-energy", {"n": -1}),              # no negative generation
+    # values outside the declared windows, the one just past each edge among
+    # them; each comment says what the config did before windows were declared
+    ("annealed-scan", {"h_min": 0}),              # math domain error in log10, exit 1
+    ("annealed-scan", {"h_max": 0}),              # math domain error in log10, exit 1
+    ("annealed-scan", {"points": 1}),             # IndexError in np.gradient, exit 1
+    ("annealed-scan", {"B_list": [1.0]}),         # math domain error, exit 1
+    ("clt-check", {"L_w": 2}),                    # exit 2, but only after the exact sums
+    ("clt-check", {"L_w": -1}),                   # ZeroDivisionError in sample_path, exit 1
+    ("clt-check", {"L_exact": 19}),               # a hand-written check
+    ("clt-check", {"w_samples": 0}),              # a hand-written check: no standard error
+    ("clt-check", {"w_samples": 1}),              # below 2 samples
+    ("clt-check", {"L_exact": 5}),                # a hand-written check: no log ratio
+    ("clt-check", {"L_exact": 15}),               # below L_exact // 10 = 2
+    ("decomposition-check", {"k_max": 1}),        # ValueError: low >= high, exit 1
+    ("decomposition-check", {"max_blocks": 0}),   # ValueError: low >= high, exit 1
+    ("decomposition-check", {"trials": 0}),       # exit 0, identity_ok from no trial
+    ("gw-check", {"B": 1}),                       # exit 0
+    ("gw-check", {"B": 2}),                       # exit 0
+    ("gw-check", {"B": 0}),                       # ZeroDivisionError, exit 1
+    ("gw-check", {"n_exact": 0}),                 # exit 0, identities_exact from no identity
+    ("hier-certify", {"beta": 0}),                # ZeroDivisionError, exit 1
+    ("hier-certify", {"epsilon_override": 0}),    # ZeroDivisionError, exit 1
+    ("hier-certify", {"samples": 1}),             # exit 0, tilted mean with SE inf
+    ("hier-free-energy", {"h_grid": []}),         # exit 0, jensen_ok from no grid point
+    ("lemma51-scan", {"gamma": 2 / 3}),           # exit 0 on an infinite zeta sum
+    ("lemma51-scan", {"gamma": 1}),               # exit 0, no in-block coupling
+    ("lemma51-scan", {"cond_horizon": 0}),        # IndexError, exit 1
+    ("overlap-identity", {"n_max_gen": 0}),       # exit 0, identity_ok from no generation
+    ("overlap-identity", {"brute_n": 0}),         # exit 0, brute_ok from no generation
+    ("quenched-scan", {"samples": 1}),            # exit 0, free energies with SE inf
+    ("quenched-scan", {"beta_list": []}),         # exit 0, jensen_ok from no grid point
+    ("quenched-scan", {"h_list": []}),            # exit 0, jensen_ok from no grid point
+    ("second-moment-scan", {"n_max_gen": 1}),     # exit 0, k_hat 0.0
 ])
 def test_run_bad_parameter_exits_2(tmp_path, capsys, name, bad):
     cfg = write_config(tmp_path, name, seed=1, **bad)
@@ -108,7 +141,9 @@ def _stub(body):
     return stub
 
 
-_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+# the small ints and the floats fall on both sides of every declared window
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2, 5),
+                     st.floats(), st.sampled_from([0.0, 1.0, 2.0]), st.text(max_size=3))
 
 
 @st.composite
@@ -118,7 +153,8 @@ def _configs(draw):
     keys = [*inspect.signature(experiments.EXPERIMENTS[name]).parameters, "n_max_genn",
             "disorder_samples"]
     params = draw(st.dictionaries(st.sampled_from(keys),
-                                  st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3)),
+                                  st.one_of(_SCALARS, st.just([]),
+                                            st.lists(_SCALARS, max_size=3)),
                                   max_size=4))
     seed = draw(st.one_of(st.integers(0, 2**32), _SCALARS))
     return {"experiment": name, "seed": seed, **params}
@@ -142,14 +178,6 @@ def test_any_config_runs_or_exits_2(raw):
         params = rec["notes"]["params"]
         assert set(raw) - {"experiment", "seed", "disorder_samples"} <= set(params)
         assert rec["config"] == {"experiment": raw["experiment"], "seed": raw["seed"], **params}
-
-
-@pytest.mark.parametrize("bad", [{"w_samples": 0}, {"w_samples": 1},
-                                 {"L_exact": 5}, {"L_exact": 15}])
-def test_run_clt_check_bad_sizes(tmp_path, bad):
-    # no standard error below 2 samples, no log ratio below L_exact // 10 = 2
-    cfg = write_config(tmp_path, "clt-check", seed=1, L_w=1_000, **bad)
-    assert cli.main(["run", "--config", cfg]) == 2
 
 
 def test_byte_identical_reruns(tmp_path):

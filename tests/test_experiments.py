@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinninglab import acceptance, hiermc
+from pinninglab import acceptance, cli, hiermc
 from pinninglab.experiments import EXPERIMENTS, resolve, run
 from pinninglab.records import ExperimentConfig
 
@@ -45,6 +45,33 @@ def test_experiment_runs_and_writes(name, tmp_path):
     assert list(tmp_path.glob(f"{name}.*.csv"))
     gating = {k: v for k, v in rec.flags.items() if k not in INFORMATIONAL}
     assert all(gating.values()), rec.flags
+
+
+@pytest.mark.parametrize("name, edge", [
+    ("annealed-scan", {"h_min": 1e-6}), ("annealed-scan", {"h_max": 1e-6}),
+    ("annealed-scan", {"points": 2}), ("annealed-scan", {"B_list": [1.01, 1.99]}),
+    ("clt-check", {"L_w": 3}), ("clt-check", {"L_exact": 20}), ("clt-check", {"w_samples": 2}),
+    ("decomposition-check", {"k_max": 2}), ("decomposition-check", {"max_blocks": 1}),
+    ("decomposition-check", {"trials": 1}),
+    ("gw-check", {"B": 1.01}), ("gw-check", {"B": 1.99}), ("gw-check", {"n_exact": 1}),
+    ("gw-check", {"mc_n": 2}), ("gw-check", {"mc_samples": 1}),
+    ("hier-certify", {"beta": 1e-3}), ("hier-certify", {"epsilon_override": 1e-3}),
+    ("hier-certify", {"samples": 2}),
+    ("hier-free-energy", {"n": 0}), ("hier-free-energy", {"h_grid": [0.2]}),
+    ("lemma51-scan", {"gamma": 0.67}), ("lemma51-scan", {"gamma": 0.99}),
+    ("lemma51-scan", {"cond_horizon": 1}), ("lemma51-scan", {"h_list": [0.1]}),
+    ("overlap-identity", {"n_max_gen": 1}), ("overlap-identity", {"brute_n": 1}),
+    ("quenched-scan", {"samples": 2}), ("quenched-scan", {"beta_list": [0.8]}),
+    ("quenched-scan", {"h_list": [0.3]}),
+    ("renewal-green", {"N": 1, "checkpoints": [1]}), ("renewal-green", {"checkpoints": [0]}),
+])
+def test_run_window_edge_exits_0(tmp_path, name, edge):
+    # the real body at each window's edge, or just inside an open one; gw-check's
+    # n_exact 4 and second-moment-scan's n_max_gen 2 also exit 0, but each runs a
+    # fixed exhaustive enumeration that takes seconds, so they are left out here
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"experiment": name, "seed": 1, **QUICK[name], **edge}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_annealed_scan_slope_column(tmp_path):
@@ -124,7 +151,8 @@ def test_certify_drops_the_inert_disorder_samples_key():
 
 def test_shipped_configs_resolve(monkeypatch):
     # every config the benchmark, the acceptance table and README.md run must
-    # pass the schema check, so a schema change cannot first break a benchmark job
+    # pass the schema check, so a schema change cannot first break a benchmark job;
+    # each bare config checks its experiment's defaults against their windows
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     import workloads
 
@@ -133,6 +161,7 @@ def test_shipped_configs_resolve(monkeypatch):
     table = [raw for crit in acceptance.CRITERIA for raw in crit.configs]
     readme = [json.loads(block) for block in
               re.findall(r"```json\n(.*?)```", (REPO / "README.md").read_text(), re.S)]
+    bare = [{"experiment": name, "seed": 0} for name in EXPERIMENTS]
     assert len(bench) == 11 and len(readme) == 4
-    for raw in bench + table + readme:
+    for raw in bench + table + readme + bare:
         resolve(ExperimentConfig.from_dict(raw))
