@@ -113,9 +113,12 @@ def annealed_scan(rec: RunRecord, *,
                   points: Annotated[int, Window(2)] = 9,
                   fit_h_max: float = 1e-2, alpha: float = 0.5, n_max: int = 100_000):
     hs = np.logspace(math.log10(h_min), math.log10(h_max), points)
+    low_mask = hs <= fit_h_max * (1 + 1e-9)
+    if np.count_nonzero(low_mask) < 2:
+        raise InvalidParameter(f"the low-h slope fit needs 2 grid points h <= fit_h_max "
+                               f"= {fit_h_max}, got {np.count_nonzero(low_mask)}")
     law = renewal.make_power_law(alpha, n_max)
     rows = []
-    low_mask = hs <= fit_h_max * (1 + 1e-9)
     for B in B_list:
         F = np.array([hierarchy.annealed_free_energy(B, h) for h in hs])
         local = np.gradient(np.log(F), np.log(hs))
@@ -205,7 +208,7 @@ def second_moment_scan(rec: RunRecord, *, n_max_gen: Annotated[int, Window(2)] =
         running = max(running, v)
         rows.append((n, float(v), float(running)))
     worst = 0.0
-    for n in (4, 5, 6):
+    for n in (4, 5, 6, 7):
         worst = max(worst, abs(oracles.y_second_moment_brute(n)
                                - hierarchy.y_second_moment(n)))
     rec.constants["k_hat"] = running

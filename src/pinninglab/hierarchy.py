@@ -227,56 +227,31 @@ def hier_log_partition_batch(params: HierParams, n: int,
 
 
 def y_second_moment(n: int) -> float:
-    """Exact mean square of the overlap statistic at the critical B, by
-    join-topology sums; `oracles.y_second_moment_brute` enumerates it.
+    """Exact mean square of the overlap statistic at the critical B, by the
+    moment recursion of `gw_overlap_samples`'s sibling fold;
+    `oracles.y_second_moment_brute` enumerates it.
 
-    Ordered pair-of-pairs are grouped by the shape of the four-leaf
-    subtree: coinciding pairs, three distinct leaves (one shared), and the
-    two four-leaf shapes (two sibling pairs under a common join, or a
-    chain of three join levels).  Set counts are exact, not bounds.
+    Under a present node of height d, N counts the alive leaves and A sums
+    B^-a over the ordered leaf pairs that join at height a, so that
+    Y_n = B^-(n-1) A / n at the root.  With probability 1/B the node has two
+    independent subtrees, and then N = N_L + N_R and
+    A = A_L + A_R + 2 B^-d N_L N_R; otherwise both are 0.  So E[N], E[N^2],
+    E[A], E[AN] and E[A^2] close level by level from a leaf's (1, 1, 0, 0, 0).
     """
     if n < 2:
         raise InvalidParameter("need n >= 2")
-    lg = math.log(B_CRITICAL)
-
-    def bp(e: float) -> float:
-        return math.exp(-lg * e)
-
-    a_ = np.arange(1, n + 1, dtype=float)
-    # both pairs identical: 2 ordered alignments of the same pair
-    case2 = 2.0 * 2.0**n * np.sum(2.0 ** (a_ - 1) * bp(3.0) ** (n + a_ - 1))
-
-    # three distinct leaves: close pair joins at a, apex leaf at c > a
-    case3 = 0.0
-    for c in range(2, n + 1):
-        inner = 0.0
-        for a in range(1, c):
-            pair_products = bp(2 * (n + c - 1)) + 2.0 * bp(2 * n + a + c - 2)
-            inner += 2.0 ** (n + a + c - 3) * bp(n + a + c - 2) * pair_products
-        case3 += inner
-    case3 *= 8.0
-
-    # four leaves, two sibling pairs at levels a and b under a join at c
-    case4a = 0.0
-    for c in range(2, n + 1):
-        ab = np.arange(1, c, dtype=float)
-        cnt = 2.0 ** (n + c - 3) * np.multiply.outer(2.0**ab, 2.0**ab)
-        vpow = bp(1.0) ** (n + c - 3 + np.add.outer(ab, ab))
-        prods = bp(1.0) ** (2 * n - 2 + np.add.outer(ab, ab)) + 2.0 * bp(2 * (n + c - 1))
-        case4a += float(np.sum(cnt * vpow * prods))
-
-    # four leaves on a chain: joins at a1 < a2 < a3
-    case4b = 0.0
-    for a3 in range(3, n + 1):
-        for a2 in range(2, a3):
-            for a1 in range(1, a2):
-                cnt = 2.0 ** (n + a1 + a2 + a3 - 4)
-                vpow = bp(n + a1 + a2 + a3 - 3)
-                prods = bp(2 * n + a1 + a3 - 2) + 2.0 * bp(2 * n + a2 + a3 - 2)
-                case4b += cnt * vpow * prods
-    case4b *= 8.0
-
-    return (float(case2) + case3 + case4a + case4b) / n**2
+    B = B_CRITICAL
+    n1, n2, a1, an, a2 = 1.0, 1.0, 0.0, 0.0, 0.0
+    for d in range(1, n + 1):
+        b = B ** -d
+        n1, n2, a1, an, a2 = (
+            2.0 * n1 / B,
+            (2.0 * n2 + 2.0 * n1**2) / B,
+            (2.0 * a1 + 2.0 * b * n1**2) / B,
+            (2.0 * an + 2.0 * a1 * n1 + 4.0 * b * n2 * n1) / B,
+            (2.0 * a2 + 2.0 * a1**2 + 8.0 * b * an * n1 + 4.0 * b**2 * n2**2) / B,
+        )
+    return B ** (-2.0 * (n - 1)) * a2 / n**2
 
 
 @lru_cache(maxsize=None)

@@ -111,11 +111,8 @@ def tilted_mean(params: HierParams, n: int, epsilon: float, samples: int,
 
 @dataclass(frozen=True)
 class PaleyZygmundReport:
-    n: int
     prob: float
-    prob_stderr: float
     bound: float          # 1 / (4 E[Y^2]) from the exact second moment
-    bound_running: float  # 1 / (4 K-hat)
     passed: bool
     y_mean: float         # Monte Carlo E[Y] and E[Y^2] on the same draws
     y_mean_stderr: float
@@ -141,9 +138,7 @@ def paley_zygmund_check(n: int, samples: int, rng: np.random.Generator) -> Paley
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
     bound = 1.0 / (4.0 * hierarchy.y_second_moment(n))
     return PaleyZygmundReport(
-        n=n, prob=p, prob_stderr=se, bound=bound,
-        bound_running=1.0 / (4.0 * hierarchy.k_hat()),
-        passed=p >= bound - 3.0 * se,
+        prob=p, bound=bound, passed=p >= bound - 3.0 * se,
         y_mean=acc.mean, y_mean_stderr=acc.std_error,
         y_sq_mean=acc_sq.mean, y_sq_stderr=acc_sq.std_error,
     )

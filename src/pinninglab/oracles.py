@@ -105,22 +105,26 @@ def overlap_sum_brute(n: int, B: float) -> float:
 
 
 def y_second_moment_brute(n: int) -> float:
-    """Second moment of the overlap statistic at the critical B, by full
-    quadruple enumeration: O(2^(4n)), so n <= 7 only."""
+    """Second moment of the overlap statistic at the critical B, by
+    enumeration of the leaf quadruples (i, j, k, l) with i = 0, times 2^n.
+
+    Xor with a constant is an automorphism of the binary tree that keeps
+    every common-ancestor level and xor distance, so each first leaf
+    contributes alike.  O(2^(3n)), so n <= 7 only.
+    """
     if not 2 <= n <= 7:
         raise InvalidParameter("enumeration needs 2 <= n <= 7")
     B = B_CRITICAL
     size = 2**n
     idx = np.arange(size, dtype=np.int64)
-    shapes = [(size, 1, 1, 1), (1, size, 1, 1), (1, 1, size, 1), (1, 1, 1, size)]
-    quad = [idx.reshape(s) for s in shapes]
+    trip = [idx.reshape(s) for s in [(size, 1, 1), (1, size, 1), (1, 1, size)]]
     # distinct-value count among four small ints, via pairwise equalities:
     # 0 eq -> 4 distinct, 1 -> 3, 2 or 3 -> 2, 6 -> 1
     distinct_of_eq = np.array([4, 3, 2, 2, 0, 0, 1], dtype=np.int8)
-    v = np.zeros((size,) * 4, dtype=np.int16)
+    v = np.zeros((size,) * 3, dtype=np.int16)
     for level in range(1, n + 1):
-        anc = [q >> level for q in quad]
-        eq = np.zeros((size,) * 4, dtype=np.int8)
+        anc = [0] + [q >> level for q in trip]  # leaf 0's ancestors are all 0
+        eq = np.zeros((size,) * 3, dtype=np.int8)
         for p in range(4):
             for q in range(p + 1, 4):
                 eq = eq + (anc[p] == anc[q])
@@ -129,9 +133,9 @@ def y_second_moment_brute(n: int) -> float:
     a = np.frexp(x.astype(float))[1]
     e2 = B ** -(n + a - 1.0)
     np.fill_diagonal(e2, 0.0)  # zero diagonal enforces i != j and k != l
-    w = e2.reshape(size, size, 1, 1) * e2.reshape(1, 1, size, size)
+    w = e2[0].reshape(size, 1, 1) * e2.reshape(1, size, size)
     total = float(np.sum(w * B ** (-v.astype(np.float64))))
-    return total / n**2
+    return 2.0**n * total / n**2
 
 
 def enumerate_paths(law: RenewalLaw, N: int):

@@ -28,6 +28,7 @@ from .renewal import (GreenTable, RenewalLaw, RenewalPaths, _convolve, green_fun
 MAX_DP_SIZE = 100_000
 MAX_BLOCK_COUNT = 6
 MAX_CHUNG_ERDOS_L = 20_000
+MAX_W_PAIRS = 1e9     # point pairs one w_statistic call may sum
 _LONG_JUMP_D_MAX = 512   # the largest gap, in windows, long_jump_constant scans
 _BLOCK = 64           # sites per block of the renewal DP
 _EXP_RANGE = 600.0    # widest exponent range a DP block may span (e^709 overflows)
@@ -468,7 +469,8 @@ def w_statistic(paths: RenewalPaths, L: int) -> np.ndarray:
     to its longest path and summed by lag blocks (`_padded_pair_sums`) in
     scratch sized to the longest group.  The gaps are integers below the
     largest point D in [1, L], so each 1/sqrt(gap) is read from one table
-    of D entries (`_inv_sqrt_table`), sized by D and not by L.
+    of D entries (`_inv_sqrt_table`), sized by D and not by L.  A call
+    refuses more than `MAX_W_PAIRS` point pairs before it sums any.
     """
     if L < 3:
         raise InvalidParameter("need L >= 3")
@@ -478,6 +480,10 @@ def w_statistic(paths: RenewalPaths, L: int) -> np.ndarray:
     inside = pts <= L
     below = np.concatenate([[0], np.cumsum(inside)])
     counts = below[offsets[1:]] - below[offsets[:-1]] - 1
+    pairs = float(np.sum(counts * (counts - 1) // 2))
+    if pairs > MAX_W_PAIRS:
+        raise ResourceGuard(f"{pairs:.3g} point pairs beyond the desk-scale guard "
+                            f"{MAX_W_PAIRS:.3g}")
     tab = _inv_sqrt_table(int(pts[inside].max(initial=0)))
     order = np.argsort(counts, kind="stable")
     w = np.zeros(counts.size)

@@ -205,6 +205,19 @@ def test_mutation_hook_is_detected(monkeypatch):
     assert not res.passed
 
 
+@pytest.mark.parametrize("fault", [lambda exact, n: exact(n) * (1.0 + 1e-9),
+                                   lambda exact, n: exact(n + 1)],
+                         ids=["relative-1e-9", "generation-off-by-one"])
+def test_second_moments_detect_a_wrong_recursion(monkeypatch, fault):
+    # negative control: crit_03 gates the recursion on the enumeration at
+    # n = 4..7 within 1e-10, so a relative 1e-9 (about 3e-9) must fail it
+    exact = hierarchy.y_second_moment
+    monkeypatch.setattr(hierarchy, "y_second_moment", lambda n: fault(exact, n))
+    [res] = acc.run_all({3}, echo=None)
+    print(res.line())
+    assert not res.passed
+
+
 @pytest.mark.parametrize("scale", [lambda n: 2**-0.5, lambda n: 2 / 3, lambda n: n],
                          ids=["join-weight-B^-(n+a)", "two-thirds", "no-1/n"])
 def test_paley_zygmund_detects_a_broken_fold(monkeypatch, scale):

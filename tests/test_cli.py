@@ -124,6 +124,12 @@ def test_run_bad_window(tmp_path):
     ("quenched-scan", {"beta_list": []}),         # exit 0, jensen_ok from no grid point
     ("quenched-scan", {"h_list": []}),            # exit 0, jensen_ok from no grid point
     ("second-moment-scan", {"n_max_gen": 1}),     # exit 0, k_hat 0.0
+    # checks across keys, raised from the body before any work
+    ("annealed-scan", {"points": 2}),             # one h <= fit_h_max: slopes NaN, exit 0
+    ("annealed-scan", {"h_min": 1}),              # no h <= fit_h_max: slopes NaN, exit 0
+    # W's pair guard: above alpha = 1 the pair count grows as L_w^2 (18.5 s, exit 0)
+    ("clt-check", {"alpha": 1.5, "L_exact": 2_000, "L_w": 10_000, "w_samples": 500,
+                   "n_max": 10_000}),
 ])
 def test_run_bad_parameter_exits_2(tmp_path, capsys, name, bad):
     cfg = write_config(tmp_path, name, seed=1, **bad)

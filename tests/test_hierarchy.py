@@ -266,13 +266,26 @@ def test_y_mc_mean_is_one():
 
 
 def test_y_second_moment_methods_agree():
-    for n in (2, 3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6, 7):
         assert oracles.y_second_moment_brute(n) == pytest.approx(
             H.y_second_moment(n), abs=1e-10)
     with pytest.raises(InvalidParameter):
         H.y_second_moment(1)
     with pytest.raises(InvalidParameter):
         oracles.y_second_moment_brute(8)
+
+
+def test_y_second_moment_brute_matches_the_full_quadruple_sum():
+    # the oracle fixes its first leaf at 0 by xor symmetry; this sums all 8^4
+    # quadruples at n = 3, each weight from materialized root-to-leaf paths
+    n, B = 3, H.B_CRITICAL
+    total = 0.0
+    for i, j, k, l in itertools.product(range(1, 2**n + 1), repeat=4):
+        if i != j and k != l:
+            total += B ** -(oracles.subtree_nodes_by_paths(n, (i, j))
+                            + oracles.subtree_nodes_by_paths(n, (k, l))
+                            + oracles.subtree_nodes_by_paths(n, (i, j, k, l)))
+    assert oracles.y_second_moment_brute(n) == pytest.approx(total / n**2, rel=1e-13)
 
 
 def test_y_second_moment_vs_mc():
@@ -288,6 +301,11 @@ def test_y_second_moment_bounded_and_jensen():
     vals = [H.y_second_moment(n) for n in range(2, 31)]
     assert all(v >= 1.0 for v in vals)
     assert H.k_hat() == pytest.approx(max(vals))
+    # values of the join-topology sums that the recursion replaced, past the
+    # enumeration's reach
+    for n, v in [(10, 3.143063441997473), (20, 2.8229052065744353), (30, 2.6744729847253943)]:
+        assert vals[n - 2] == pytest.approx(v, rel=1e-13)
+    assert H.k_hat() == pytest.approx(3.1904769458247673, rel=1e-13)
 
 
 def test_fractional_threshold_values():
