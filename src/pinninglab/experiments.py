@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Annotated
 
 import numpy as np
-from scipy import special
 
 from . import hierarchy, hiermc, oracles, quenched, renewal
 from .errors import ConfigError, InvalidParameter
@@ -286,20 +285,20 @@ def quenched_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 2_000, N: 
                   beta_list: Annotated[list[float], Window(1)] = [0.5, 1.0],
                   h_list: Annotated[list[float], Window(1)] = [-0.3, 0.0, 0.2, 0.5, 1.0, 2.0]):
     law = renewal.make_power_law(alpha, n_max)
+    grid = [(i, j, beta, h) for i, beta in enumerate(beta_list) for j, h in enumerate(h_list)]
+    ests = quenched.quenched_free_energies(
+        [QuenchedConfig(law=law, beta=beta, h=h, N=N) for _, _, beta, h in grid],
+        [derive_rng(rec.seed, "quenched-scan", i, j) for i, j, _, _ in grid], samples)
     rows = []
     ok = True
-    for i, beta in enumerate(beta_list):
-        for j, h in enumerate(h_list):
-            qc = QuenchedConfig(law=law, beta=beta, h=h, N=N)
-            rng = derive_rng(rec.seed, "quenched-scan", i, j)
-            est = quenched.quenched_free_energy(qc, samples, rng)
-            rate = renewal.homogeneous_free_energy(law, h)
-            rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"] = estimate(
-                est.mean, est.std_error)
-            rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] = est.annealed
-            jensen = est.mean <= est.annealed + 3 * est.std_error
-            ok = ok and jensen
-            rows.append((beta, h, est.mean, est.std_error, est.annealed, rate, int(jensen)))
+    for (_, _, beta, h), est in zip(grid, ests):
+        rate = renewal.homogeneous_free_energy(law, h)
+        rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"] = estimate(
+            est.mean, est.std_error)
+        rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] = est.annealed
+        jensen = est.mean <= est.annealed + 3 * est.std_error
+        ok = ok and jensen
+        rows.append((beta, h, est.mean, est.std_error, est.annealed, rate, int(jensen)))
     rec.flags["jensen_ok"] = ok
     return {"grid": (["beta", "h", "mean", "std_error",
                       "annealed_finite_N", "annealed_rate", "jensen_ok"], rows)}
@@ -359,6 +358,7 @@ def lemma51_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 4_096, beta
 
 
 _W_BATCH = 512  # paths drawn and summed per call, which bounds the memory they hold
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @experiment("clt-check")
@@ -383,7 +383,7 @@ def clt_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 20_000,
         paths = renewal.sample_path(law_w, L_w, rng, size=min(_W_BATCH, w_samples - lo))
         w[lo : lo + len(paths)] = quenched.w_statistic(paths, L_w)
     c = quenched.w_limit_scale(law_w)
-    dist = ks_distance(w, lambda x: special.erf(np.maximum(x, 0.0) / (c * math.sqrt(2))))
+    dist = ks_distance(w, lambda x: _erf(np.maximum(x, 0.0) / (c * math.sqrt(2))))
     rec.estimates["ks_distance"] = estimate(dist)
     rec.estimates["w_mean"] = estimate(float(w.mean()),
                                        float(w.std(ddof=1) / math.sqrt(w_samples)))

@@ -2,26 +2,24 @@
 coarse-graining decomposition, tilted-block weights, and the pair-sum
 limit statistics.
 
-Partition values are stored as logs.  The renewal DP computes them one
-block of up to 64 sites at a time, in the linear domain against a
-per-block log offset, with a guard on the block's exponent range (see
-`_log_renewal_dp`).  The coarse-grained terms are evaluated by a
+Partition values are stored as logs.  The renewal DP computes them for
+many rows at once, one block of up to 64 sites at a time, in the linear
+domain against a per-row log offset, with a guard on the block's exponent
+range (see `_log_renewal_dp`).  The coarse-grained terms are evaluated by a
 restricted DP over (first-return, last-in-window) states per selected
 block, so the nested sums of the decomposition are never materialized.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
-from scipy.linalg import blas, toeplitz
 
 from .errors import DimensionMismatch, InvalidParameter, ResourceGuard
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
-from .numerics import MeanAccumulator, PoolEstimate, logsumexp_1d
+from .numerics import MeanAccumulator, PoolEstimate, chunk_sizes, logsumexp_1d, zeta
 from .renewal import (GreenTable, RenewalLaw, RenewalPaths, _convolve, green_function,
                       sample_path)
 
@@ -32,6 +30,7 @@ MAX_W_PAIRS = 1e9     # point pairs one w_statistic call may sum
 _LONG_JUMP_D_MAX = 512   # the largest gap, in windows, long_jump_constant scans
 _BLOCK = 64           # sites per block of the renewal DP
 _EXP_RANGE = 600.0    # widest exponent range a DP block may span (e^709 overflows)
+_DP_CELLS = 1 << 20   # rows x sites per quenched_free_energies DP call: 8 MB an array
 _W_GROUP = 8          # paths per padded group of the pair kernel
 _W_ROWS = 16          # rows per lag block: each scratch is _W_GROUP * _W_ROWS * P
 
@@ -46,6 +45,8 @@ class QuenchedConfig:
     def __post_init__(self):
         if self.N < 1:
             raise InvalidParameter("system size must be at least 1")
+        if self.N > MAX_DP_SIZE:  # checked before any disorder is drawn
+            raise ResourceGuard(f"N={self.N} beyond the desk-scale guard {MAX_DP_SIZE}")
         if self.beta < 0.0:
             raise InvalidParameter("disorder strength must be nonnegative")
 
@@ -64,38 +65,45 @@ def window_size(h: float) -> int:
 
 
 def _site_log_weights(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
+    """log z at sites 0..N along the last axis, one row per disorder row of
+    omega: beta omega + h - beta^2/2, with 0 at the pinned site 0."""
     om = np.asarray(omega, dtype=float)
-    if om.size < cfg.N:
+    if om.shape[-1] < cfg.N:
         raise DimensionMismatch(f"need at least N={cfg.N} disorder values")
-    w = np.empty(cfg.N + 1)
-    w[0] = 0.0
-    w[1:] = cfg.beta * om[: cfg.N] + cfg.h - 0.5 * cfg.beta**2
+    w = np.empty(om.shape[:-1] + (cfg.N + 1,))
+    w[..., 0] = 0.0
+    w[..., 1:] = cfg.beta * om[..., : cfg.N] + cfg.h - 0.5 * cfg.beta**2
     return w
 
 
 def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray:
-    """The renewal DP pinned at site 0, one block of at most 64 sites at a time.
+    """The renewal DP pinned at site 0 on each row of logz (R, N + 1), one
+    block of at most 64 sites at a time for all R rows together.
 
-    L[0] = 0 and L[n] = logz[n] + log sum_{j <= min(n, band)} K(j) e^L[n-j];
-    logz[0] is never read; logK holds log K(0..band), and K sums to at most 1.
+    L[0] = 0 and L[n] = logz[n] + log sum_{j <= min(n, band)} K(j) e^L[n-j]
+    per row; logz[:, 0] is never read; logK holds log K(0..band), and K sums
+    to at most 1.
 
-    A block [s, e) runs in the linear domain against the log offset
+    A block [s, e) runs in the linear domain against each row's log offset
     off = log sum e^L over the window [s - band, s) behind it.  With
     y = e^(L - off) on the window and z = e^logz, the block's unknowns
     x[i] = e^(L[s+i] - off - logz[s+i]) solve (I - T diag(z)) x = far, where
-    far[i] = sum_d K(i + d) y[s - d] is one product against a Toeplitz slab
-    of K and T[i, i'] = K(i - i') is strictly lower triangular, so x comes
-    from one forward substitution.  Every term is positive: nothing cancels.
+    far[i] = sum_d K(i + d) y[s - d] is one stacked matrix-vector product of
+    a Toeplitz slab of K with every row's y (a matrix-matrix product would
+    make the sums depend on the BLAS thread count), and T[i, i'] = K(i - i')
+    is strictly lower triangular, so x comes by forward substitution, site
+    by site, each step one product over all rows.  Every term is positive:
+    nothing cancels.
 
     Guard: a block ends before the sum of |logz| - log K(1) over its sites
-    but the last exceeds _EXP_RANGE.  Every x[i] then lies between
+    but the last exceeds _EXP_RANGE on any row.  Every x[i] then lies between
     e^-_EXP_RANGE far[0] and e^_EXP_RANGE, so nothing overflows or drops to
     subnormals.  The last site's z is never formed, so a one-site block is
     the exact step L[s] = logz[s] + log sum_d K(d) e^L[s-d].
     """
-    N = logz.size - 1
-    L = np.empty(N + 1)
-    L[0] = 0.0
+    R, N = logz.shape[0], logz.shape[1] - 1
+    L = np.empty((R, N + 1))
+    L[:, 0] = 0.0
     if N == 0:
         return L
     W, rows = min(band, N), min(_BLOCK, N)
@@ -104,25 +112,36 @@ def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray
     top = min(band, W + rows - 1)
     K[rows + 1 : rows + top + 1] = np.exp(logK[1 : top + 1])
     step = K.itemsize
-    # Toeplitz views: slab[i, c] = K(i + W - c), block row i against the
-    # window (oldest site first); neg_T[i, i'] = -K(i - i'), against the block
+    # slab[i, c] = K(i + W - c): block row i against the window, oldest site
+    # first; back[rows - j] = K(j), so back[rows - i:] is K(i), ..., K(1)
     slab = np.ndarray((rows, W), buffer=K, offset=(W + rows) * step,
                       strides=(step, -step)).copy()
-    neg_T = np.ndarray((rows, rows), buffer=-K, offset=rows * step, strides=(step, -step))
-    spread = np.cumsum(np.abs(logz) - logK[1])
-    z = np.zeros(rows)    # z[b - 1] meets only zeros of -T: any finite value does
+    back = K[2 * rows : rows : -1].copy()
+    v = np.empty((rows, R))   # z * x at the block's sites, site-major like x
     s = 1
     while s <= N:
-        e = min(s + rows, N + 1,
-                int(spread.searchsorted(spread[s - 1] + _EXP_RANGE, side="right")) + 1)
-        b, w = e - s, min(s, band)
-        off = logsumexp_1d(L[s - w : s])
-        far = slab[:b, W - w :] @ np.exp(L[s - w : s] - off)
-        np.exp(logz[s : e - 1], out=z[: b - 1])
-        x = blas.dtrsv(neg_T[:b, :b] * z[:b], far, lower=1, diag=1, overwrite_x=1)
-        L[s:e] = off + logz[s:e] + np.log(x)
+        cost = np.cumsum(np.abs(logz[:, s : min(s + rows, N + 1) - 1]) - logK[1], axis=1)
+        b = 1 + int((cost <= _EXP_RANGE).sum(axis=1).min())
+        e, w = s + b, min(s, band)
+        off = logsumexp_1d(L[:, s - w : s])
+        y = np.exp(L[:, s - w : s] - off[:, None])
+        x = np.matmul(slab[:b, W - w :], y[:, :, None])[:, :, 0].T.copy()   # (b, R)
+        z = np.exp(logz[:, s : e - 1].T)
+        # a single row steps through numpy scalars, at a third of the cost
+        # of one-element rows
+        xs, zs, vs = (x[:, 0], z[:, 0], v[:, 0]) if R == 1 else (x, z, v)
+        for i in range(1, b):
+            vs[i - 1] = xs[i - 1] * zs[i - 1]
+            xs[i] += back[rows - i :] @ vs[:i]
+        L[:, s:e] = off[:, None] + logz[:, s:e] + np.log(x.T)
         s = e
     return L
+
+
+def _log_K(law: RenewalLaw) -> np.ndarray:
+    """log K(0..n_max) for the renewal DP."""
+    with np.errstate(divide="ignore"):
+        return np.log(law.mass)
 
 
 def log_partition_profile(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
@@ -131,9 +150,8 @@ def log_partition_profile(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
     O(N * min(N, n_max)): gaps beyond the stored law horizon carry no
     mass, so the recursion window is banded automatically.
     """
-    if cfg.N > MAX_DP_SIZE:
-        raise ResourceGuard(f"N={cfg.N} beyond the desk-scale guard {MAX_DP_SIZE}")
-    return _log_renewal_dp(*_log_weights(cfg, omega), cfg.law.n_max)
+    return _log_renewal_dp(_site_log_weights(cfg, omega)[None], _log_K(cfg.law),
+                           cfg.law.n_max)[0]
 
 
 def log_partition_dp(cfg: QuenchedConfig, omega: np.ndarray) -> float:
@@ -141,47 +159,53 @@ def log_partition_dp(cfg: QuenchedConfig, omega: np.ndarray) -> float:
     return float(log_partition_profile(cfg, omega)[cfg.N])
 
 
-def quenched_free_energy(cfg: QuenchedConfig, samples: int,
-                         rng: np.random.Generator) -> PoolEstimate:
-    """Mean of log Z / N over IID standard Gaussian disorder.
+def quenched_free_energies(cfgs: list[QuenchedConfig], rngs: list[np.random.Generator],
+                           samples: int) -> list[PoolEstimate]:
+    """Mean of log Z / N over `samples` IID standard Gaussian disorder rows
+    per config, all configs in each DP call.
 
-    The annealed baseline attached to the estimate is the exact finite-N
-    value (the zero-disorder DP at the same size), so the Jensen ordering
-    holds sample by sample in expectation at every N.
+    The configs share one law and one N; config p draws its rows from
+    rngs[p], as many at a time as `_DP_CELLS` allows for all configs
+    together, which equals one `standard_normal((samples, N))` draw.  The
+    annealed baseline attached to each estimate is the exact finite-N value
+    (the zero-disorder DP at the same size, one more row per config in each
+    call), so the Jensen ordering holds sample by sample in expectation at
+    every N.
     """
-    acc = MeanAccumulator()
-    for _ in range(samples):
-        acc.add(np.array([log_partition_dp(cfg, rng.standard_normal(cfg.N)) / cfg.N]))
-    annealed = annealed_log_partition(cfg) / cfg.N
-    return PoolEstimate.from_accumulator(acc, annealed=annealed)
+    law, N = cfgs[0].law, cfgs[0].N
+    if any(c.law is not law or c.N != N for c in cfgs):
+        raise InvalidParameter("the configs must share one law and one N")
+    if samples < 1:
+        raise InvalidParameter(f"need at least one sample, got {samples}")
+    accs = [MeanAccumulator() for _ in cfgs]
+    pure = [_site_log_weights(replace(c, beta=0.0), np.zeros((1, N))) for c in cfgs]
+    for n in chunk_sizes(samples, max(1, _DP_CELLS // (len(cfgs) * (N + 1)))):
+        rows = [_site_log_weights(c, rng.standard_normal((n, N))) for c, rng in zip(cfgs, rngs)]
+        end = _log_renewal_dp(np.concatenate(rows + pure), _log_K(law), law.n_max)[:, N] / N
+        for p, acc in enumerate(accs):
+            acc.add(end[p * n : (p + 1) * n])
+        annealed = end[len(cfgs) * n :]
+    return [PoolEstimate.from_accumulator(acc, annealed=float(a))
+            for acc, a in zip(accs, annealed)]
 
 
-def annealed_log_partition(cfg: QuenchedConfig) -> float:
-    """Exact finite-size annealed value: the zero-disorder DP."""
-    pure = QuenchedConfig(law=cfg.law, beta=0.0, h=cfg.h, N=cfg.N)
-    return log_partition_dp(pure, np.zeros(cfg.N))
+def pinned_rows(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> np.ndarray:
+    """The log partition pinned at both ends, per start site a of 0..N:
+    rows[a, b - a] for b in [a, min(a + k - 1, N)].
 
-
-def _log_weights(cfg: QuenchedConfig, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The site log weights and log K(0..n_max) of the renewal DP."""
-    with np.errstate(divide="ignore"):
-        return _site_log_weights(cfg, omega), np.log(cfg.law.mass)
-
-
-def pinned_rows(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> dict[int, np.ndarray]:
-    """The log partition pinned at both ends, per start site a of 1..N:
-    rows[a][b - a] for b in [a, min(a + k - 1, N)].
-
-    The rows depend on (cfg, omega, k) only, so every coarse-grained term
-    of one disorder draw shares them.
+    One DP call takes every start site's window of k sites as a row; the
+    windows past N are padded with log weight 0, and their entries are not
+    meant to be read.  The rows depend on (cfg, omega, k) only, so every
+    coarse-grained term of one disorder draw shares them.
     """
-    logz, logK = _log_weights(cfg, omega)
-    return {a: _log_renewal_dp(logz[a : min(a + k - 1, cfg.N) + 1], logK, cfg.law.n_max)
-            for a in range(1, cfg.N + 1)}
+    logz = np.zeros(cfg.N + k)
+    logz[: cfg.N + 1] = _site_log_weights(cfg, omega)
+    windows = np.lib.stride_tricks.sliding_window_view(logz, k)
+    return _log_renewal_dp(windows, _log_K(cfg.law), cfg.law.n_max)
 
 
 def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets, k: int, *,
-                          rows: dict[int, np.ndarray]) -> float:
+                          rows: np.ndarray) -> float:
     """log of one coarse-grained term of the partition decomposition.
 
     The term collects every pinned path whose first-return scan visits
@@ -198,7 +222,7 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets, k: in
     if any(b <= a for a, b in zip(targets, targets[1:])) or targets[0] < 1:
         raise InvalidParameter("targets must be strictly increasing, 1-based")
 
-    logz, logK = _log_weights(cfg, omega)
+    logz, logK = _site_log_weights(cfg, omega), _log_K(cfg.law)
     block_positions = {
         b: np.arange((b - 1) * k + 1, b * k + 1) for b in set(targets)
     }
@@ -279,7 +303,9 @@ def _pair_sum_profiles(paths: RenewalPaths, horizon: int):
     (j - i)^-1/2 for j > i, (occ @ T)[r, j] sums over the points of path
     r before j, so the profiles are cumsum(occ * (occ @ T)) along the sites.
     """
-    T = toeplitz(np.zeros(horizon), _inv_sqrt_table(horizon))
+    # T[i, j] = ext[horizon - 1 + j - i]: the table at j - i >= 0, zero below
+    ext = np.concatenate([np.zeros(horizon - 1), _inv_sqrt_table(horizon)])
+    T = np.lib.stride_tricks.sliding_window_view(ext, horizon)[::-1].copy()
     for lo in range(0, len(paths), _PROFILE_ROWS):
         hi = min(lo + _PROFILE_ROWS, len(paths))
         a, b = paths.offsets[lo], paths.offsets[hi]
@@ -423,7 +449,7 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
     table = green_function(law, max(k - 1, 2))
     c9 = green_bound_constant(table)
     c2 = long_jump_constant(law, k)
-    zsum = float(special.zeta(1.5 * gamma))
+    zsum = zeta(1.5 * gamma)
     hhat = reduced_reward(eta_min, gamma, c2, zsum)
     eta_star = reduced_reward_threshold(gamma, c2, zsum)
     ratio = eta_min / (4.0 * c8 * c9)

@@ -12,15 +12,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft, special
-from scipy.linalg import blas
 
 from .errors import HorizonExceeded, InvalidParameter
+from .numerics import zeta
 
 RECURRENT_TOL = 1e-9
 _FREE_ENERGY_REL_TOL = 1e-10   # bisection stops once the bracket is this narrow, relatively
 _FREE_ENERGY_MAX_ITER = 200
-_GREEN_BLOCK = 512   # sites per triangular solve of the Green table
+_GREEN_BLOCK = 512   # sites per base block of the Green table
+_EULER_GAMMA = 0.5772156649015329
 _GUIDE = 1 << 16  # gap-lookup buckets: u * 2^16 is exact, so its floor is u's bucket
 
 
@@ -126,7 +126,7 @@ def make_power_law(alpha: float, n_max: int) -> RenewalLaw:
     if n_max < 2:
         raise InvalidParameter(f"horizon must be at least 2, got {n_max}")
     ns = np.arange(n_max + 1, dtype=float)
-    c = 1.0 / special.zeta(1.0 + alpha)
+    c = 1.0 / zeta(1.0 + alpha)
     mass = np.zeros(n_max + 1)
     mass[1:] = c * ns[1:] ** -(1.0 + alpha)
     tail = max(1.0 - mass.sum(), 0.0)
@@ -142,42 +142,72 @@ def law_from_mass(values, alpha: float = math.inf, c_k: float = 0.0,
     return RenewalLaw(mass=mass, alpha=alpha, c_k=c_k, tail_mass=tail_mass)
 
 
+def _smooth_numbers(limit: int) -> np.ndarray:
+    """Every 2^a 3^b 5^c up to limit, ascending."""
+    out, p5 = [], 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            p = p35
+            while p <= limit:
+                out.append(p)
+                p *= 2
+            p35 *= 3
+        p5 *= 5
+    return np.sort(np.array(out, dtype=np.int64))
+
+
+_FFT_LENGTHS = _smooth_numbers(1 << 40)   # 3 461 lengths, built in under 1 ms
+
+
+def _next_fast_len(n):
+    """The smallest 5-smooth integer (2^a 3^b 5^c) at least n, for n in
+    1..2^40: a fast real FFT length.  Elementwise for an array n."""
+    return _FFT_LENGTHS[_FFT_LENGTHS.searchsorted(n)]
+
+
 def _convolve(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Terms start..stop-1 of the linear convolution a * b, by real FFTs.
 
     A circular convolution of length m >= stop adds term t + m onto term t;
     m >= a.size + b.size - 1 - start leaves nothing to add from t >= start.
     """
-    m = fft.next_fast_len(max(stop, a.size + b.size - 1 - start), real=True)
-    return fft.irfft(fft.rfft(a, m) * fft.rfft(b, m), m)[start:stop]
+    m = _next_fast_len(max(stop, a.size + b.size - 1 - start))
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[start:stop]
 
 
 def _green_divide_conquer(mass: np.ndarray, N: int) -> np.ndarray:
     """u(0..N) for the gap masses mass[1..], zero beyond their end.
 
-    A block [lo, hi) of at most `_GREEN_BLOCK` sites solves (I - T) u[lo:hi] = acc[lo:hi]
-    by one forward substitution, where T[i, i'] = K(i - i') is strictly lower
-    triangular and acc holds the contributions of the sites before lo.  A
-    larger block solves its left half, carries that half into acc over the
-    right half and solves the right half.  The carry is an FFT convolution,
-    unless the support s of K is shorter than the left half: then only its
-    last s sites reach, and only the first s sites of the right half, so the
-    carry is a short direct product with no FFT roundoff.
+    The recursion u(n) = sum_j K(j) u(n - j) runs site by site over u(1..511)
+    and, when the support s of K is shorter than a block (N < 512 included),
+    over all of u in O(N s): for a short support it settles on one value to
+    the ulp, where a convolution would scatter its last bits, and
+    `chung_erdos_check`'s variance lifts that scatter several hundredfold.
+    Otherwise a block [lo, hi) of at most `_GREEN_BLOCK` sites solves
+    (I - T) u[lo:hi] = acc[lo:hi], where T[i, i'] = K(i - i') is strictly
+    lower triangular and acc holds the contributions of the sites before lo.
+    (I - T)^-1 is the lower triangular Toeplitz matrix of u(0..b-1) itself,
+    so the solve is the direct convolution of acc[lo:hi] with g = u(0..511);
+    every term is positive.  A larger block solves its left half, carries
+    that half into acc over the right half and solves the right half.  The
+    carry is an FFT convolution, unless s is shorter than the left half:
+    then only its last s sites reach, and only the first s sites of the
+    right half, so the carry is a short direct product with no FFT roundoff.
     """
     s = min(mass.size - 1, N)
     K = np.zeros(N + 1)
     K[1 : s + 1] = mass[1 : s + 1]
     u = np.zeros(N + 1)
     u[0] = 1.0
+    seq = N if s < _GREEN_BLOCK else _GREEN_BLOCK - 1
+    for n in range(1, seq + 1):
+        m = min(n, s)
+        u[n] = np.dot(K[m:0:-1], u[n - m : n])
+    if seq == N:
+        return u
+    g = u[:_GREEN_BLOCK].copy()
     acc = K.copy()  # contributions of u(0); acc[m] accumulates sums over finalized t < lo
-    rows = min(_GREEN_BLOCK, N)
-    step = K.itemsize
-    # neg_T[i, i'] = -K(i - i'): Kneg holds -K(j) at rows + j for j in (-rows, rows)
-    Kneg = np.zeros(2 * rows)
-    Kneg[rows + 1 :] = -K[1:rows]
-    neg_T = np.asfortranarray(
-        np.ndarray((rows, rows), buffer=Kneg, offset=rows * step, strides=(step, -step)))
-    rhs = np.zeros(rows)  # a shorter block's rows come first: its tail rows are not read
     # blocks (lo, hi) in recursion order, each split into its left half, the
     # carry of that half (marked by a third entry) and its right half; an
     # explicit stack, since a recursive closure would hold these arrays in a
@@ -193,8 +223,7 @@ def _green_divide_conquer(mass: np.ndarray, N: int) -> np.ndarray:
             else:
                 acc[mid:hi] += _convolve(u[lo:mid], K[1:b], mid - lo - 1, b - 1)
         elif b <= _GREEN_BLOCK:
-            rhs[:b] = acc[lo:hi]
-            u[lo:hi] = blas.dtrsv(neg_T, rhs, lower=1, diag=1)[:b]
+            u[lo:hi] = np.convolve(acc[lo:hi], g[:b])[:b]
         else:
             todo += [(mid, hi), (lo, hi, True), (lo, mid)]
     return u
@@ -204,10 +233,12 @@ def green_function(law: RenewalLaw, N: int) -> GreenTable:
     """Renewal mass function on [0, N] by convolution of the gap law.
 
     Divide-and-conquer convolution, O(N log^2 N): blocks of up to 512 sites
-    are one triangular solve each, and FFT convolutions carry each half into
-    the next (a direct product when the law's support is shorter than the
-    half).  Laws with an analytic tail must be stored at least to N; for
-    finite-support laws any horizon is exact.
+    are one direct convolution each with u(0..511), built site by site once
+    per table, and FFT convolutions carry each half into the next (a direct
+    product when the law's support is shorter than the half).  A support
+    shorter than a block runs the recursion site by site instead.  Laws
+    with an analytic tail must be stored at least to N; for finite-support
+    laws any horizon is exact.
     """
     if N > law.n_max and law.tail_mass > 0.0:
         raise HorizonExceeded(f"N={N} exceeds the stored law horizon {law.n_max}")
@@ -357,12 +388,15 @@ def _tail_integral(law: RenewalLaw, rate: float) -> float:
     t(-alpha) is the continued fraction 1/(z+1+alpha- 1(1+alpha)/(z+3+alpha-
     2(2+alpha)/(z+5+alpha- ...))) (DLMF 8.9.2, contracted), by the modified
     Lentz scheme; nothing cancels in it.  Below, t starts at s = k + 1 - alpha
-    in (0, 1), k = floor(alpha), from Gamma(s) Q(s, z) (`special.gammaincc`),
-    or at s = 0 from E1(z) (`special.exp1`) for an integer alpha, and recurs
-    down with t(s-1) = (1 - z t(s))/(1 - s) (DLMF 8.8.2).  Against 30-digit
-    mpmath both agree to 1e-13 at alpha 0.3, 0.5, 1, 1.125 and 2; at
-    alpha = k + d just above an integer, the recurrence loses about 1e-16/d
-    relative.
+    in (0, 1), k = floor(alpha), or at s = 0 for an integer alpha, from the
+    power series Gamma(s, z) = Gamma(s) - z^s sum_n (-z)^n / (n! (s + n))
+    (DLMF 8.7.3), whose s -> 0 limit is E1(z) = -gamma_E - log z -
+    sum_{n >= 1} (-z)^n / (n n!) (DLMF 6.6.2), and recurs down with
+    t(s-1) = (1 - z t(s))/(1 - s) (DLMF 8.8.2).  Against 30-digit mpmath
+    both agree to 1e-13 at alpha 0.3, 0.5, 1, 1.125 and 2.  At alpha = k + d
+    just above an integer the recurrence loses about 1e-16/d relative, and
+    at alpha = k + 1 - d just below one the series' difference Gamma(s) z^-s
+    - 1/s loses about as much.
     """
     if law.tail_mass == 0.0 or not np.isfinite(law.alpha):
         return 0.0
@@ -386,12 +420,17 @@ def _tail_integral(law: RenewalLaw, rate: float) -> float:
                 return law.tail_mass * a * math.exp(-z) * t
         raise RuntimeError(f"tail continued fraction did not converge at z = {z}")
     k = math.floor(a)
-    if a == k:
-        s, steps = 0.0, k - 1
-        t = math.exp(z) * special.exp1(z)
-    else:
-        s, steps = k + 1.0 - a, k
-        t = z ** -s * math.exp(z) * special.gamma(s) * special.gammaincc(s, z)
+    s, steps = (0.0, k - 1) if a == k else (k + 1.0 - a, k)
+    series, term, n = 0.0, 1.0, 0   # sum_{n >= 1} (-z)^n / (n! (s + n))
+    while True:
+        n += 1
+        term *= -z / n
+        add = term / (s + n)
+        series += add
+        if abs(add) <= 2.0**-53 * abs(series):
+            break
+    head = -_EULER_GAMMA - math.log(z) if s == 0.0 else z ** -s * math.gamma(s) - 1.0 / s
+    t = math.exp(z) * (head - series)
     for _ in range(steps):  # down to t(1 - alpha)
         t = (1.0 - z * t) / (1.0 - s)
         s -= 1.0
@@ -456,7 +495,7 @@ def conditioning_ratio_curve(law: RenewalLaw, N_max: int) -> np.ndarray:
     gap tails: ratio(N, n) = S(N, n) / (u(2N) P(gap > N - n)) with
     S(N, n) = sum_{m < N} u(m) K(2N - n - m).  S(N, .) is the reversed slice
     C[2N : N - 1 : -1] of the running convolution C(t) = sum_{m < N} u(m)
-    K(t - m), which takes one axpy per N.  Every term is positive, so
+    K(t - m), which takes one scaled add per N.  Every term is positive, so
     nothing cancels; `oracles.conditioning_ratio_curve_fft` builds each S
     by its own FFT convolution.
     """
@@ -472,7 +511,7 @@ def conditioning_ratio_curve(law: RenewalLaw, N_max: int) -> np.ndarray:
     peak = np.empty(N_max)
     for N in range(1, N_max + 1):
         peak[N - 1] = (C[2 * N : N - 1 : -1] / (u[2 * N] * surv[N::-1])).max()
-        blas.daxpy(K, C, n=size - N, a=u[N], offy=N)
+        C[N:] += u[N] * K[: size - N]
     return np.maximum.accumulate(peak)
 
 

@@ -130,6 +130,8 @@ def test_run_bad_window(tmp_path):
     # W's pair guard: above alpha = 1 the pair count grows as L_w^2 (18.5 s, exit 0)
     ("clt-check", {"alpha": 1.5, "L_exact": 2_000, "L_w": 10_000, "w_samples": 500,
                    "n_max": 10_000}),
+    # the DP's size guard, raised before quenched-scan draws any disorder
+    ("quenched-scan", {"N": 100_001}),
 ])
 def test_run_bad_parameter_exits_2(tmp_path, capsys, name, bad):
     cfg = write_config(tmp_path, name, seed=1, **bad)

@@ -10,7 +10,10 @@ from pinninglab import oracles
 from pinninglab import quenched as Q
 from pinninglab import renewal as R
 from pinninglab.errors import InvalidParameter, ResourceGuard
+from pinninglab.experiments import run
+from pinninglab.numerics import MeanAccumulator, derive_rng
 from pinninglab.quenched import QuenchedConfig
+from pinninglab.records import ExperimentConfig
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +52,14 @@ def test_dp_monotone_in_reward(seed):
 
 
 def _assert_dp_matches_oracle(logz, logK, band):
-    # relative 1e-12 on log Z, or on Z itself (absolute on log Z) near log Z = 0
+    # row by row: relative 1e-12 on log Z, or on Z itself (absolute on log Z)
+    # near log Z = 0; a 1-d logz is one row
+    logz = np.atleast_2d(logz)
     fast = Q._log_renewal_dp(logz, logK, band)
-    slow = oracles.log_renewal_dp_direct(logz, logK, band)
-    assert np.all(np.isfinite(fast))
-    assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
+    assert fast.shape == logz.shape and np.all(np.isfinite(fast))
+    for row, f in zip(logz, fast):
+        slow = oracles.log_renewal_dp_direct(row, logK, band)
+        assert np.all(np.abs(f - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
 
 
 def test_dp_kernel_matches_log_domain_oracle(law):
@@ -87,6 +93,26 @@ def test_dp_kernel_guards_extreme_site_weights(law):
             _assert_dp_matches_oracle(logz, logK, lw.n_max)
 
 
+def test_dp_rows_of_different_spread_share_the_guard(law):
+    # one batch mixes rows whose blocks alone would end at different sites:
+    # +30 per site (overflow unguarded), about -35 per site, the defaults'
+    # mild rows and zero disorder, at N 1, 64 and 300
+    rng = np.random.default_rng(13)
+    logK = Q._log_K(law)
+    for N in (1, 64, 300):
+        rows = [Q._site_log_weights(QuenchedConfig(law=law, beta=beta, h=h, N=N),
+                                    rng.standard_normal((2, N)))
+                for beta, h in ((0.0, 30.0), (3.0, -30.0), (1.0, 2.0), (0.5, -0.3),
+                                (0.0, 0.0))]
+        _assert_dp_matches_oracle(np.concatenate(rows), logK, law.n_max)
+    # the band of a two-point law, shorter than a block, across rows
+    two = R.law_from_mass([0.6, 0.4])
+    logz = np.concatenate([Q._site_log_weights(QuenchedConfig(law=two, beta=b, h=h, N=150),
+                                               rng.standard_normal((3, 150)))
+                           for b, h in ((3.0, -30.0), (0.2, 0.1))])
+    _assert_dp_matches_oracle(logz, Q._log_K(two), two.n_max)
+
+
 def test_dp_guard(law):
     with pytest.raises(ResourceGuard):
         Q.log_partition_dp(QuenchedConfig(law=law, beta=0.0, h=0.0, N=200_000),
@@ -98,7 +124,7 @@ def test_quenched_free_energy_pure_limit():
     # approaches the characteristic-equation rate
     law = R.make_power_law(0.5, 10_000)
     cfg = QuenchedConfig(law=law, beta=0.0, h=0.2, N=10_000)
-    est = Q.quenched_free_energy(cfg, 2, np.random.default_rng(0))
+    [est] = Q.quenched_free_energies([cfg], [np.random.default_rng(0)], 2)
     assert est.std_error == 0.0
     rate = R.homogeneous_free_energy(law, cfg.h)
     assert abs(est.mean - rate) / rate < 0.02
@@ -107,11 +133,59 @@ def test_quenched_free_energy_pure_limit():
 def test_quenched_jensen_and_delocalized(law):
     rng = np.random.default_rng(1)
     cfg = QuenchedConfig(law=law, beta=1.0, h=0.4, N=600)
-    est = Q.quenched_free_energy(cfg, 24, rng)
-    assert est.mean <= est.annealed + 3 * est.std_error
     cfg2 = QuenchedConfig(law=law, beta=0.8, h=-1.0, N=600)
-    est2 = Q.quenched_free_energy(cfg2, 24, rng)
+    est, est2 = Q.quenched_free_energies([cfg, cfg2], [rng, rng], 24)
+    assert est.mean <= est.annealed + 3 * est.std_error
     assert est2.mean <= 3 * est2.std_error
+
+
+def test_quenched_scan_equals_a_loop_over_points_and_samples():
+    # the record's estimates against one DP call per sample, each point's
+    # samples drawn one at a time from its own substream
+    raw = {"experiment": "quenched-scan", "seed": 5, "N": 300, "samples": 6, "n_max": 600,
+           "beta_list": [0.8, 1.3], "h_list": [-0.2, 0.3, 1.0]}
+    rec = run(ExperimentConfig.from_dict(raw))
+    law = R.make_power_law(0.5, 600)
+    for i, beta in enumerate(raw["beta_list"]):
+        for j, h in enumerate(raw["h_list"]):
+            cfg = QuenchedConfig(law=law, beta=beta, h=h, N=300)
+            rng = derive_rng(5, "quenched-scan", i, j)
+            acc = MeanAccumulator()
+            for _ in range(6):
+                acc.add(np.array([Q.log_partition_dp(cfg, rng.standard_normal(300)) / 300]))
+            got = rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"]
+            assert got["value"] == pytest.approx(acc.mean, rel=1e-13, abs=1e-15)
+            assert got["std_error"] == pytest.approx(acc.std_error, rel=1e-9)
+            pure = QuenchedConfig(law=law, beta=0.0, h=h, N=300)
+            assert rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] == pytest.approx(
+                Q.log_partition_dp(pure, np.zeros(300)) / 300, rel=1e-13, abs=1e-15)
+
+
+def test_quenched_free_energies_need_one_law_and_size_and_a_sample(law, law_small):
+    cfg = QuenchedConfig(law=law, beta=0.5, h=0.1, N=10)
+    rngs = [np.random.default_rng(0)] * 2
+    for other in (QuenchedConfig(law=law_small, beta=0.5, h=0.1, N=10),
+                  QuenchedConfig(law=law, beta=0.5, h=0.1, N=12)):
+        with pytest.raises(InvalidParameter):
+            Q.quenched_free_energies([cfg, other], rngs, 2)
+    with pytest.raises(InvalidParameter):
+        Q.quenched_free_energies([cfg], rngs[:1], 0)
+
+
+def test_quenched_free_energies_in_several_calls_equal_one(law, monkeypatch):
+    # a cell budget of 3 rows per config per call splits 8 samples into
+    # calls of 3, 3 and 2 rows; each stream is drawn in the same order, so
+    # only the accumulation and the shared block ends move, at roundoff
+    cfgs = [QuenchedConfig(law=law, beta=b, h=h, N=200) for b, h in ((0.5, -0.3), (1.2, 0.4))]
+    def run():
+        return Q.quenched_free_energies(cfgs, [derive_rng(9, "q", i) for i in range(2)], 8)
+    whole = run()
+    monkeypatch.setattr(Q, "_DP_CELLS", 3 * 2 * 201)
+    for a, b in zip(run(), whole):
+        assert a.mean == pytest.approx(b.mean, rel=1e-12)
+        assert a.std_error == pytest.approx(b.std_error, rel=1e-9)
+        assert a.annealed == pytest.approx(b.annealed, rel=1e-12)
+        assert a.sample_count == b.sample_count == 8
 
 
 def test_plan_block_set():
@@ -147,6 +221,24 @@ def test_single_target_term_is_residual(law_small):
     solo = math.exp(Q.log_coarse_grain_term(cfg, om, (blocks,), k, rows=rows))
     assert solo == pytest.approx(full - others, rel=1e-9)
     assert solo >= 0.0
+
+
+def test_pinned_rows_equal_per_row_dp_calls(law_small):
+    # every start site's row against its own DP call on the sites up to
+    # min(a + k - 1, N), the short rows near N included; past N the batch
+    # holds padding
+    rng = np.random.default_rng(15)
+    logK = Q._log_K(law_small)
+    for k, blocks in ((2, 1), (3, 4), (5, 6), (4, 2)):
+        cfg = QuenchedConfig(law=law_small, beta=1.2, h=-0.3, N=k * blocks)
+        om = rng.standard_normal(cfg.N)
+        rows = Q.pinned_rows(cfg, om, k)
+        assert rows.shape == (cfg.N + 1, k)
+        logz = Q._site_log_weights(cfg, om)
+        for a in range(1, cfg.N + 1):
+            end = min(a + k - 1, cfg.N)
+            alone = Q._log_renewal_dp(logz[None, a : end + 1], logK, law_small.n_max)[0]
+            np.testing.assert_allclose(rows[a, : end - a + 1], alone, rtol=1e-14, atol=1e-14)
 
 
 def test_coarse_grain_window_validation(law_small):

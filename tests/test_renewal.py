@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from pinninglab import renewal as R
 from pinninglab.errors import HorizonExceeded, InvalidParameter
 from pinninglab import oracles
+from pinninglab.numerics import zeta
 from pinninglab.quenched import QuenchedConfig, log_partition_profile
 
 
@@ -62,9 +64,9 @@ def test_green_horizon_guard(half_law, two_point):
 
 
 def test_green_direct_vs_fft(half_law):
-    # one triangular-solve block (1, 2, 511, 512), its edges and several
-    # levels of FFT carries
-    for N in (1, 2, 511, 512, 513, 1025, 3000):
+    # the site-by-site start (0, 1, 2, 511), one full base block (512), the
+    # first convolution block past it (513) and several levels of FFT carries
+    for N in (0, 1, 2, 511, 512, 513, 1025, 3000):
         a = oracles.green_direct(half_law, N)
         table = R.green_function(half_law, N)
         assert np.max(np.abs(a - table.u) / a) < 1e-10
@@ -291,13 +293,59 @@ def test_free_energy_solves_the_exact_equation_at_small_reward():
         assert abs(float(head + tail - mpmath.exp(-h))) < 1e-13
 
 
-def test_import_leaves_out_unused_scipy_subpackages():
-    code = ("import sys, pinninglab; "
-            "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize', "
-            "'scipy.sparse', 'scipy.spatial') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split() == []
+def test_import_and_experiments_run_without_scipy():
+    # scipy is only a test dependency: with it blocked, pinninglab imports
+    # and the experiments that run the special functions, the FFT, the DP
+    # and the Green table still run, so a lazy scipy import fails here too
+    src = str(Path(R.__file__).resolve().parents[1])
+    configs = [
+        {"experiment": "renewal-green", "N": 2_000, "n_max": 2_000,
+         "checkpoints": [100, 2_000]},
+        {"experiment": "quenched-scan", "N": 300, "samples": 4, "n_max": 600,
+         "beta_list": [0.8], "h_list": [-0.2, 0.3]},
+        {"experiment": "decomposition-check", "trials": 5},
+        {"experiment": "lemma51-scan", "h_list": [0.1, 0.02], "samples": 200,
+         "cond_horizon": 100, "n_max": 1_000},
+        {"experiment": "clt-check", "L_exact": 2_000, "L_w": 10_000, "w_samples": 100,
+         "n_max": 10_000},
+    ]
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+sys.path.insert(0, {src!r})
+from pinninglab import experiments
+from pinninglab.records import ExperimentConfig
+for cfg in {configs!r}:
+    experiments.run(ExperimentConfig.from_dict({{"seed": 3, **cfg}}))
+    print(cfg["experiment"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:-1] == [c["experiment"] for c in configs]
+    assert lines[-1] == "['scipy']"   # the blocking entry alone
+
+
+def test_zeta_matches_mpmath():
+    # the normalizer of make_power_law at 1 + alpha, and lemma51-scan's sum
+    # over n^(-3 gamma / 2)
+    points = [1.0 + a for a in (0.3, 0.5, 1.0, 1.125, 2.0)]
+    points += [1.5 * g for g in (0.7, 0.75, 1.0)]
+    with mpmath.workdps(40):
+        for x in points:
+            ref = mpmath.zeta(mpmath.mpf(x))
+            assert abs(float((zeta(x) - ref) / ref)) <= 2.5e-16, x
+    with pytest.raises(InvalidParameter):
+        zeta(1.0)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy import fft
+    n = np.arange(1, 200_001)
+    ref = np.array([fft.next_fast_len(int(m), real=True) for m in n])
+    np.testing.assert_array_equal(R._next_fast_len(n), ref)
+    assert R._next_fast_len(1 << 40) == 1 << 40
 
 
 def test_free_energy_monotone_convex(half_law):
