@@ -19,9 +19,10 @@ import numpy as np
 from .errors import InvalidParameter, ResourceGuard
 
 B_CRITICAL = math.sqrt(2.0)
-_FOLD_LEAVES = 1 << 19   # leaves per slice of realizations in the cascade's fold
+_FOLD_LEAVES = 1 << 17   # leaves per slice of realizations in the cascade's fold
 _DRAW_NODES = 1 << 16    # uniforms per block of one generation's draw (512 KB)
 _INT32_MAX = np.iinfo(np.int32).max
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], np.uint8)  # set bits per byte
 _ANNEALED_REL_TOL = 1e-12   # the growth rate stops once a generation moves it less
 _ANNEALED_MAX_GEN = 400
 _K_HAT_N_CAP = 30           # the last generation of k_hat's running max
@@ -143,52 +144,75 @@ def pair_overlap_sum(n: int, B: float) -> float:
     return float(val)
 
 
-def _kept_nodes(rng: np.random.Generator, m: int, p: float, buf: np.ndarray) -> np.ndarray:
-    """int32 indices i < m with u_i < p.  The m uniforms are drawn into buf,
-    one block at a time in order, so they are the stream of rng.random(m)."""
-    parts = [np.empty(0, np.int32)]
-    for s in range(0, m, buf.size):
-        u = rng.random(out=buf[: min(buf.size, m - s)])
-        parts.append(np.flatnonzero(u < p).astype(np.int32))
-        parts[-1] += s
-    return np.concatenate(parts)
+def _kept_bits(rng: np.random.Generator, m: int, p: float, buf: np.ndarray,
+               stage: np.ndarray) -> np.ndarray:
+    """The flags u_i < p of m uniforms, packed 8 to a byte in `np.packbits`
+    order, with one zero byte past the end.  The uniforms are drawn into buf,
+    one block at a time in order, so they are the stream of rng.random(m);
+    the flags of 8 blocks are staged as bools and packed together, so each
+    pack starts on a byte whatever the block size."""
+    out = np.zeros(-(-m // 8) + 1, np.uint8)
+    for s in range(0, m, stage.size):
+        e = min(stage.size, m - s)
+        for t in range(0, e, buf.size):
+            u = rng.random(out=buf[: min(buf.size, e - t)])
+            np.less(u, p, out=stage[t : t + u.size])
+        out[s // 8 : s // 8 + -(-e // 8)] = np.packbits(stage[:e])
+    return out
+
+
+def _bits_before(bits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """int32 count of the set bits of `_kept_bits`'s output before each bit
+    offset: the whole bytes by a running sum, the partial byte's high bits
+    by the table."""
+    whole = np.zeros(bits.size, np.int32)
+    np.cumsum(_POPCOUNT[bits[:-1]], dtype=np.int32, out=whole[1:])
+    byte = offsets >> 3
+    return whole[byte] + _POPCOUNT[bits[byte] & (0xFF00 >> (offsets & 7))]
 
 
 def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
                        size: int) -> tuple[np.ndarray, np.ndarray]:
     """(overlap statistic, alive count) over `size` realizations.
 
-    The cascade is drawn top-down keeping only each generation's kept-node
-    indices, as int32, from uniforms drawn `_DRAW_NODES` at a time into one
-    reused buffer: the children of the kept nodes, in order, are the
-    next generation.  Realization r owns the contiguous node range
-    at[g][r] : at[g][r + 1] of every generation g.  Y depends on the tree's
-    shape alone, so it is folded bottom-up over sibling pairs, one slice of
-    realizations (about `_FOLD_LEAVES` leaves) at a time: a kept node at
-    level a above the leaves has leaf count c_L + c_R and adds
-    2 B^-(n+a-1) c_L c_R, the pairs that join there.  The fold starts at
-    level 1, where every kept node has c = 2 and y = 2 B^-n.  Every term
-    is positive, so Y agrees with `oracles.y_statistic` to rounding; the
-    draws match `oracles.gw_cascade_leaves` exactly.
+    The cascade is drawn top-down keeping one bit per drawn node, set when
+    the node is kept, packed 8 to a byte (`_kept_bits`), from uniforms drawn
+    `_DRAW_NODES` at a time into one reused buffer: the children of the kept
+    nodes, in order, are the next generation.  Realization r owns the
+    contiguous node range at[g][r] : at[g][r + 1] of every generation g, an
+    int32 offset counted from the bits (`_bits_before`).  Y depends on the
+    tree's shape alone, so it is folded bottom-up over sibling pairs, one
+    slice of realizations (about `_FOLD_LEAVES` leaves) at a time, each
+    slice unpacking its own bits: a kept node at level a above the leaves
+    has leaf count c_L + c_R and adds 2 B^-(n+a-1) c_L c_R, the pairs that
+    join there.  The fold starts at level 1, where every kept node has
+    c = 2 and y = 2 B^-n.  Every term is positive, so Y agrees with
+    `oracles.y_statistic` to rounding; the draws match
+    `oracles.gw_cascade_leaves` exactly.
     """
     if n < 1:
         raise InvalidParameter("need generation >= 1")
-    p = 1.0 / B
-    buf = np.empty(_DRAW_NODES)
-    kept, at = [], [np.arange(size + 1)]
-    m = size
-    for _ in range(n):
+
+    def guard(m: int) -> int:
         if m > _INT32_MAX:
             raise ResourceGuard(f"a generation of {m} nodes overflows int32 indices")
-        kept.append(_kept_nodes(rng, m, p, buf))
-        # int32 needles, so searchsorted does not cast the indices to int64
-        at.append(2 * kept[-1].searchsorted(at[-1].astype(np.int32)))
-        m = 2 * kept[-1].size
+        return m
+
+    p = 1.0 / B
+    buf, stage = np.empty(_DRAW_NODES), np.empty(8 * _DRAW_NODES, bool)
+    bits, at = [], [np.arange(guard(size) + 1, dtype=np.int32)]
+    for _ in range(n):
+        bits.append(_kept_bits(rng, int(at[-1][-1]), p, buf, stage))
+        kept = _bits_before(bits[-1], at[-1])
+        guard(2 * int(kept[-1]))
+        at.append(2 * kept)
 
     def nodes(g: int, r0: int, r1: int) -> tuple[np.ndarray, int]:
         """Slice-local kept indices and node count of generation g."""
-        k = kept[g][at[g + 1][r0] // 2: at[g + 1][r1] // 2] - at[g][r0]
-        return k, at[g][r1] - at[g][r0]
+        o0, o1 = int(at[g][r0]), int(at[g][r1])
+        b = o0 >> 3
+        keep = np.unpackbits(bits[g][b : (o1 + 7) >> 3]).view(bool)
+        return np.flatnonzero(keep[o0 - 8 * b : o1 - 8 * b]), o1 - o0
 
     y, c = np.empty(size), np.empty(size)
     cuts = np.unique(np.r_[0, at[n].searchsorted(np.arange(0, at[n][-1], _FOLD_LEAVES)),

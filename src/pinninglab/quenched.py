@@ -204,14 +204,16 @@ def pinned_rows(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> np.ndarray:
     return _log_renewal_dp(windows, _log_K(cfg.law), cfg.law.n_max)
 
 
-def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets, k: int, *,
-                          rows: np.ndarray) -> float:
+def log_coarse_grain_term(cfg: QuenchedConfig, targets, k: int, *, logz: np.ndarray,
+                          logK: np.ndarray, rows: np.ndarray) -> float:
     """log of one coarse-grained term of the partition decomposition.
 
     The term collects every pinned path whose first-return scan visits
     exactly the given target blocks: first return n_r in block i_r, last
     contact j_r before n_r + k, no contacts in the long gaps between.
-    `rows` is `pinned_rows(cfg, omega, k)`.
+    Every term of one disorder draw omega shares its inputs: `logz` is
+    `_site_log_weights(cfg, omega)`, `logK` is `_log_K(cfg.law)` and `rows`
+    is `pinned_rows(cfg, omega, k)`.
     """
     targets = tuple(int(i) for i in targets)
     if cfg.N % k != 0:
@@ -222,7 +224,6 @@ def log_coarse_grain_term(cfg: QuenchedConfig, omega: np.ndarray, targets, k: in
     if any(b <= a for a, b in zip(targets, targets[1:])) or targets[0] < 1:
         raise InvalidParameter("targets must be strictly increasing, 1-based")
 
-    logz, logK = _site_log_weights(cfg, omega), _log_K(cfg.law)
     block_positions = {
         b: np.arange((b - 1) * k + 1, b * k + 1) for b in set(targets)
     }
@@ -276,8 +277,9 @@ def enumerate_target_sets(n_blocks: int):
 def decomposition_residual(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> float:
     """Relative gap between the full partition value and the sum of its
     coarse-grained terms (zero up to roundoff)."""
+    logz, logK = _site_log_weights(cfg, omega), _log_K(cfg.law)
     rows = pinned_rows(cfg, omega, k)
-    log_terms = [log_coarse_grain_term(cfg, omega, t, k, rows=rows)
+    log_terms = [log_coarse_grain_term(cfg, t, k, logz=logz, logK=logK, rows=rows)
                  for t in enumerate_target_sets(cfg.N // k)]
     total = logsumexp_1d(np.array(log_terms))
     ref = log_partition_dp(cfg, omega)
@@ -586,16 +588,17 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     k = window_size(h)
     cfg = QuenchedConfig(law=law, beta=beta, h=h, N=N)
     sets = list(enumerate_target_sets(N // k))
+    logK = _log_K(law)
 
     v_direct = np.empty(omega_samples)
     v_sum = np.empty(omega_samples)
     ok = True
     for s in range(omega_samples):
         om = rng.standard_normal(N)
-        logz = log_partition_dp(cfg, om)
-        v_direct[s] = math.exp(gamma * logz)
-        rows = pinned_rows(cfg, om, k)
-        parts = [math.exp(gamma * log_coarse_grain_term(cfg, om, t, k, rows=rows))
+        v_direct[s] = math.exp(gamma * log_partition_dp(cfg, om))
+        logz, rows = _site_log_weights(cfg, om), pinned_rows(cfg, om, k)
+        parts = [math.exp(gamma * log_coarse_grain_term(cfg, t, k, logz=logz, logK=logK,
+                                                        rows=rows))
                  for t in sets]
         v_sum[s] = float(np.sum(parts))
         ok = ok and bool(v_direct[s] <= v_sum[s] * (1.0 + 1e-9))
@@ -619,8 +622,9 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
             om[:filled] = sample_tilted_batch(spec, 1.0, rng, 1)[0]
             if filled < N:
                 om[filled:] = rng.standard_normal(N - filled)
-            vals[s] = math.exp(log_coarse_grain_term(cfg, om, t, k,
-                                                     rows=pinned_rows(cfg, om, k)))
+            vals[s] = math.exp(log_coarse_grain_term(
+                cfg, t, k, logz=_site_log_weights(cfg, om), logK=logK,
+                rows=pinned_rows(cfg, om, k)))
         m = float(vals.mean())
         se = float(vals.std(ddof=1) / math.sqrt(omega_samples))
         factor = math.exp(0.5 * len(M))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pinninglab import hierarchy as H
+from pinninglab import hiermc
 from pinninglab import oracles
 from pinninglab.errors import InvalidParameter, ResourceGuard
 
@@ -191,9 +192,11 @@ def test_gw_overlap_samples_match_y_statistic():
 
 
 @pytest.mark.parametrize("n, B, size", [(10, H.B_CRITICAL, 4000), (16, H.B_CRITICAL, 300),
-                                        (6, 1.2, 2000), (9, 1.9, 3000)])
+                                        (6, 1.2, 2000), (9, 1.9, 3000),
+                                        (hiermc.MAX_GENERATION, H.B_CRITICAL, 5)])
 def test_gw_overlap_samples_draw_identity(n, B, size):
-    # the fold consumes the generator exactly as the leaf-index replay does
+    # the fold consumes the generator exactly as the leaf-index replay does;
+    # at n 20, four of the five realizations keep 1 162-2 482 leaves
     rng_o, rng_f = np.random.default_rng(31), np.random.default_rng(31)
     sid, _ = oracles.gw_cascade_leaves(n, B, rng_o, size)
     _, counts = H.gw_overlap_samples(n, B, rng_f, size)
@@ -236,15 +239,43 @@ def test_gw_overlap_samples_sliced_fold(monkeypatch, n, B, size):
         assert np.any(counts[1:-2] + counts[2:-1] == 0)
 
 
+@pytest.mark.parametrize("n, B, size, draw_nodes", [(6, 1.2, 3, 3), (9, 1.9, 120, 11),
+                                                     (8, H.B_CRITICAL, 21, 19),
+                                                     (5, 1.2, 37, 1 << 16)])
+def test_gw_overlap_samples_packing_edges(monkeypatch, n, B, size, draw_nodes):
+    # realization boundaries and generation ends that fall mid-byte, and
+    # uniforms drawn 8k + 3 at a time, so draw blocks end mid-byte and
+    # only each pack of 8 staged blocks fills whole bytes
+    monkeypatch.setattr(H, "_DRAW_NODES", draw_nodes)
+    rng_o, rng_f = np.random.default_rng(23), np.random.default_rng(23)
+    sid, leaf = oracles.gw_cascade_leaves(n, B, rng_o, size)
+    y, counts = H.gw_overlap_samples(n, B, rng_f, size)
+    assert rng_f.random() == rng_o.random()
+    assert np.array_equal(counts, np.bincount(sid, minlength=size))
+    for i in range(size):
+        assert y[i] == pytest.approx(oracles.y_statistic(n, leaf[sid == i], B), abs=1e-12)
+    # the replay cut after g generations gives generation g's nodes: some
+    # realization starts and some generation ends must sit inside a byte
+    gens = [np.bincount(oracles.gw_cascade_leaves(g, B, np.random.default_rng(23), size)[0],
+                        minlength=size) for g in range(n)]
+    starts = np.concatenate([np.cumsum(cnt)[:-1] for cnt in gens])
+    assert np.any(starts % 8 != 0)
+    assert any(cnt.sum() % 8 != 0 for cnt in gens)
+    if draw_nodes < 1 << 16:   # some generation spans several packs
+        assert max(cnt.sum() for cnt in gens) > 8 * draw_nodes
+
+
 def test_gw_overlap_samples_peak_memory():
-    # int32 indices and the sliced fold keep certify-tuned's cascade small
-    tracemalloc.start()
-    try:
-        H.gw_overlap_samples(16, H.B_CRITICAL, np.random.default_rng(2), 10_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 60e6
+    # one packed bit per drawn node and the sliced fold keep the cascades of
+    # certify-tuned (n 16) and certify-paper (n 20) small
+    for n, size in ((16, 10_000), (hiermc.MAX_GENERATION, 4000)):
+        tracemalloc.start()
+        try:
+            H.gw_overlap_samples(n, H.B_CRITICAL, np.random.default_rng(2), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, (n, size, peak)
 
 
 def test_gw_overlap_samples_match_dense_moments():

@@ -215,10 +215,11 @@ def test_single_target_term_is_residual(law_small):
     cfg = QuenchedConfig(law=law_small, beta=0.9, h=0.1, N=k * blocks)
     om = rng.standard_normal(cfg.N)
     full = math.exp(Q.log_partition_dp(cfg, om))
-    rows = Q.pinned_rows(cfg, om, k)
-    others = sum(math.exp(Q.log_coarse_grain_term(cfg, om, t, k, rows=rows))
+    draw = dict(logz=Q._site_log_weights(cfg, om), logK=Q._log_K(law_small),
+                rows=Q.pinned_rows(cfg, om, k))
+    others = sum(math.exp(Q.log_coarse_grain_term(cfg, t, k, **draw))
                  for t in Q.enumerate_target_sets(blocks) if t != (blocks,))
-    solo = math.exp(Q.log_coarse_grain_term(cfg, om, (blocks,), k, rows=rows))
+    solo = math.exp(Q.log_coarse_grain_term(cfg, (blocks,), k, **draw))
     assert solo == pytest.approx(full - others, rel=1e-9)
     assert solo >= 0.0
 
@@ -244,11 +245,12 @@ def test_pinned_rows_equal_per_row_dp_calls(law_small):
 def test_coarse_grain_window_validation(law_small):
     cfg = QuenchedConfig(law=law_small, beta=0.5, h=0.3, N=12)
     om = np.zeros(12)
-    rows = Q.pinned_rows(cfg, om, 4)
+    draw = dict(logz=Q._site_log_weights(cfg, om), logK=Q._log_K(law_small),
+                rows=Q.pinned_rows(cfg, om, 4))
     with pytest.raises(InvalidParameter):
-        Q.log_coarse_grain_term(cfg, om, (1, 2), 4, rows=rows)  # last target must be 3
+        Q.log_coarse_grain_term(cfg, (1, 2), 4, **draw)  # last target must be 3
     with pytest.raises(InvalidParameter):
-        Q.log_coarse_grain_term(cfg, om, (2, 1, 3), 4, rows=rows)
+        Q.log_coarse_grain_term(cfg, (2, 1, 3), 4, **draw)
 
 
 def test_u_weight_trivial_cases(law):
