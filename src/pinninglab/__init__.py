@@ -17,7 +17,7 @@ from .gaussian import BlockCoupling, HierCoupling, build_block_coupling, \
     build_hier_coupling, factorize, holder_cost
 from .hiermc import Certificate, PoolEstimate, certify_delocalization, \
     pool_free_energy, tilted_mean
-from .quenched import QuenchedConfig, log_partition_dp, quenched_free_energies
+from .quenched import QuenchedConfig, quenched_free_energies
 
 __all__ = [
     "__version__", "B_CRITICAL",
@@ -30,5 +30,5 @@ __all__ = [
     "factorize", "holder_cost",
     "PoolEstimate", "Certificate", "pool_free_energy", "tilted_mean",
     "certify_delocalization",
-    "QuenchedConfig", "log_partition_dp", "quenched_free_energies",
+    "QuenchedConfig", "quenched_free_energies",
 ]

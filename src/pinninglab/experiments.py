@@ -308,7 +308,7 @@ def quenched_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 2_000, N: 
 def decomposition_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 256,
                         trials: Annotated[int, Window(1)] = 100,
                         k_max: Annotated[int, Window(2)] = 5,
-                        max_blocks: Annotated[int, Window(1)] = 6):
+                        max_blocks: Annotated[int, Window(1, quenched.MAX_BLOCK_COUNT)] = 6):
     law = renewal.make_power_law(alpha, n_max)
     rng = derive_rng(rec.seed, "decomposition-check")
     rows = []

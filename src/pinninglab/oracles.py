@@ -13,6 +13,7 @@ import numpy as np
 from .errors import HorizonExceeded, InvalidParameter
 from .hierarchy import B_CRITICAL
 from .numerics import logsumexp_1d
+from .quenched import QuenchedConfig
 from .renewal import GreenTable, RenewalLaw, _convolve, green_function
 
 
@@ -160,6 +161,31 @@ def green_by_enumeration(law: RenewalLaw, N: int) -> np.ndarray:
         for p in pts[1:]:
             u[p] += prob
     return u
+
+
+def coarse_grain_terms_by_enumeration(cfg: QuenchedConfig, omega: np.ndarray,
+                                      k: int) -> np.ndarray:
+    """log of each term of `quenched.log_coarse_grain_term`, summed over
+    every path pinned at N (small N only).  A path's target set comes from
+    its first-return scan: the first contact n_1, then the first contact
+    n_(r+1) >= n_r + k, until n_r is in the last block.  Entry m is the set
+    whose inner blocks are the set bits of m (block b is bit b - 1); a set
+    no path reaches is -inf.
+    """
+    N, n_blocks = cfg.N, cfg.N // k
+    totals = np.zeros(2 ** (n_blocks - 1))
+    for pts, prob in enumerate_paths(cfg.law, N):
+        if pts[-1] != N:
+            continue
+        mask, n = 0, pts[1]
+        while n <= N - k:   # n before the last block
+            mask |= 1 << (n - 1) // k
+            n = next(p for p in pts if p >= n + k)
+        log_z = sum(cfg.beta * omega[p - 1] + cfg.h - cfg.beta**2 / 2 for p in pts[1:])
+        # prob carries the survival factor of a gap past N, P(gap > 0) here
+        totals[mask] += prob / cfg.law.survival(0) * math.exp(log_z)
+    with np.errstate(divide="ignore"):
+        return np.log(totals)
 
 
 def green_direct(law: RenewalLaw, N: int) -> np.ndarray:

@@ -256,19 +256,26 @@ def test_dp_consistency_detects_a_perturbed_green_table(monkeypatch):
 
 
 def test_dropped_target_set_fails_decomposition_and_chain(monkeypatch):
-    # negative control: the target sets lose the all-blocks set (1, ..., nb)
-    # whenever nb >= 2 (with one block it is the only set, and an empty sum
-    # would raise rather than fail). crit_07's residual jumps from roundoff to
-    # about 0.8, and crit_16's Z^gamma exceeds its termwise sum. A +0.3 shift
-    # on every log_coarse_grain_term still passes crit_16, whose checks are
-    # all inequalities; crit_07's residual is what catches that one.
-    exact = quenched.enumerate_target_sets
+    # negative control: the coarse-graining loses the all-blocks set
+    # (1, ..., nb), the last term, whenever nb >= 2 (with one block it is
+    # the only set, and an empty sum would raise rather than fail); the set
+    # list loses it too, so that crit_16's tilted arm reads one entry per
+    # set left. crit_07's residual jumps from roundoff to about 0.8, and
+    # crit_16's Z^gamma exceeds its termwise sum. A +0.3 shift on every
+    # coarse-grained term still passes crit_16, whose checks are all
+    # inequalities; crit_07's residual is what catches that one.
+    terms, sets = quenched.log_coarse_grain_term, quenched.enumerate_target_sets
 
-    def dropping(n_blocks):
+    def dropping_terms(cfg, k, **draw):
+        out = terms(cfg, k, **draw)
+        return out[:-1] if out.size > 1 else out
+
+    def dropping_sets(n_blocks):
         full = tuple(range(1, n_blocks + 1))
-        return (t for t in exact(n_blocks) if n_blocks < 2 or t != full)
+        return (t for t in sets(n_blocks) if n_blocks < 2 or t != full)
 
-    monkeypatch.setattr(quenched, "enumerate_target_sets", dropping)
+    monkeypatch.setattr(quenched, "log_coarse_grain_term", dropping_terms)
+    monkeypatch.setattr(quenched, "enumerate_target_sets", dropping_sets)
     results = acc.run_all({7, 16}, echo=None)
     for res in results:
         print(res.line())

@@ -132,6 +132,9 @@ def test_run_bad_window(tmp_path):
                    "n_max": 10_000}),
     # the DP's size guard, raised before quenched-scan draws any disorder
     ("quenched-scan", {"N": 100_001}),
+    # past the coarse-grained terms' block-count guard: exit 2, but only once
+    # a trial drew 7 blocks, after the trials before it had run
+    ("decomposition-check", {"max_blocks": 7}),
 ])
 def test_run_bad_parameter_exits_2(tmp_path, capsys, name, bad):
     cfg = write_config(tmp_path, name, seed=1, **bad)

@@ -65,7 +65,7 @@ def test_experiment_runs_and_writes(name, tmp_path):
     ("quenched-scan", {"samples": 2}), ("quenched-scan", {"beta_list": [0.8]}),
     ("quenched-scan", {"h_list": [0.3]}),
     ("renewal-green", {"N": 1, "checkpoints": [1]}), ("renewal-green", {"checkpoints": [0]}),
-    ("second-moment-scan", {"n_max_gen": 2}),
+    ("second-moment-scan", {"n_max_gen": 2}), ("decomposition-check", {"max_blocks": 6}),
 ])
 def test_run_window_edge_exits_0(tmp_path, name, edge):
     # the real body at each window's edge, or just inside an open one; gw-check's

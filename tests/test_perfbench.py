@@ -50,6 +50,27 @@ def test_tracer_bindings_resolve_and_restore(monkeypatch):
         assert counts[name] > 0, f"{name} recorded no calls"
 
 
+def test_tracer_sees_the_decomposition_check(monkeypatch):
+    # decomposition-check is the only renewal-paths job that reaches the
+    # coarse-grained terms and log_partition_profile: a rename or a bypass of
+    # either must fail here, not only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    cfg = QuenchedConfig(law=renewal.make_power_law(0.5, 16), beta=0.5, h=0.1, N=6)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        quenched.decomposition_residual(cfg, np.random.default_rng(0).standard_normal(6), 3)
+        spans, calls = tracer.take()
+    finally:
+        tracer.uninstall()
+
+    counts = tracing.call_counts(spans, calls)
+    assert counts["quenched.coarse_grain"] == 1
+    assert counts["quenched.dp"] == 1
+
+
 def test_tracer_counts_every_leaf_of_a_blocked_pool(monkeypatch):
     # the pool calls the recursion once per block of rows: the leaves of
     # all blocks must sum to samples x 2^n, under one pool call

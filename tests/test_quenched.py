@@ -30,13 +30,13 @@ def test_dp_single_site(law):
     om = np.array([0.7])
     cfg = QuenchedConfig(law=law, beta=0.8, h=0.3, N=1)
     expect = math.log(law.mass[1]) + 0.8 * 0.7 + 0.3 - 0.5 * 0.64
-    assert Q.log_partition_dp(cfg, om) == pytest.approx(expect, rel=1e-12)
+    assert Q.log_partition_profile(cfg, om)[1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_dp_reduces_to_green(law):
     table = R.green_function(law, 1500)
     cfg = QuenchedConfig(law=law, beta=0.0, h=0.0, N=1500)
-    assert Q.log_partition_dp(cfg, np.zeros(1500)) == pytest.approx(
+    assert Q.log_partition_profile(cfg, np.zeros(1500))[1500] == pytest.approx(
         math.log(table.u[1500]), abs=1e-10)
 
 
@@ -46,7 +46,7 @@ def test_dp_monotone_in_reward(seed):
     law = R.make_power_law(0.5, 256)
     rng = np.random.default_rng(seed)
     om = rng.standard_normal(40)
-    vals = [Q.log_partition_dp(QuenchedConfig(law=law, beta=0.7, h=h, N=40), om)
+    vals = [Q.log_partition_profile(QuenchedConfig(law=law, beta=0.7, h=h, N=40), om)[40]
             for h in (-0.5, 0.0, 0.5, 1.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -115,8 +115,8 @@ def test_dp_rows_of_different_spread_share_the_guard(law):
 
 def test_dp_guard(law):
     with pytest.raises(ResourceGuard):
-        Q.log_partition_dp(QuenchedConfig(law=law, beta=0.0, h=0.0, N=200_000),
-                           np.zeros(200_000))
+        Q.log_partition_profile(QuenchedConfig(law=law, beta=0.0, h=0.0, N=200_000),
+                                np.zeros(200_000))
 
 
 def test_quenched_free_energy_pure_limit():
@@ -152,13 +152,13 @@ def test_quenched_scan_equals_a_loop_over_points_and_samples():
             rng = derive_rng(5, "quenched-scan", i, j)
             acc = MeanAccumulator()
             for _ in range(6):
-                acc.add(np.array([Q.log_partition_dp(cfg, rng.standard_normal(300)) / 300]))
+                acc.add(Q.log_partition_profile(cfg, rng.standard_normal(300))[300:] / 300)
             got = rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"]
             assert got["value"] == pytest.approx(acc.mean, rel=1e-13, abs=1e-15)
             assert got["std_error"] == pytest.approx(acc.std_error, rel=1e-9)
             pure = QuenchedConfig(law=law, beta=0.0, h=h, N=300)
             assert rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] == pytest.approx(
-                Q.log_partition_dp(pure, np.zeros(300)) / 300, rel=1e-13, abs=1e-15)
+                Q.log_partition_profile(pure, np.zeros(300))[300] / 300, rel=1e-13, abs=1e-15)
 
 
 def test_quenched_free_energies_need_one_law_and_size_and_a_sample(law, law_small):
@@ -208,20 +208,44 @@ def test_decomposition_identity(law_small):
         assert Q.decomposition_residual(cfg, om, k) < 1e-10
 
 
+def _terms(cfg, om, k):
+    """The log coarse-grained terms of one draw, from its own inputs."""
+    logz, logK = Q._site_log_weights(cfg, om), Q._log_K(cfg.law)
+    rows = Q.pinned_rows(cfg, k, logz=logz, logK=logK)
+    return Q.log_coarse_grain_term(cfg, k, logz=logz, logK=logK, rows=rows)
+
+
 def test_single_target_term_is_residual(law_small):
-    # the last-block-only term equals the full value minus all other terms
+    # the last-block-only term, the first entry, equals the full value minus
+    # all other terms
     rng = np.random.default_rng(3)
     k, blocks = 4, 4
     cfg = QuenchedConfig(law=law_small, beta=0.9, h=0.1, N=k * blocks)
     om = rng.standard_normal(cfg.N)
-    full = math.exp(Q.log_partition_dp(cfg, om))
-    draw = dict(logz=Q._site_log_weights(cfg, om), logK=Q._log_K(law_small),
-                rows=Q.pinned_rows(cfg, om, k))
-    others = sum(math.exp(Q.log_coarse_grain_term(cfg, t, k, **draw))
-                 for t in Q.enumerate_target_sets(blocks) if t != (blocks,))
-    solo = math.exp(Q.log_coarse_grain_term(cfg, (blocks,), k, **draw))
-    assert solo == pytest.approx(full - others, rel=1e-9)
-    assert solo >= 0.0
+    full = math.exp(Q.log_partition_profile(cfg, om)[cfg.N])
+    terms = np.exp(_terms(cfg, om, k))
+    assert terms.shape == (2 ** (blocks - 1),)
+    assert terms[0] == pytest.approx(full - terms[1:].sum(), rel=1e-9)
+    assert terms[0] >= 0.0
+
+
+def test_coarse_grain_terms_match_path_enumeration(law_small):
+    # every term against the sum over the pinned paths whose first-return
+    # scan visits its target set, at N <= 12; the finite-support law with
+    # n_max 3 < N leaves some sets with no path (-inf)
+    rng = np.random.default_rng(16)
+    short = R.law_from_mass([0.4, 0.25, 0.15])
+    for law in (law_small, short):
+        for k, blocks in ((2, 1), (2, 6), (3, 4), (4, 3), (4, 2)):
+            for h in (-0.4, 0.3):
+                cfg = QuenchedConfig(law=law, beta=0.9, h=h, N=k * blocks)
+                om = rng.standard_normal(cfg.N)
+                got = _terms(cfg, om, k)
+                want = oracles.coarse_grain_terms_by_enumeration(cfg, om, k)
+                assert got.shape == want.shape
+                assert np.array_equal(np.isneginf(got), np.isneginf(want))
+                np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)],
+                                           rtol=0.0, atol=1e-12)
 
 
 def test_pinned_rows_equal_per_row_dp_calls(law_small):
@@ -232,10 +256,9 @@ def test_pinned_rows_equal_per_row_dp_calls(law_small):
     logK = Q._log_K(law_small)
     for k, blocks in ((2, 1), (3, 4), (5, 6), (4, 2)):
         cfg = QuenchedConfig(law=law_small, beta=1.2, h=-0.3, N=k * blocks)
-        om = rng.standard_normal(cfg.N)
-        rows = Q.pinned_rows(cfg, om, k)
+        logz = Q._site_log_weights(cfg, rng.standard_normal(cfg.N))
+        rows = Q.pinned_rows(cfg, k, logz=logz, logK=logK)
         assert rows.shape == (cfg.N + 1, k)
-        logz = Q._site_log_weights(cfg, om)
         for a in range(1, cfg.N + 1):
             end = min(a + k - 1, cfg.N)
             alone = Q._log_renewal_dp(logz[None, a : end + 1], logK, law_small.n_max)[0]
@@ -244,13 +267,11 @@ def test_pinned_rows_equal_per_row_dp_calls(law_small):
 
 def test_coarse_grain_window_validation(law_small):
     cfg = QuenchedConfig(law=law_small, beta=0.5, h=0.3, N=12)
-    om = np.zeros(12)
-    draw = dict(logz=Q._site_log_weights(cfg, om), logK=Q._log_K(law_small),
-                rows=Q.pinned_rows(cfg, om, 4))
     with pytest.raises(InvalidParameter):
-        Q.log_coarse_grain_term(cfg, (1, 2), 4, **draw)  # last target must be 3
-    with pytest.raises(InvalidParameter):
-        Q.log_coarse_grain_term(cfg, (2, 1, 3), 4, **draw)
+        _terms(cfg, np.zeros(12), 5)   # 12 sites are not whole windows of 5
+    many = QuenchedConfig(law=law_small, beta=0.5, h=0.3, N=2 * (Q.MAX_BLOCK_COUNT + 1))
+    with pytest.raises(ResourceGuard):
+        _terms(many, np.zeros(many.N), 2)
 
 
 def test_u_weight_trivial_cases(law):
