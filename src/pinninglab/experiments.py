@@ -289,16 +289,16 @@ def quenched_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 2_000, N: 
     ests = quenched.quenched_free_energies(
         [QuenchedConfig(law=law, beta=beta, h=h, N=N) for _, _, beta, h in grid],
         [derive_rng(rec.seed, "quenched-scan", i, j) for i, j, _, _ in grid], samples)
+    rates = [renewal.homogeneous_free_energy(law, h) for h in h_list]
     rows = []
     ok = True
-    for (_, _, beta, h), est in zip(grid, ests):
-        rate = renewal.homogeneous_free_energy(law, h)
+    for (_, j, beta, h), est in zip(grid, ests):
         rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"] = estimate(
             est.mean, est.std_error)
         rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] = est.annealed
         jensen = est.mean <= est.annealed + 3 * est.std_error
         ok = ok and jensen
-        rows.append((beta, h, est.mean, est.std_error, est.annealed, rate, int(jensen)))
+        rows.append((beta, h, est.mean, est.std_error, est.annealed, rates[j], int(jensen)))
     rec.flags["jensen_ok"] = ok
     return {"grid": (["beta", "h", "mean", "std_error",
                       "annealed_finite_N", "annealed_rate", "jensen_ok"], rows)}

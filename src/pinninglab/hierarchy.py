@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, ResourceGuard
+from .numerics import bracketed_root
 
 B_CRITICAL = math.sqrt(2.0)
 _FOLD_LEAVES = 1 << 17   # leaves per slice of realizations in the cascade's fold
@@ -296,28 +297,25 @@ def gamma_positive_threshold(B: float) -> float:
     return math.log(2.0) / math.log(B / (B - 1.0))
 
 
+def gap_excess(B: float, gamma: float, zeta: float) -> float:
+    """B^g - 2(B-1)^g - t^g for t = 2 - B - zeta/4 > 0: nonnegative exactly
+    when the contraction threshold^(1/g) reaches t, the moment-order gap."""
+    return fractional_threshold(B, gamma) - (2.0 - B - zeta / 4.0) ** gamma
+
+
 def gamma_for_gap(B: float, zeta: float) -> float:
-    """Moment order at which the threshold^(1/gamma) reaches 2 - B - zeta/4.
+    """Smallest moment order at which threshold^(1/gamma) reaches 2 - B - zeta/4.
 
-    The gap function increases toward 2 - B as gamma -> 1, so bisection
-    returns the boundary (smallest feasible) order.
+    threshold^(1/gamma) increases toward 2 - B as gamma -> 1, so the order is
+    the root of `gap_excess`, which is smooth and negative where the threshold
+    is not positive.  The root's bracket is narrowed to _GAMMA_TOL and its
+    upper end returned, where `gap_excess` is nonnegative.
     """
-    target = 2.0 - B - zeta / 4.0
-    if target <= 0.0:
+    if 2.0 - B - zeta / 4.0 <= 0.0:
         return gamma_positive_threshold(B)
-
-    def gap(g: float) -> float:
-        t = fractional_threshold(B, g)
-        return -math.inf if t <= 0.0 else t ** (1.0 / g)
-
-    lo = gamma_positive_threshold(B)
     hi = 1.0 - 1e-15
-    if gap(hi) < target:
-        raise InvalidParameter("zeta too large: the gap condition is unreachable")
-    while hi - lo > _GAMMA_TOL:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
+    if gap_excess(B, hi, zeta) < 0.0:
+        raise InvalidParameter("zeta too small: the gap condition is unreachable")
+    _, hi = bracketed_root(lambda g: gap_excess(B, g, zeta), gamma_positive_threshold(B),
+                           hi, atol=_GAMMA_TOL, rtol=0.0)
     return hi

@@ -208,8 +208,7 @@ def certify_delocalization(
         raise InvalidParameter("zeta must lie in (0, 1)")
     gamma = (gamma_override if gamma_override is not None
              else hierarchy.gamma_for_gap(B, zeta))
-    thr = hierarchy.fractional_threshold(B, gamma)
-    gamma_gap_ok = thr > 0.0 and thr ** (1.0 / gamma) >= 2.0 - B - zeta / 4.0
+    gamma_gap_ok = hierarchy.gap_excess(B, gamma, zeta) >= 0.0
     n_zeta = hierarchy.envelope_generation(B, zeta / 4.0)
 
     eps_bound = math.sqrt(2.0 * gamma * (1.0 - gamma) * (-math.log1p(-zeta / 4.0)))

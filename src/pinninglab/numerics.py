@@ -1,5 +1,5 @@
 """Shared numerical plumbing: seeding, Monte Carlo accumulation, small stats,
-log-sum-exp and the zeta function."""
+log-sum-exp, the zeta function and a bracketed root finder."""
 from __future__ import annotations
 
 import math
@@ -115,6 +115,46 @@ def zeta(s: float) -> float:
         tail += c * term
         term *= (s + 2 * j + 1) * (s + 2 * j + 2) / (n * n)
     return head + tail
+
+
+_ROOT_MAX_STEPS = 200   # steps after the two ends; an f spanning e^-240..e^240 took 88
+
+
+def bracketed_root(f, lo: float, hi: float, *, atol: float,
+                   rtol: float) -> tuple[float, float]:
+    """A bracket [a, b] within [lo, hi] about a root of the continuous f, of
+    width b - a <= atol + rtol max(|a|, |b|), by the Illinois variant of
+    regula falsi: the next point is where the chord through the two ends
+    crosses zero, and an end kept twice running has its f value halved, so
+    that both ends close in superlinearly; a step that rounds onto an end
+    takes the midpoint instead.  f must change sign on [lo, hi].
+    f(a) has the sign of f(lo) and f(b) that of f(hi), or f is 0 at a = b.
+    Raises InvalidParameter when f does not change sign, and
+    ArithmeticError after _ROOT_MAX_STEPS steps."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return (lo, lo) if flo == 0.0 else (hi, hi)
+    if (flo > 0.0) == (fhi > 0.0):
+        raise InvalidParameter(f"no sign change on [{lo!r}, {hi!r}]")
+    kept = 0   # +1 after an update kept hi, -1 after one kept lo
+    for _ in range(_ROOT_MAX_STEPS):
+        if hi - lo <= atol + rtol * max(abs(lo), abs(hi)):
+            return lo, hi
+        x = lo + (hi - lo) * (flo / (flo - fhi))
+        if not lo < x < hi:   # the chord's step rounded onto an end
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return x, x
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+            fhi *= 0.5 if kept == 1 else 1.0
+            kept = 1
+        else:
+            hi, fhi = x, fx
+            flo *= 0.5 if kept == -1 else 1.0
+            kept = -1
+    raise ArithmeticError(f"no bracket of the tolerated width after {_ROOT_MAX_STEPS} steps")
 
 
 def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -599,6 +599,8 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
                 om[filled:] = rng.standard_normal(N - filled)
             vals[s] = math.exp(log_terms(_site_log_weights(cfg, om))[i])
         m = float(vals.mean())
+        if m == 0.0:   # every draw gave the set a zero term: it adds 0 and no error
+            continue
         se = float(vals.std(ddof=1) / math.sqrt(omega_samples))
         factor = math.exp(0.5 * len(M))
         total3 += factor * m**gamma

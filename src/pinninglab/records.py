@@ -98,8 +98,8 @@ def _jsonable(obj):
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):   # numpy floats too, whose repr names their type
+        return repr(float(v))
     return str(v)
 
 

@@ -14,11 +14,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HorizonExceeded, InvalidParameter
-from .numerics import zeta
+from .numerics import bracketed_root, zeta
 
 RECURRENT_TOL = 1e-9
-_FREE_ENERGY_REL_TOL = 1e-10   # bisection stops once the bracket is this narrow, relatively
-_FREE_ENERGY_MAX_ITER = 200
+_FREE_ENERGY_REL_TOL = 1e-10   # width of the free energy's final bracket, relative to its ends
 _GREEN_BLOCK = 512   # sites per base block of the Green table
 _EULER_GAMMA = 0.5772156649015329
 _GUIDE = 1 << 16  # gap-lookup buckets: u * 2^16 is exact, so its floor is u's bucket
@@ -456,20 +455,13 @@ def homogeneous_free_energy(law: RenewalLaw, h: float) -> float:
     if h <= 0.0:
         return 0.0
     target = math.exp(-h)
-    lo = 0.0
     hi = max(h, 1e-12)
     while characteristic_sum(law, hi) > target:
         hi *= 2.0
         if hi > 1e6:
             raise InvalidParameter("failed to bracket the free-energy root")
-    for _ in range(_FREE_ENERGY_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if characteristic_sum(law, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _FREE_ENERGY_REL_TOL * hi:
-            break
+    lo, hi = bracketed_root(lambda rate: characteristic_sum(law, rate) - target, 0.0, hi,
+                            atol=0.0, rtol=_FREE_ENERGY_REL_TOL)
     return 0.5 * (lo + hi)
 
 

@@ -7,7 +7,11 @@ under a fault, and hand-built records exercise the judges directly.
 """
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +303,68 @@ def test_jensen_detects_a_dropped_normalization(monkeypatch, owner, attr):
     [res] = acc.run_all({9}, echo=None)
     print(res.line())
     assert not res.passed
+
+
+# The experiments whose kernels reach BLAS at sizes where a second thread
+# engages: the renewal DP's far product and in-block solve (crit_07, crit_09),
+# and _pair_sum_profiles' occ @ T (crit_14); crit_16's chain is run through
+# its judge, and its result saved whole.
+_BLAS_EXPERIMENTS = {"decomposition-check", "quenched-scan", "lemma51-scan"}
+_BLAS_SCRIPT = """
+import dataclasses, json, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from pinninglab import acceptance, experiments, quenched
+from pinninglab.records import ExperimentConfig
+
+if {dgemm!r}:
+    class _Dgemm:   # numpy, with the DP's stacked far product as one dgemm
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(slab, y):
+            return (y[:, :, 0] @ slab.T)[:, :, None]
+
+    quenched.np = _Dgemm()
+for raw in {configs!r}:
+    experiments.run(ExperimentConfig.from_dict(raw), sys.argv[1])
+chains = []
+real = quenched.fractional_sum_bound
+quenched.fractional_sum_bound = lambda *a, **k: chains.append(real(*a, **k)) or chains[-1]
+acceptance.fractional_chain()
+with open(sys.argv[1] + "/chain.json", "w") as f:
+    json.dump(dataclasses.asdict(chains[0]), f)
+"""
+
+
+def _blas_thread_gaps(tmp_path, dgemm):
+    """The artifacts that differ between fresh interpreters on 1 and 2
+    OpenBLAS threads: CSV bytes, records less the wall time, the chain."""
+    configs = [raw for crit in acc.CRITERIA for raw in crit.configs
+               if raw["experiment"] in _BLAS_EXPERIMENTS]
+    code = _BLAS_SCRIPT.format(src=str(Path(acc.__file__).resolve().parents[1]),
+                               dgemm=dgemm, configs=configs)
+    runs = {t: subprocess.Popen([sys.executable, "-c", code, str(tmp_path / t)],
+                                env={**os.environ, "OPENBLAS_NUM_THREADS": t},
+                                stderr=subprocess.PIPE, text=True) for t in ("1", "2")}
+    for proc in runs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    names = sorted(f.name for f in (tmp_path / "1").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "2").iterdir())
+    assert len(names) == 2 * len(configs) + 1
+    return [n for n in names
+            if acc._artifact(tmp_path / "1" / n) != acc._artifact(tmp_path / "2" / n)]
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    assert _blas_thread_gaps(tmp_path, dgemm=False) == []
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS runs one thread on a single core")
+def test_blas_thread_check_detects_a_dgemm_far_product(tmp_path):
+    # negative control: one matrix-matrix far product splits its sums by
+    # thread count, and quenched-scan's 396 DP rows change their last bits
+    assert "quenched-scan.grid.csv" in _blas_thread_gaps(tmp_path, dgemm=True)

@@ -362,8 +362,12 @@ def test_fractional_threshold_sign(B, gamma):
 
 
 def test_gamma_for_gap_meets_target():
-    for zeta in (0.05, 0.2, 0.5):
+    # 1 / (40 k_hat) is the certificate's paper-mode zeta
+    for zeta in (0.05, 0.2, 0.5, 1 / (40 * H.k_hat())):
         g = H.gamma_for_gap(H.B_CRITICAL, zeta)
+        # the feasible end of a bracket at most 1e-12 wide
+        assert H.gap_excess(H.B_CRITICAL, g, zeta) >= 0.0
+        assert H.gap_excess(H.B_CRITICAL, g - 2e-12, zeta) < 0.0
         t = H.fractional_threshold(H.B_CRITICAL, g) ** (1 / g)
         assert t >= 2 - H.B_CRITICAL - zeta / 4 - 1e-9
         # the boundary is tight: slightly smaller orders fail

@@ -546,6 +546,24 @@ def test_fractional_sum_bound_single_block(law_small):
     assert out.tilted_bound + 3 * out.tilted_bound_err >= out.direct.mean
 
 
+def test_fractional_sum_bound_skips_a_set_whose_terms_are_all_zero():
+    # jumps of at most 2 sites return to the first window of 3, so the set
+    # of the last block alone (the first in enumeration order) has a zero
+    # term on every draw: it adds 0 to (iii) and no delta-method error
+    law = R.law_from_mass([0.5, 0.3])
+    cfg = QuenchedConfig(law=law, beta=0.8, h=0.26, N=6)
+    logz = Q._site_log_weights(cfg, np.random.default_rng(3).standard_normal(6))
+    logK = Q._log_K(law)
+    terms = Q.log_coarse_grain_term(cfg, 3, logz=logz, logK=logK,
+                                    rows=Q.pinned_rows(cfg, 3, logz=logz, logK=logK))
+    assert terms[0] == -math.inf and np.all(np.isfinite(terms[1:]))
+    out = Q.fractional_sum_bound(0.8, 0.26, 0.75, law, omega_samples=20, N=6,
+                                 rng=np.random.default_rng(0))
+    assert out.pointwise_ok
+    assert 0.0 < out.tilted_bound < math.inf and 0.0 < out.tilted_bound_err < math.inf
+    assert math.isfinite(out.chain_margin_sigma)
+
+
 def test_window_size():
     assert Q.window_size(0.02) == 50
     assert Q.window_size(1e-3) == 1000

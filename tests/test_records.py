@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pinninglab.errors import ConfigError
@@ -33,11 +34,12 @@ def test_record_serialization(tmp_path):
 
 def test_csv_full_precision(tmp_path):
     p = tmp_path / "t.csv"
-    write_csv(p, ["a", "b"], [(1, 0.1), (2, 1e-17)], {"seed": 3})
+    write_csv(p, ["a", "b"], [(1, 0.1), (2, 1e-17), (3, np.float64(0.3))], {"seed": 3})
     lines = p.read_text().splitlines()
     assert lines[0] == "# seed=3"
     assert lines[2] == "1,0.1"
     assert lines[3] == "2,1e-17"
+    assert lines[4] == "3,0.3"
 
 
 def test_derive_rng_stable_and_keyed():

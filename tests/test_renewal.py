@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from pinninglab import renewal as R
 from pinninglab.errors import HorizonExceeded, InvalidParameter
 from pinninglab import oracles
-from pinninglab.numerics import zeta
+from pinninglab.numerics import bracketed_root, zeta
 from pinninglab.quenched import QuenchedConfig, log_partition_profile
 
 
@@ -248,6 +248,55 @@ def test_free_energy_root_solves_characteristic(half_law):
     assert R.characteristic_sum(half_law, f) == pytest.approx(math.exp(-0.3), rel=1e-9)
 
 
+def test_free_energy_on_the_annealed_scan_grid(monkeypatch):
+    # annealed-scan's renewal rows (crit_04); a bisection to the same
+    # tolerance takes 381 characteristic sums and leaves residuals of 1.4e-12
+    law = R.make_power_law(0.5, 100_000)
+    rates = []
+    real = R.characteristic_sum
+    monkeypatch.setattr(R, "characteristic_sum",
+                        lambda law, rate: rates.append(rate) or real(law, rate))
+    hs = np.logspace(-3, -1, 9)
+    fs = [R.homogeneous_free_energy(law, h) for h in hs]
+    assert len(rates) <= 130
+    for h, f in zip(hs, fs):
+        assert abs(real(law, f) - math.exp(-h)) <= 1e-12
+
+
+_SHAPES = {"line": lambda d: d, "atan": math.atan, "expm1": math.expm1,
+           "cubic": lambda d: d * (1.0 + d * d)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(root=st.floats(-4.0, 4.0, allow_subnormal=False), left=st.floats(1e-3, 4.0),
+       right=st.floats(1e-3, 4.0), scale=st.floats(0.05, 30.0),
+       shape=st.sampled_from(sorted(_SHAPES)), sign=st.sampled_from([-1.0, 1.0]),
+       relative=st.booleans())
+def test_bracketed_root_holds_a_known_root(root, left, right, scale, shape, sign, relative):
+    # sign * shape(scale (x - root)) is monotone with the sign of x - root,
+    # exactly in floating point; the relative rule needs a root away from 0
+    if relative and abs(root) < 1e-3:
+        root = 1e-3
+    atol, rtol = (0.0, 1e-10) if relative else (1e-12, 0.0)
+    lo, hi = root - left, root + right
+
+    def f(x):
+        return sign * _SHAPES[shape](scale * (x - root))
+
+    a, b = bracketed_root(f, lo, hi, atol=atol, rtol=rtol)
+    assert lo <= a <= root <= b <= hi
+    assert b - a <= atol + rtol * max(abs(a), abs(b))
+    assert f(a) * f(lo) >= 0.0 and f(b) * f(hi) >= 0.0
+
+
+def test_bracketed_root_refuses_a_bracket_without_a_sign_change_and_caps_its_steps():
+    with pytest.raises(InvalidParameter):
+        bracketed_root(lambda x: x * x + 1.0, -1.0, 2.0, atol=1e-12, rtol=0.0)
+    # x^2 - 2 is never 0 in floating point, so a zero width is never reached
+    with pytest.raises(ArithmeticError):
+        bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, atol=0.0, rtol=0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.125, 2.0])
 def test_tail_integral_matches_mpmath(alpha):
     # both branches of the closed form, the recurrence below z = 1 and the
@@ -295,8 +344,9 @@ def test_free_energy_solves_the_exact_equation_at_small_reward():
 
 def test_import_and_experiments_run_without_scipy():
     # scipy is only a test dependency: with it blocked, pinninglab imports
-    # and the experiments that run the special functions, the FFT, the DP
-    # and the Green table still run, so a lazy scipy import fails here too
+    # and the experiments that run the special functions, the FFT, the DP,
+    # the Green table and the root finder still run, so a lazy scipy import
+    # fails here too; paper-mode hier-certify solves for its moment order
     src = str(Path(R.__file__).resolve().parents[1])
     configs = [
         {"experiment": "renewal-green", "N": 2_000, "n_max": 2_000,
@@ -308,6 +358,7 @@ def test_import_and_experiments_run_without_scipy():
          "cond_horizon": 100, "n_max": 1_000},
         {"experiment": "clt-check", "L_exact": 2_000, "L_w": 10_000, "w_samples": 100,
          "n_max": 10_000},
+        {"experiment": "hier-certify", "samples": 200},
     ]
     code = f"""
 import sys
