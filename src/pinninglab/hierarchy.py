@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, ResourceGuard
-from .numerics import bracketed_root
+from .numerics import EXP_RANGE, bracketed_root
 
 B_CRITICAL = math.sqrt(2.0)
 _FOLD_LEAVES = 1 << 17   # leaves per slice of realizations in the cascade's fold
@@ -86,9 +86,11 @@ def envelope_generation(B: float, tol: float) -> int:
 
 
 def _combine_pair(s: np.ndarray | float, logB: float, logC: float):
-    """log((e^s + C)/B) without overflow; s may be hugely positive or negative."""
+    """log((e^s + C)/B) without overflow; s may be hugely positive or negative.
+    The exponent is capped at -EXP_RANGE, so nothing drops to a subnormal;
+    the cap moves no value, since e^-600 is far below an ulp of m."""
     m = np.maximum(s, logC)
-    return m + np.log1p(np.exp(-np.abs(s - logC))) - logB
+    return m + np.log1p(np.exp(-np.minimum(np.abs(s - logC), EXP_RANGE))) - logB
 
 
 def annealed_log_iterate(log_x0: float, n: int, B: float) -> float:
@@ -237,18 +239,58 @@ def hier_log_partition_batch(params: HierParams, n: int,
                              omega: np.ndarray) -> np.ndarray:
     """log of the generation-n partition value for each disorder row.
 
-    omega has shape (..., 2^n); the recursion is evaluated entirely in the
-    log domain, so doubly-exponential growth in the localized phase cannot
-    overflow.
+    omega has shape (..., 2^n).  X_n sees the disorder only through the
+    sibling sums s = omega_2k + omega_2k+1: level 1 is (e^sigma + C)/B with
+    sigma = beta s - beta^2 + 2h and C = B - 1, and each level above is
+    (X_l X_r + C)/B.  Each row folds upward in the linear domain while a
+    bound proves that nothing overflows: (1 + C)/B = 1, so a level's largest
+    log value at most doubles, log X_l <= 2^(l-1) max(max sigma, 0), and a
+    row stays linear through level l while that bound is at most EXP_RANGE.
+    sigma is clamped below at -EXP_RANGE, so no subnormal forms; the clamp
+    moves no value, since X_1 >= C/B.  The levels above a row's bound run
+    in the log domain (`_combine_pair`), so doubly-exponential growth in the
+    localized phase cannot overflow.  The bound reads each row alone, so a
+    row's value does not depend on the rows batched with it.
     """
     om = np.asarray(omega, dtype=float)
     if om.shape[-1] != 2**n:
         raise InvalidParameter(f"disorder must have 2^{n} = {2**n} entries per row")
+    beta, h = params.beta, params.h
+    if n == 0:
+        return beta * om[..., 0] - 0.5 * beta**2 + h
+    sigma = (om[..., 0::2] + om[..., 1::2]).reshape(-1, 2 ** (n - 1))
+    sigma *= beta
+    sigma += 2.0 * h - beta**2
+    np.maximum(sigma, -EXP_RANGE, out=sigma)
+    out = np.empty(sigma.shape[0])
+    if not out.size:
+        return out.reshape(om.shape[:-1])
+    top = np.maximum(sigma.max(axis=1), 0.0)
+    linear = (2.0 ** np.arange(n) * top[:, None] <= EXP_RANGE).sum(axis=1)
+    lo, hi = int(linear.min()), int(linear.max())
+    # every row is linear through level lo, and those levels are elementwise,
+    # so they run on all rows at once; each row's own bound takes it on
+    x = _linear_levels(sigma, 0, lo, params.B)
     logB, logC = math.log(params.B), math.log(params.B - 1.0)
-    L = params.beta * om - 0.5 * params.beta**2 + params.h
-    for _ in range(n):
-        L = _combine_pair(L[..., 0::2] + L[..., 1::2], logB, logC)
-    return L[..., 0]
+    for k in range(lo, hi + 1):
+        rows = slice(None) if lo == hi else linear == k
+        y = _linear_levels(x[rows], lo, k, params.B)
+        L = np.log(y) if k else _combine_pair(y, logB, logC)
+        for _ in range(n - max(k, 1)):
+            L = _combine_pair(L[:, 0::2] + L[:, 1::2], logB, logC)
+        out[rows] = L[:, 0]
+    return out.reshape(om.shape[:-1])
+
+
+def _linear_levels(x: np.ndarray, start: int, stop: int, B: float) -> np.ndarray:
+    """Rows of level-`start` values X (level 0: the exponents sigma) folded
+    up to level `stop` in the linear domain; level 1 overwrites x."""
+    C, r = B - 1.0, 1.0 / B
+    for level in range(start + 1, stop + 1):
+        x = np.exp(x, out=x) if level == 1 else x[:, 0::2] * x[:, 1::2]
+        x += C
+        x *= r
+    return x
 
 
 def y_second_moment(n: int) -> float:

@@ -40,24 +40,35 @@ def pool_free_energy(params: HierParams, n: int, samples: int,
                      rng: np.random.Generator) -> PoolEstimate:
     """Mean of 2^-n log X_n over fresh disorder arrays, with standard error.
 
-    The disorder is drawn and folded one block of about `_POOL_LEAVES`
-    leaves at a time, into one reused buffer.  Filling the rows in order
-    consumes the generator stream as one whole-chunk draw would, and the
-    recursion treats each row alike, so the estimates are those of the
-    whole draw bit for bit; each `_chunk_for` chunk is one accumulator add.
+    X_n sees the disorder only through the sibling sums omega_l + omega_r
+    (`hierarchy.hier_log_partition_batch`), and for iid standard normal
+    leaves these are iid N(0, 2).  So each row draws one standard normal z
+    per sibling pair, 2^(n-1) of them (n = 0 keeps its single leaf), and the
+    fold reads sqrt(2) z in each left leaf and 0 in each right one: the
+    estimator has exactly the law of the full-leaf draw.  The disorder is
+    drawn and folded one block of about `_POOL_LEAVES` leaves at a time,
+    into one reused buffer whose right leaves are zeroed once.  Filling the
+    rows in order consumes the generator stream as one whole-chunk draw of
+    (size, 2^(n-1)) normals would, and the fold treats each row alone, so
+    the estimates are those of the whole draw bit for bit; each
+    `_chunk_for` chunk is one accumulator add.
     """
     if n > MAX_GENERATION:
         raise ResourceGuard(f"generation {n} beyond the direct-sampling guard {MAX_GENERATION}")
     if samples < 2:
         raise InvalidParameter("need at least 2 samples")
     rows = max(1, _POOL_LEAVES >> n)
-    buf = np.empty((min(rows, samples), 2**n))
+    buf = np.zeros((min(rows, samples), 2**n))
+    left = buf[:, 0::2]
+    z = np.empty(left.shape)
+    scale = math.sqrt(2.0) if n else 1.0
     acc = MeanAccumulator()
     for size in chunk_sizes(samples, _chunk_for(n)):
         vals = np.empty(size)
         for i in range(0, size, rows):
-            block = rng.standard_normal(out=buf[: min(rows, size - i)])
-            vals[i : i + block.shape[0]] = hierarchy.hier_log_partition_batch(params, n, block)
+            m = min(rows, size - i)
+            np.multiply(rng.standard_normal(out=z[:m]), scale, out=left[:m])
+            vals[i : i + m] = hierarchy.hier_log_partition_batch(params, n, buf[:m])
         acc.add(vals / 2.0**n)
     return PoolEstimate.from_accumulator(acc, annealed=annealed_value(params, n))
 

@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import InvalidParameter
 
+EXP_RANGE = 600.0   # widest exponent range a linear-domain step may span (e^709 overflows)
+
 
 def derive_rng(seed: int, *keys) -> np.random.Generator:
     """Independent substream of the master seed, keyed by ints or strings.

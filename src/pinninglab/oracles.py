@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HorizonExceeded, InvalidParameter
-from .hierarchy import B_CRITICAL
+from .hierarchy import B_CRITICAL, HierParams
 from .numerics import logsumexp_1d
 from .quenched import QuenchedConfig
 from .renewal import GreenTable, RenewalLaw, _convolve, green_function
@@ -137,6 +137,23 @@ def y_second_moment_brute(n: int) -> float:
     w = e2[0].reshape(size, 1, 1) * e2.reshape(1, size, size)
     total = float(np.sum(w * B ** (-v.astype(np.float64))))
     return 2.0**n * total / n**2
+
+
+def hier_log_partition_log_domain(params: HierParams, n: int,
+                                  omega: np.ndarray) -> np.ndarray:
+    """log X_n with every level in the log domain, from the leaves up.
+
+    Each leaf starts at beta omega - beta^2/2 + h, and a level maps sibling
+    values to log((e^(L_l + L_r) + B - 1)/B) by `np.logaddexp`: the
+    reference for `hierarchy.hier_log_partition_batch`'s linear-domain fold
+    of the sibling sums.  Far-apart inputs underflow inside `np.logaddexp`,
+    harmlessly.
+    """
+    logB, logC = math.log(params.B), math.log(params.B - 1.0)
+    L = params.beta * np.asarray(omega, dtype=float) - 0.5 * params.beta**2 + params.h
+    for _ in range(n):
+        L = np.logaddexp(L[..., 0::2] + L[..., 1::2], logC) - logB
+    return L[..., 0]
 
 
 def enumerate_paths(law: RenewalLaw, N: int):

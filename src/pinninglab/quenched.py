@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, ResourceGuard
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
-from .numerics import MeanAccumulator, PoolEstimate, chunk_sizes, logsumexp_1d, zeta
+from .numerics import (EXP_RANGE, MeanAccumulator, PoolEstimate, chunk_sizes, logsumexp_1d,
+                       zeta)
 from .renewal import (GreenTable, RenewalLaw, RenewalPaths, _convolve, green_function,
                       sample_path)
 
@@ -29,7 +30,6 @@ MAX_CHUNG_ERDOS_L = 20_000
 MAX_W_PAIRS = 1e9     # point pairs one w_statistic call may sum
 _LONG_JUMP_D_MAX = 512   # the largest gap, in windows, long_jump_constant scans
 _BLOCK = 64           # sites per block of the renewal DP
-_EXP_RANGE = 600.0    # widest exponent range a DP block may span (e^709 overflows)
 _DP_CELLS = 1 << 20   # rows x sites per quenched_free_energies DP call: 8 MB an array
 _W_GROUP = 8          # paths per padded group of the pair kernel
 _W_ROWS = 16          # rows per lag block: each scratch is _W_GROUP * _W_ROWS * P
@@ -96,8 +96,8 @@ def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray
     nothing cancels.
 
     Guard: a block ends before the sum of |logz| - log K(1) over its sites
-    but the last exceeds _EXP_RANGE on any row.  Every x[i] then lies between
-    e^-_EXP_RANGE far[0] and e^_EXP_RANGE, so nothing overflows or drops to
+    but the last exceeds EXP_RANGE on any row.  Every x[i] then lies between
+    e^-EXP_RANGE far[0] and e^EXP_RANGE, so nothing overflows or drops to
     subnormals.  The last site's z is never formed, so a one-site block is
     the exact step L[s] = logz[s] + log sum_d K(d) e^L[s-d].
     """
@@ -121,7 +121,7 @@ def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray
     s = 1
     while s <= N:
         cost = np.cumsum(np.abs(logz[:, s : min(s + rows, N + 1) - 1]) - logK[1], axis=1)
-        b = 1 + int((cost <= _EXP_RANGE).sum(axis=1).min())
+        b = 1 + int((cost <= EXP_RANGE).sum(axis=1).min())
         e, w = s + b, min(s, band)
         off = logsumexp_1d(L[:, s - w : s])
         y = np.exp(L[:, s - w : s] - off[:, None])

@@ -128,7 +128,7 @@ def make_power_law(alpha: float, n_max: int) -> RenewalLaw:
     c = 1.0 / zeta(1.0 + alpha)
     mass = np.zeros(n_max + 1)
     mass[1:] = c * ns[1:] ** -(1.0 + alpha)
-    tail = max(1.0 - mass.sum(), 0.0)
+    tail = max(1.0 - float(mass.sum()), 0.0)
     return RenewalLaw(mass=mass, alpha=alpha, c_k=c, tail_mass=tail)
 
 
@@ -438,8 +438,10 @@ def _tail_integral(law: RenewalLaw, rate: float) -> float:
 
 
 def characteristic_sum(law: RenewalLaw, rate: float) -> float:
-    """sum_n K(n) exp(-rate n), with the analytic tail correction."""
-    head = float(np.dot(law.mass[1:], np.exp(-rate * law.sites)))
+    """sum_n K(n) exp(-rate n), with the analytic tail correction.  The head
+    is summed without BLAS: a threaded ddot over n_max sites can run 100x
+    slower in some interpreters."""
+    head = float((law.mass[1:] * np.exp(-rate * law.sites)).sum())
     return head + _tail_integral(law, rate)
 
 

@@ -158,6 +158,40 @@ def test_log_partition_no_overflow():
     assert val > 1e6  # products of enormous leaf values survive in log form
 
 
+def _guard_rows(n, beta, rng):
+    """Disorder rows whose sibling sums let the linear fold run every level
+    (leaves at -1e6, clamped, and at 0), some levels (a leaf near 400/beta
+    stops it after level 1), typical ones (normal leaves) and none (+-1e6).
+    Every sigma of the constant row is 360 + 2h, so its level-2 product
+    would be about e^718: a guard looser by a fifth overflows on it.
+    Siblings share the sign of +-1e6: opposite signs would cancel to roundoff
+    of 1e6 in the leaf-by-leaf reference."""
+    pairs = np.repeat(rng.choice([-1e6, 1e6], max(1, 2**n // 2)), 2)[: 2**n]
+    rows = [np.full(2**n, -1e6), np.zeros(2**n), rng.standard_normal(2**n),
+            3.0 * rng.standard_normal(2**n), np.full(2**n, 1e6), pairs,
+            np.full(2**n, 180.0 / beta + beta / 2.0)]
+    some = rng.standard_normal(2**n)
+    some[0] = 400.0 / beta
+    return np.array(rows + [some])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12])
+def test_log_partition_matches_the_log_domain_fold(n):
+    rng = np.random.default_rng(n)
+    for beta, h in itertools.product([0.5, 1.0, 1.5, 3.0], [-0.2, 0.0, 0.6, 2.0]):
+        params = H.HierParams(B=H.B_CRITICAL, beta=beta, h=h)
+        om = _guard_rows(n, beta, rng)
+        kept = om.copy()
+        ref = oracles.hier_log_partition_log_domain(params, n, om)
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            lx = H.hier_log_partition_batch(params, n, om)
+            alone = [H.hier_log_partition_batch(params, n, row) for row in om]
+        assert np.array_equal(om, kept)
+        assert np.all(np.abs(lx - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        # the guard reads each row alone: batched and single rows agree bit for bit
+        assert np.array_equal(lx, alone)
+
+
 def test_log_partition_mc_mean_vs_annealed():
     rng = np.random.default_rng(6)
     n = 8

@@ -32,10 +32,12 @@ def test_pool_jensen():
 
 
 def _whole_draw_pool(params, n, samples, rng):
-    """The pool as one disorder array per accumulator chunk."""
+    """The pool as one draw of (size, 2^(n-1)) sibling normals per
+    accumulator chunk: sqrt(2) z in each left leaf, 0 in each right one."""
     acc = MeanAccumulator()
     for size in chunk_sizes(samples, MC._chunk_for(n)):
-        om = rng.standard_normal((size, 2**n))
+        om = np.zeros((size, 2**n))
+        om[:, 0::2] = math.sqrt(2.0) * rng.standard_normal((size, 2 ** (n - 1)))
         acc.add(H.hier_log_partition_batch(params, n, om) / 2.0**n)
     return acc
 
@@ -55,6 +57,18 @@ def test_pool_blocks_match_the_whole_draw(monkeypatch, n, samples, rows, beta, h
     acc = _whole_draw_pool(params, n, samples, rng_whole)
     assert (est.mean, est.std_error, est.sample_count) == (acc.mean, acc.std_error, acc.count)
     assert rng.bit_generator.state == rng_whole.bit_generator.state
+
+
+@pytest.mark.parametrize("n, beta, h, samples", [
+    (6, 1.0, 0.1, 4000), (10, 1.5, 0.6, 1000), (12, 0.5, -0.2, 400)])
+def test_pool_has_the_law_of_the_full_leaf_draw(n, beta, h, samples):
+    # the fold on iid N(0, 1) leaves against the pool's N(0, 2) sibling sums
+    params = HierParams(B=B_CRITICAL, beta=beta, h=h)
+    vals = H.hier_log_partition_batch(
+        params, n, np.random.default_rng(n).standard_normal((samples, 2**n))) / 2.0**n
+    est = MC.pool_free_energy(params, n, samples, np.random.default_rng(100 + n))
+    gap = abs(vals.mean() - est.mean)
+    assert gap <= 3 * math.hypot(vals.std(ddof=1) / math.sqrt(samples), est.std_error)
 
 
 @pytest.mark.parametrize("n, samples", [(12, 300), (16, 400)])

@@ -41,6 +41,16 @@ def test_power_law_total_and_tail():
     assert np.all(np.diff(law.mass[1:]) < 0)
 
 
+def test_law_sums_return_python_floats(half_law):
+    # the stored tail mass, and every sum built on it, is the annotated float
+    assert type(half_law.tail_mass) is float
+    for rate in (0.0, 1e-6, 0.3):  # the exact tail, the series (z < 1), the fraction
+        assert type(R._tail_integral(half_law, rate)) is float
+        assert type(R.characteristic_sum(half_law, rate)) is float
+    for h in (-0.1, 0.3):
+        assert type(R.homogeneous_free_energy(half_law, h)) is float
+
+
 def test_make_power_law_windows():
     with pytest.raises(InvalidParameter):
         R.make_power_law(0.0, 100)
