@@ -18,6 +18,7 @@ import numbers
 import sys
 import time
 import typing
+from functools import partial
 from pathlib import Path
 from typing import Annotated
 
@@ -117,26 +118,22 @@ def annealed_scan(rec: RunRecord, *,
         raise InvalidParameter(f"the low-h slope fit needs 2 grid points h <= fit_h_max "
                                f"= {fit_h_max}, got {np.count_nonzero(low_mask)}")
     law = renewal.make_power_law(alpha, n_max)
+    # (model, B or alpha, key suffix, free energy at h, 1/alpha of the model)
+    models = [("hierarchical", B, f"B={B:.4g}", partial(hierarchy.annealed_free_energy, B),
+               1.0 / hierarchy.alpha_of_B(B)) for B in B_list]
+    models.append(("renewal", law.alpha, "renewal",
+                   partial(renewal.homogeneous_free_energy, law), max(1.0, 1.0 / law.alpha)))
     rows = []
-    for B in B_list:
-        F = np.array([hierarchy.annealed_free_energy(B, h) for h in hs])
+    for model, param, key, free_energy, inv_alpha in models:
+        F = np.array([free_energy(h) for h in hs])
         local = np.gradient(np.log(F), np.log(hs))
         for h, f, sl in zip(hs, F, local):
-            rows.append(("hierarchical", B, float(h), float(f), float(sl)))
-        rec.estimates[f"slope_low_B={B:.4g}"] = estimate(
+            rows.append((model, param, float(h), float(f), float(sl)))
+        rec.estimates[f"slope_low_{key}"] = estimate(
             least_squares_slope(np.log(hs[low_mask]), np.log(F[low_mask])))
-        rec.estimates[f"slope_full_B={B:.4g}"] = estimate(
+        rec.estimates[f"slope_full_{key}"] = estimate(
             least_squares_slope(np.log(hs), np.log(F)))
-        rec.baselines[f"inv_alpha_B={B:.4g}"] = 1.0 / hierarchy.alpha_of_B(B)
-    F = np.array([renewal.homogeneous_free_energy(law, h) for h in hs])
-    local = np.gradient(np.log(F), np.log(hs))
-    for h, f, sl in zip(hs, F, local):
-        rows.append(("renewal", law.alpha, float(h), float(f), float(sl)))
-    rec.estimates["slope_low_renewal"] = estimate(
-        least_squares_slope(np.log(hs[low_mask]), np.log(F[low_mask])))
-    rec.estimates["slope_full_renewal"] = estimate(
-        least_squares_slope(np.log(hs), np.log(F)))
-    rec.baselines["inv_alpha_renewal"] = max(1.0, 1.0 / law.alpha)
+        rec.baselines[f"inv_alpha_{key}"] = inv_alpha
     return {"grid": (["model", "B_or_alpha", "h", "free_energy", "local_slope"], rows)}
 
 

@@ -80,14 +80,6 @@ class TiltedMean:
     disorder_mc: PoolEstimate
     renewal_mc: PoolEstimate
 
-    @property
-    def mean(self) -> float:
-        return self.renewal_mc.mean
-
-    @property
-    def std_error(self) -> float:
-        return self.renewal_mc.std_error
-
 
 def tilted_mean(params: HierParams, n: int, epsilon: float, samples: int,
                 rng: np.random.Generator, disorder_samples: int = 0) -> TiltedMean:
@@ -248,7 +240,7 @@ def certify_delocalization(
     cond_a = cost.value >= cond_a_thr
 
     params = HierParams(B=B, beta=beta, h=h)
-    tm = tilted_mean(params, n, epsilon, samples, rng)
+    tm = tilted_mean(params, n, epsilon, samples, rng).renewal_mc
     cond_b_thr = 1.0 - zeta
     cond_b = tm.mean + 3.0 * tm.std_error <= cond_b_thr
 

@@ -191,7 +191,8 @@ def pinned_rows(cfg: QuenchedConfig, k: int, *, logz: np.ndarray,
 
     One DP call takes every start site's window of k sites as a row; the
     windows past N are padded with log weight 0, and their entries are not
-    meant to be read.  It takes `logz` and `logK` as `log_coarse_grain_term` does.
+    meant to be read.  `logz` = `_site_log_weights(cfg, omega)` and `logK`
+    = `_log_K(cfg.law)`.
     """
     padded = np.zeros(cfg.N + k)
     padded[: cfg.N + 1] = logz
@@ -199,16 +200,14 @@ def pinned_rows(cfg: QuenchedConfig, k: int, *, logz: np.ndarray,
     return _log_renewal_dp(windows, logK, cfg.law.n_max)
 
 
-def log_coarse_grain_term(cfg: QuenchedConfig, k: int, *, logz: np.ndarray,
-                          logK: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def log_coarse_grain_term(cfg: QuenchedConfig, k: int, logz: np.ndarray) -> np.ndarray:
     """log of every coarse-grained term of the partition decomposition of
     one disorder draw omega, in `enumerate_target_sets` order.
 
     A term collects every pinned path whose first-return scan visits
     exactly its target blocks: first return n_r in block i_r, last contact
     j_r in [n_r, n_r + k), no contact in the long gap to n_(r+1) >= n_r + k.
-    The draw enters through `logz` = `_site_log_weights(cfg, omega)`,
-    `logK` = `_log_K(cfg.law)` and `rows` = `pinned_rows(cfg, k, ...)`.
+    The draw enters through `logz` = `_site_log_weights(cfg, omega)`.
 
     Each block prefix (i_1, ..., i_r) holds a (k, k) array of log weights
     over its (n_r, j_r - n_r).  Block b starts the prefix (b,) and extends
@@ -222,6 +221,8 @@ def log_coarse_grain_term(cfg: QuenchedConfig, k: int, *, logz: np.ndarray,
     n_blocks = cfg.N // k
     if n_blocks > MAX_BLOCK_COUNT:
         raise ResourceGuard(f"too many blocks ({n_blocks} > {MAX_BLOCK_COUNT})")
+    logK = _log_K(cfg.law)
+    rows = pinned_rows(cfg, k, logz=logz, logK=logK)
     # log K at every gap 0..N: -inf at 0 (K(0) = 0) and past the law's horizon
     lk = np.full(cfg.N + 1, -np.inf)
     lk[: logK.size] = logK[: cfg.N + 1]
@@ -253,9 +254,7 @@ def enumerate_target_sets(n_blocks: int):
 def decomposition_residual(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> float:
     """Relative gap between the full partition value and the sum of its
     coarse-grained terms (zero up to roundoff)."""
-    logz, logK = _site_log_weights(cfg, omega), _log_K(cfg.law)
-    rows = pinned_rows(cfg, k, logz=logz, logK=logK)
-    total = logsumexp_1d(log_coarse_grain_term(cfg, k, logz=logz, logK=logK, rows=rows))
+    total = logsumexp_1d(log_coarse_grain_term(cfg, k, _site_log_weights(cfg, omega)))
     # from omega, not logz: the benchmark's `quenched.dp` layer traces
     # log_partition_profile, and in renewal-paths only this call reaches it
     ref = log_partition_profile(cfg, omega)[cfg.N]
@@ -564,18 +563,13 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     k = window_size(h)
     cfg = QuenchedConfig(law=law, beta=beta, h=h, N=N)
     logK = _log_K(law)
-
-    def log_terms(logz: np.ndarray) -> np.ndarray:
-        rows = pinned_rows(cfg, k, logz=logz, logK=logK)
-        return log_coarse_grain_term(cfg, k, logz=logz, logK=logK, rows=rows)
-
     v_direct = np.empty(omega_samples)
     v_sum = np.empty(omega_samples)
     ok = True
     for s in range(omega_samples):
         logz = _site_log_weights(cfg, rng.standard_normal(N))
         v_direct[s] = math.exp(gamma * _log_renewal_dp(logz[None], logK, law.n_max)[0, N])
-        v_sum[s] = float(np.sum(np.exp(gamma * log_terms(logz))))
+        v_sum[s] = float(np.sum(np.exp(gamma * log_coarse_grain_term(cfg, k, logz))))
         ok = ok and bool(v_direct[s] <= v_sum[s] * (1.0 + 1e-9))
 
     acc_d, acc_t = MeanAccumulator(), MeanAccumulator()
@@ -597,7 +591,7 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
             om[:filled] = sample_tilted_batch(spec, 1.0, rng, 1)[0]
             if filled < N:
                 om[filled:] = rng.standard_normal(N - filled)
-            vals[s] = math.exp(log_terms(_site_log_weights(cfg, om))[i])
+            vals[s] = math.exp(log_coarse_grain_term(cfg, k, _site_log_weights(cfg, om))[i])
         m = float(vals.mean())
         if m == 0.0:   # every draw gave the set a zero term: it adds 0 and no error
             continue

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -283,7 +283,6 @@ class RenewalPaths:
 
 _DRAW = 256          # uniforms per draw; a path consumes whole draws
 _MAX_DRAWS = 64      # draws carved per round, which bounds the working memory
-_ORIGIN = np.zeros(1, dtype=np.int64)
 
 
 def _gaps(law: RenewalLaw, u: np.ndarray, N: int) -> np.ndarray:
@@ -320,8 +319,12 @@ def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
     only as many uniforms as the unfinished paths must still consume
     (every gap within the window is at most n_max + 1, and a path that can
     end at any draw still consumes one), so nothing is drawn that the
-    sequential sampler would not draw, and the batch is carved from one
-    cumulative sum.
+    sequential sampler would not draw.  A round is one scan over whole
+    draws: each draw's row holds 0 and then its running sums of gaps, a
+    loop over the row totals gives each draw the position it starts from
+    and whether it ends its path, and adding the start to the row gives
+    the draw's points; the points within [0, N] are kept, and column 0
+    only on a path's first draw, where it is the origin.
     """
     if law.tail_mass > 0.0 and N > law.n_max:
         raise HorizonExceeded(
@@ -335,47 +338,30 @@ def sample_path(law: RenewalLaw, N: int, rng: np.random.Generator,
     # can end the path at once
     span = N + 1 if law.cdf[-1] < 1.0 else (law.n_max + 1) * _DRAW
     fresh = -(-(N + 1) // span)
-    pieces, counts = [], []
-    pos, emitted = 0, 0  # the path the next draw continues: where it stands, points out
-    while len(counts) < n:
-        m = min(-(-(N + 1 - pos) // span) + (n - len(counts) - 1) * fresh, _MAX_DRAWS)
-        # walk[i]: the distance the first i + 1 gaps of this round cover
-        walk = _gaps(law, rng.random(m * _DRAW), N).cumsum(dtype=np.int64)
-        if not emitted:
-            pieces.append(_ORIGIN)
-            emitted = 1
-        # the continued path: walk[stop] is its first gap to leave [0, N]
-        stop = int(walk.searchsorted(N - pos, side="right"))
-        pieces.append(walk[:stop] + pos)
-        emitted += stop
-        if stop == walk.size:
-            pos += int(walk[-1])
-            continue
-        counts.append(emitted)
-        pos, emitted = 0, 0
-        s = stop // _DRAW + 1  # the draw after the one holding the exit gap
-        if s == m:
-            continue
-        # fresh paths from draw s on: the path starting at draw b stands at
-        # walk[b * 256 - 1] - base[b] = 0, its exit gap is walk[stops[b]],
-        # and the next path starts at draw after[b]
-        base = np.concatenate(([0], walk[_DRAW - 1 : -1 : _DRAW]))
-        stops = walk.searchsorted(base + N, side="right")
-        after = (stops // _DRAW + 1).tolist()
-        starts = [s]
-        while after[starts[-1]] < m:
-            starts.append(after[starts[-1]])
-        first = np.array(starts)
-        lo = first * _DRAW - 1
-        lens = stops[first] - lo
-        at = np.repeat(lo - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        pieces.append(walk[at] - np.repeat(base[first], lens))
-        counts.extend(lens.tolist())
-        if after[starts[-1]] > m:  # the last path goes on into the next round
-            emitted, pos = counts.pop(), int(walk[-1] - base[starts[-1]])
+    pieces, offsets = [], [0]
+    # pos: where the path the next draw continues stands, 0 for a new path;
+    # carved: the points kept so far
+    pos, carved = 0, 0
+    while len(offsets) <= n:
+        m = min(-(-(N + 1 - pos) // span) + (n - len(offsets)) * fresh, _MAX_DRAWS)
+        walk = np.zeros((m, _DRAW + 1), dtype=np.int64)
+        np.cumsum(_gaps(law, rng.random(m * _DRAW), N).reshape(m, _DRAW), axis=1,
+                  dtype=np.int64, out=walk[:, 1:])
+        start, ends = np.empty(m, dtype=np.int64), np.empty(m, dtype=bool)
+        for i, total in enumerate(walk[:, -1].tolist()):
+            start[i], pos = pos, pos + total
+            ends[i] = pos > N
+            if ends[i]:
+                pos = 0
+        walk += start[:, None]
+        keep = walk <= N
+        keep[:, 0] = start == 0  # else column 0 repeats the last point before it
+        pieces.append(walk[keep])
+        kept = carved + keep.sum(axis=1).cumsum()
+        offsets += kept[ends].tolist()
+        carved = int(kept[-1])
     points = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.int64)
-    return RenewalPaths(offsets=np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]),
-                        points=points)
+    return RenewalPaths(offsets=np.array(offsets), points=points)
 
 
 def _tail_integral(law: RenewalLaw, rate: float) -> float:
@@ -457,13 +443,14 @@ def homogeneous_free_energy(law: RenewalLaw, h: float) -> float:
     if h <= 0.0:
         return 0.0
     target = math.exp(-h)
+    # each rate is summed once: the bracket's upper end is its last probe
+    excess = cache(lambda rate: characteristic_sum(law, rate) - target)
     hi = max(h, 1e-12)
-    while characteristic_sum(law, hi) > target:
+    while excess(hi) > 0.0:
         hi *= 2.0
         if hi > 1e6:
             raise InvalidParameter("failed to bracket the free-energy root")
-    lo, hi = bracketed_root(lambda rate: characteristic_sum(law, rate) - target, 0.0, hi,
-                            atol=0.0, rtol=_FREE_ENERGY_REL_TOL)
+    lo, hi = bracketed_root(excess, 0.0, hi, atol=0.0, rtol=_FREE_ENERGY_REL_TOL)
     return 0.5 * (lo + hi)
 
 

@@ -270,8 +270,8 @@ def test_dropped_target_set_fails_decomposition_and_chain(monkeypatch):
     # inequalities; crit_07's residual is what catches that one.
     terms, sets = quenched.log_coarse_grain_term, quenched.enumerate_target_sets
 
-    def dropping_terms(cfg, k, **draw):
-        out = terms(cfg, k, **draw)
+    def dropping_terms(cfg, k, logz):
+        out = terms(cfg, k, logz)
         return out[:-1] if out.size > 1 else out
 
     def dropping_sets(n_blocks):

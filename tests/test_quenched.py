@@ -209,10 +209,8 @@ def test_decomposition_identity(law_small):
 
 
 def _terms(cfg, om, k):
-    """The log coarse-grained terms of one draw, from its own inputs."""
-    logz, logK = Q._site_log_weights(cfg, om), Q._log_K(cfg.law)
-    rows = Q.pinned_rows(cfg, k, logz=logz, logK=logK)
-    return Q.log_coarse_grain_term(cfg, k, logz=logz, logK=logK, rows=rows)
+    """The log coarse-grained terms of one draw."""
+    return Q.log_coarse_grain_term(cfg, k, Q._site_log_weights(cfg, om))
 
 
 def test_single_target_term_is_residual(law_small):
@@ -553,9 +551,7 @@ def test_fractional_sum_bound_skips_a_set_whose_terms_are_all_zero():
     law = R.law_from_mass([0.5, 0.3])
     cfg = QuenchedConfig(law=law, beta=0.8, h=0.26, N=6)
     logz = Q._site_log_weights(cfg, np.random.default_rng(3).standard_normal(6))
-    logK = Q._log_K(law)
-    terms = Q.log_coarse_grain_term(cfg, 3, logz=logz, logK=logK,
-                                    rows=Q.pinned_rows(cfg, 3, logz=logz, logK=logK))
+    terms = Q.log_coarse_grain_term(cfg, 3, logz)
     assert terms[0] == -math.inf and np.all(np.isfinite(terms[1:]))
     out = Q.fractional_sum_bound(0.8, 0.26, 0.75, law, omega_samples=20, N=6,
                                  rng=np.random.default_rng(0))

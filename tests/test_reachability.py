@@ -3,12 +3,12 @@
 An AST scan over `src/pinninglab`. Its roots are every statement of the
 modules that run and judge experiments (`experiments`, `acceptance`,
 `cli`, `records`) and every name that `perfbench/*.py` mentions. A
-top-level `def` or `class`, or a method other than a dunder, is reached
-when a reached definition mentions its name; a reached class reaches its
-dunders and the rest of its body, but not its other methods. Names
-resolve by spelling alone, so a name that two modules define reaches
-both: the scan can miss dead code, but it flags only code that no root
-can reach.
+top-level `def`, `class` or constant, or a method other than a dunder,
+is reached when a reached definition mentions its name; a reached class
+reaches its dunders and the rest of its body, but not its other methods.
+Names resolve by spelling alone, so a name that two modules define
+reaches both: the scan can miss dead code, but it flags only code that
+no root can reach.
 
 A second scan holds each default to the program's calls, those in
 `src/pinninglab` outside `oracles` and in `perfbench`; tests do not count.
@@ -62,7 +62,7 @@ def _defined(stmt: ast.stmt) -> list[str]:
 
 def _scan() -> tuple[set[str], set[str], list[tuple[str, str, str | None]]]:
     """(top-level names defined, names reached, (module, name, class) of
-    every def, class or method the scan checks)."""
+    every def, class, constant or method the scan checks)."""
     defined: set[str] = set()
     uses: dict[str, list[set[str]]] = {}  # per name, what each definition mentions
     todo: set[str] = set()
@@ -81,10 +81,11 @@ def _scan() -> tuple[set[str], set[str], list[tuple[str, str, str | None]]]:
                     *(_mentions(c) for c in ast.iter_child_nodes(stmt) if c not in methods)))
             for m in methods:
                 uses.setdefault(m.name, []).append(_mentions(m))
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                    and module not in ROOT_MODULES | ALLOWED:
-                checked.append((module, stmt.name, None))
-                checked += [(module, m.name, stmt.name) for m in methods]
+            if module in ROOT_MODULES | ALLOWED:
+                continue
+            checked += [(module, name, None) for name in _defined(stmt)
+                        if not (name.startswith("__") and name.endswith("__"))]
+            checked += [(module, m.name, stmt.name) for m in methods]
     for path in sorted((REPO / "perfbench").glob("*.py")):
         todo |= _mentions(ast.parse(path.read_text()))
 
@@ -98,8 +99,9 @@ def _scan() -> tuple[set[str], set[str], list[tuple[str, str, str | None]]]:
 
 
 def unreached() -> list[str]:
-    """`module.name` of every top-level def or class no root reaches, and
-    `module.Class.method` of every such method of a reached class."""
+    """`module.name` of every top-level def, class or constant no root
+    reaches, and `module.Class.method` of every such method of a reached
+    class."""
     _, reached, checked = _scan()
     return [f"{m}.{c + '.' if c else ''}{n}" for m, n, c in checked
             if n not in reached and n not in ALLOWED and (c is None or c in reached)]

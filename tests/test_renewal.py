@@ -161,6 +161,20 @@ _DRAW_LAWS = {
 }
 
 
+def _assert_batch_equals_sequential_draws(law, N, size, seed):
+    """`size` batched paths, then one more, equal sequential draws from the
+    same seed, and leave the generator where they do."""
+    r_batch, r_seq = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = R.sample_path(law, N, r_batch, size=size)
+    assert len(batch) == size and batch.offsets.size == size + 1
+    for a, b in zip(batch.offsets[:-1], batch.offsets[1:]):
+        assert np.array_equal(batch.points[a:b], oracles.sample_path_sequential(law, N, r_seq))
+    assert r_batch.random() == r_seq.random()
+    one = R.sample_path(law, N, r_batch, size=1)
+    assert np.array_equal(one.points, oracles.sample_path_sequential(law, N, r_seq))
+    assert r_batch.random() == r_seq.random()
+
+
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(_DRAW_LAWS)), N=st.integers(1, 2000),
        size=st.sampled_from([0, 1, 2, 300]), seed=st.integers(0, 2**32 - 1))
@@ -178,15 +192,18 @@ def test_batched_draws_equal_sequential_draws(name, N, size, seed):
     law = _DRAW_LAWS[name]
     if law.tail_mass > 0.0:
         N = min(N, law.n_max)
-    r_batch, r_seq = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = R.sample_path(law, N, r_batch, size=size)
-    assert len(batch) == size and batch.offsets.size == size + 1
-    for a, b in zip(batch.offsets[:-1], batch.offsets[1:]):
-        assert np.array_equal(batch.points[a:b], oracles.sample_path_sequential(law, N, r_seq))
-    assert r_batch.random() == r_seq.random()
-    one = R.sample_path(law, N, r_batch, size=1)
-    assert np.array_equal(one.points, oracles.sample_path_sequential(law, N, r_seq))
-    assert r_batch.random() == r_seq.random()
+    _assert_batch_equals_sequential_draws(law, N, size, seed)
+
+
+@pytest.mark.parametrize("max_draws", [1, 2, 3])
+def test_batched_draws_equal_sequential_draws_in_short_rounds(monkeypatch, max_draws):
+    # rounds of 1 to 3 draws: paths cross round boundaries in every way; at
+    # 2 and 3 draws, a two-point case has rounds whose last draw carries a
+    # path into the next round after another path ended in them
+    monkeypatch.setattr(R, "_MAX_DRAWS", max_draws)
+    for name, N, size, seed in [("two-point", 500, 40, 11), ("two-point", 1000, 20, 12),
+                                ("power", 2000, 300, 13), ("sub-probability", 50, 300, 14)]:
+        _assert_batch_equals_sequential_draws(_DRAW_LAWS[name], N, size, seed)
 
 
 def test_batched_draws_cover_exits_and_draw_boundaries():
@@ -260,15 +277,20 @@ def test_free_energy_root_solves_characteristic(half_law):
 
 def test_free_energy_on_the_annealed_scan_grid(monkeypatch):
     # annealed-scan's renewal rows (crit_04); a bisection to the same
-    # tolerance takes 381 characteristic sums and leaves residuals of 1.4e-12
+    # tolerance takes 381 characteristic sums and leaves residuals of 1.4e-12.
+    # No solve sums one rate twice.
     law = R.make_power_law(0.5, 100_000)
-    rates = []
+    solves = []
     real = R.characteristic_sum
     monkeypatch.setattr(R, "characteristic_sum",
-                        lambda law, rate: rates.append(rate) or real(law, rate))
+                        lambda law, rate: solves[-1].append(rate) or real(law, rate))
     hs = np.logspace(-3, -1, 9)
-    fs = [R.homogeneous_free_energy(law, h) for h in hs]
-    assert len(rates) <= 130
+    fs = []
+    for h in hs:
+        solves.append([])
+        fs.append(R.homogeneous_free_energy(law, h))
+    assert sum(map(len, solves)) <= 130
+    assert all(len(set(rates)) == len(rates) for rates in solves)
     for h, f in zip(hs, fs):
         assert abs(real(law, f) - math.exp(-h)) <= 1e-12
 
