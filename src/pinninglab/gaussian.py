@@ -120,12 +120,14 @@ class BlockCoupling(_Coupling):
 
     def synthesize(self, std: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
         """size rows: iid normals, then each block of M redrawn with deviation
-        std along the in-block eigenvectors."""
-        out = rng.standard_normal((size, self.dim))
-        for b in self.blocks:
-            coeff = rng.standard_normal((size, self.k)) * std
-            out[:, (b - 1) * self.k : b * self.k] = coeff @ self.vectors.T
-        return out
+        std along the in-block eigenvectors.  Each row reads its dim + k |M|
+        normals in turn, and the stacked product treats it alone, so a batch
+        equals its rows drawn one call at a time, bit for bit."""
+        draw = rng.standard_normal((size, self.dim + self.k * len(self.blocks)))
+        out = draw[:, : self.dim].reshape(size, -1, self.k)
+        coeff = draw[:, self.dim :].reshape(size, -1, self.k) * std
+        out[:, [b - 1 for b in self.blocks]] = coeff @ self.vectors.T
+        return out.reshape(size, self.dim)
 
     def holder(self, epsilon: float, gamma: float) -> HolderCost:
         """The per-block determinant ratio raised to |M|/2, with the crude

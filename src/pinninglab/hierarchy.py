@@ -21,7 +21,7 @@ from .numerics import EXP_RANGE, bracketed_root
 
 B_CRITICAL = math.sqrt(2.0)
 _FOLD_LEAVES = 1 << 17   # leaves per slice of realizations in the cascade's fold
-_DRAW_NODES = 1 << 16    # uniforms per block of one generation's draw (512 KB)
+_DRAW_NODES = 1 << 16    # uniforms per draw block (512 KB): a multiple of 8, see _kept_bits
 _INT32_MAX = np.iinfo(np.int32).max
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], np.uint8)  # set bits per byte
 _ANNEALED_REL_TOL = 1e-12   # the growth rate stops once a generation moves it less
@@ -147,20 +147,15 @@ def pair_overlap_sum(n: int, B: float) -> float:
     return float(val)
 
 
-def _kept_bits(rng: np.random.Generator, m: int, p: float, buf: np.ndarray,
-               stage: np.ndarray) -> np.ndarray:
+def _kept_bits(rng: np.random.Generator, m: int, p: float, buf: np.ndarray) -> np.ndarray:
     """The flags u_i < p of m uniforms, packed 8 to a byte in `np.packbits`
     order, with one zero byte past the end.  The uniforms are drawn into buf,
     one block at a time in order, so they are the stream of rng.random(m);
-    the flags of 8 blocks are staged as bools and packed together, so each
-    pack starts on a byte whatever the block size."""
+    buf.size is a multiple of 8, so each block's flags pack from a byte."""
     out = np.zeros(-(-m // 8) + 1, np.uint8)
-    for s in range(0, m, stage.size):
-        e = min(stage.size, m - s)
-        for t in range(0, e, buf.size):
-            u = rng.random(out=buf[: min(buf.size, e - t)])
-            np.less(u, p, out=stage[t : t + u.size])
-        out[s // 8 : s // 8 + -(-e // 8)] = np.packbits(stage[:e])
+    for t in range(0, m, buf.size):
+        u = rng.random(out=buf[: min(buf.size, m - t)])
+        out[t // 8 : t // 8 + -(-u.size // 8)] = np.packbits(u < p)
     return out
 
 
@@ -202,10 +197,10 @@ def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
         return m
 
     p = 1.0 / B
-    buf, stage = np.empty(_DRAW_NODES), np.empty(8 * _DRAW_NODES, bool)
+    buf = np.empty(_DRAW_NODES)
     bits, at = [], [np.arange(guard(size) + 1, dtype=np.int32)]
     for _ in range(n):
-        bits.append(_kept_bits(rng, int(at[-1][-1]), p, buf, stage))
+        bits.append(_kept_bits(rng, int(at[-1][-1]), p, buf))
         kept = _bits_before(bits[-1], at[-1])
         guard(2 * int(kept[-1]))
         at.append(2 * kept)

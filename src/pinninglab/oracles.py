@@ -156,6 +156,16 @@ def hier_log_partition_log_domain(params: HierParams, n: int,
     return L[..., 0]
 
 
+def gap_survival(law: RenewalLaw, m: int) -> float:
+    """P(gap > m), tail mass included; exact beyond n_max only for
+    finite-support laws."""
+    if m > law.n_max:
+        if law.tail_mass > 0.0:
+            raise HorizonExceeded("gap survival beyond the stored tail")
+        return law.grand_total - float(law.cdf[-1])
+    return float(law.grand_total - law.cdf[m])
+
+
 def enumerate_paths(law: RenewalLaw, N: int):
     """Every renewal path on [0, N] (by gap tuples) with its probability.
 
@@ -163,7 +173,7 @@ def enumerate_paths(law: RenewalLaw, N: int):
     including the event that the next gap jumps past the horizon.
     """
     def rec(pos: int, prob: float, pts: tuple):
-        yield pts, prob * law.survival(N - pos)
+        yield pts, prob * gap_survival(law, N - pos)
         for gap in range(1, min(law.n_max, N - pos) + 1):
             yield from rec(pos + gap, prob * float(law.mass[gap]), pts + (pos + gap,))
 
@@ -200,7 +210,7 @@ def coarse_grain_terms_by_enumeration(cfg: QuenchedConfig, omega: np.ndarray,
             n = next(p for p in pts if p >= n + k)
         log_z = sum(cfg.beta * omega[p - 1] + cfg.h - cfg.beta**2 / 2 for p in pts[1:])
         # prob carries the survival factor of a gap past N, P(gap > 0) here
-        totals[mask] += prob / cfg.law.survival(0) * math.exp(log_z)
+        totals[mask] += prob / gap_survival(cfg.law, 0) * math.exp(log_z)
     with np.errstate(divide="ignore"):
         return np.log(totals)
 

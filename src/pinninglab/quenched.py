@@ -306,19 +306,19 @@ class UWeightTable:
     """
 
     k: int
-    u: np.ndarray          # Green values u(0..k-1)
+    green: GreenTable      # u(0..max(k - 1, 2)), which also gives c9
     s_mean: np.ndarray     # indexed by the half-window m = 0..(k-1)//2
     s_err: np.ndarray
 
     @property
     def u_over_c8(self) -> np.ndarray:
         j = np.arange(self.k)
-        return self.u[: self.k] * self.s_mean[j // 2]
+        return self.green.u[: self.k] * self.s_mean[j // 2]
 
     @property
     def u_err_over_c8(self) -> np.ndarray:
         j = np.arange(self.k)
-        return self.u[: self.k] * self.s_err[j // 2]
+        return self.green.u[: self.k] * self.s_err[j // 2]
 
 
 def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
@@ -331,14 +331,15 @@ def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
     `samples` paths come from one batched `sample_path` call on the
     half-window [0, (k - 1) // 2]; every profile on it is computed at once
     by `_pair_sum_profiles`, so each path serves every m.  The window k = 2
-    has an empty half-window: it draws nothing, and s = 1.
+    has an empty half-window: it draws nothing, and s = 1.  The Green table
+    runs to max(k - 1, 2), which is also the horizon of Lemma 5.1's c9.
     """
     if k < 2:
         raise InvalidParameter("window must be at least 2")
     if samples < 1:
         raise InvalidParameter(f"need at least one sample, got {samples}")
     m_max = (k - 1) // 2
-    table = green_function(law, max(k - 1, 1))
+    table = green_function(law, max(k - 1, 2))
     hscale = (1.0 - gamma) / math.sqrt(_BLOCK_DENOM * k * math.log(k))
     tot = np.zeros(m_max + 1)
     totsq = np.zeros(m_max + 1)
@@ -352,7 +353,7 @@ def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
             totsq += (vals * vals).sum(axis=0)
     mean = tot / samples
     var = np.maximum(totsq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
-    return UWeightTable(k=k, u=table.u, s_mean=mean, s_err=np.sqrt(var / samples))
+    return UWeightTable(k=k, green=table, s_mean=mean, s_err=np.sqrt(var / samples))
 
 
 def green_bound_constant(table: GreenTable) -> float:
@@ -415,7 +416,8 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
     tab = u_weight_table(beta, k, gamma, law, samples, rng)
     uw = tab.u_over_c8 * c8
     uw_err = tab.u_err_over_c8 * c8
-    surv = np.array([law.survival(k - 1 - jj) for jj in range(k)])
+    # P(gap > k - 1 - j) for j < k; a finite-support law's cdf is flat past n_max
+    surv = law.grand_total - law.cdf[np.minimum(np.arange(k - 1, -1, -1), law.n_max)]
     lhs2 = float(np.dot(uw, surv))
     eta1 = float(uw.sum()) / math.sqrt(k)
     eta_min = max(eta1, lhs2)
@@ -423,8 +425,7 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
     err2 = float(np.sqrt(np.sum((uw_err * surv) ** 2)))
     eta_err = max(err1, err2)
 
-    table = green_function(law, max(k - 1, 2))
-    c9 = green_bound_constant(table)
+    c9 = green_bound_constant(tab.green)
     c2 = long_jump_constant(law, k)
     zsum = zeta(1.5 * gamma)
     hhat = reduced_reward(eta_min, gamma, c2, zsum)
@@ -555,23 +556,17 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
 
     (i) direct Monte Carlo of the gamma-moment of Z; (ii) the termwise
     sum over coarse-grained pieces; (iii) the tilted-measure bound with
-    the crude per-set cost e^(|M|/2).  (i) and (ii) share `omega_samples`
-    iid draws, and (iii) takes as many tilted draws per target set.
-    (i) <= (ii) holds pointwise by subadditivity; (ii) <= (iii) within
-    Monte Carlo error.
+    the crude per-set cost e^(|M|/2).  (i) and (ii) share one draw of
+    `omega_samples` iid rows and one DP call; (iii) draws as many rows per
+    target set in one tilted batch, which spans all N sites, since every
+    set ends at the last block.  (i) <= (ii) holds pointwise by
+    subadditivity; (ii) <= (iii) within Monte Carlo error.
     """
     k = window_size(h)
     cfg = QuenchedConfig(law=law, beta=beta, h=h, N=N)
-    logK = _log_K(law)
-    v_direct = np.empty(omega_samples)
-    v_sum = np.empty(omega_samples)
-    ok = True
-    for s in range(omega_samples):
-        logz = _site_log_weights(cfg, rng.standard_normal(N))
-        v_direct[s] = math.exp(gamma * _log_renewal_dp(logz[None], logK, law.n_max)[0, N])
-        v_sum[s] = float(np.sum(np.exp(gamma * log_coarse_grain_term(cfg, k, logz))))
-        ok = ok and bool(v_direct[s] <= v_sum[s] * (1.0 + 1e-9))
-
+    logz = _site_log_weights(cfg, rng.standard_normal((omega_samples, N)))
+    v_direct = np.exp(gamma * _log_renewal_dp(logz, _log_K(law), law.n_max)[:, N])
+    v_sum = np.array([np.exp(gamma * log_coarse_grain_term(cfg, k, z)).sum() for z in logz])
     acc_d, acc_t = MeanAccumulator(), MeanAccumulator()
     acc_d.add(v_direct)
     acc_t.add(v_sum)
@@ -584,14 +579,8 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
         spec = factorize(build_block_coupling(k, gamma, M))
         cost = holder_cost(spec, 1.0, gamma)
         hratio = max(hratio, cost.value / cost.bound)
-        vals = np.empty(omega_samples)
-        filled = spec.dim
-        for s in range(omega_samples):
-            om = np.empty(N)
-            om[:filled] = sample_tilted_batch(spec, 1.0, rng, 1)[0]
-            if filled < N:
-                om[filled:] = rng.standard_normal(N - filled)
-            vals[s] = math.exp(log_coarse_grain_term(cfg, k, _site_log_weights(cfg, om))[i])
+        rows = _site_log_weights(cfg, sample_tilted_batch(spec, 1.0, rng, omega_samples))
+        vals = np.exp([log_coarse_grain_term(cfg, k, z)[i] for z in rows])
         m = float(vals.mean())
         if m == 0.0:   # every draw gave the set a zero term: it adds 0 and no error
             continue
@@ -605,7 +594,8 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     sigma = math.sqrt(est_t.std_error**2 + var3)
     return FractionalSumBound(
         direct=est_d, termwise=est_t, tilted_bound=total3,
-        tilted_bound_err=math.sqrt(var3), pointwise_ok=ok,
+        tilted_bound_err=math.sqrt(var3),
+        pointwise_ok=bool(np.all(v_direct <= v_sum * (1.0 + 1e-9))),
         chain_margin_sigma=(total3 - est_t.mean) / sigma if sigma > 0 else math.inf,
         holder_max_ratio=hratio,
     )

@@ -165,6 +165,9 @@ def test_block_profile_basics():
     assert np.all(np.diag(h) == 0.0)
     assert h[0, 1] == pytest.approx((1 - 0.75) / math.sqrt(9 * 6 * math.log(6)))
     assert np.all(h == h.T)
+    # the paper's (1 - gamma)/sqrt(9 k log(k) |i - j|) at |i - j| = 2
+    assert G.block_profile(3, 0.6)[0, 2] == pytest.approx(
+        0.4 / math.sqrt(9 * 3 * math.log(3) * 2), rel=1e-14)
     with pytest.raises(InvalidParameter):
         G.block_profile(1, 0.75)
 
@@ -184,6 +187,19 @@ def test_block_spec_sampling_and_cost():
     cost = G.holder_cost(spec, 1.0, 0.75)
     assert cost.bound == pytest.approx(math.exp(0.5 * 3))
     assert cost.value <= cost.bound
+
+
+@pytest.mark.parametrize("k, M, S", [(3, (1, 3), 5), (4, (2,), 1), (5, (1, 4, 6), 40),
+                                     (2, (2, 3, 7), 17)])
+def test_block_batch_equals_single_row_calls(k, M, S):
+    # a batch of S tilted rows is S one-row calls, bit for bit, and leaves
+    # the generator where they leave it
+    spec = G.factorize(G.build_block_coupling(k, 0.75, M))
+    rng_b, rng_s = np.random.default_rng(31), np.random.default_rng(31)
+    batch = G.sample_tilted_batch(spec, 1.0, rng_b, S)
+    rows = [G.sample_tilted_batch(spec, 1.0, rng_s, 1) for _ in range(S)]
+    assert np.array_equal(batch, np.concatenate(rows))
+    assert rng_b.bit_generator.state == rng_s.bit_generator.state
 
 
 def test_block_density_ratio_normalizes():

@@ -255,12 +255,12 @@ def test_gw_overlap_samples_edge_sizes(monkeypatch):
 @pytest.mark.parametrize("n, B, size", [(5, H.B_CRITICAL, 0), (1, H.B_CRITICAL, 60),
                                         (7, 1.2, 40), (4, 1.9, 300)])
 def test_gw_overlap_samples_sliced_fold(monkeypatch, n, B, size):
-    # slices of a few leaves and uniforms drawn 5 at a time: every call
+    # slices of a few leaves and uniforms drawn 8 at a time: every call
     # crosses many slice and block edges, and must give the one-slice,
     # one-draw doubles and the oracle's Y
     whole = H.gw_overlap_samples(n, B, np.random.default_rng(17), size)
     monkeypatch.setattr(H, "_FOLD_LEAVES", 4)
-    monkeypatch.setattr(H, "_DRAW_NODES", 5)
+    monkeypatch.setattr(H, "_DRAW_NODES", 8)
     y, counts = H.gw_overlap_samples(n, B, np.random.default_rng(17), size)
     assert np.array_equal(y, whole[0]) and np.array_equal(counts, whole[1])
     sid, leaf = oracles.gw_cascade_leaves(n, B, np.random.default_rng(17), size)
@@ -273,13 +273,13 @@ def test_gw_overlap_samples_sliced_fold(monkeypatch, n, B, size):
         assert np.any(counts[1:-2] + counts[2:-1] == 0)
 
 
-@pytest.mark.parametrize("n, B, size, draw_nodes", [(6, 1.2, 3, 3), (9, 1.9, 120, 11),
-                                                     (8, H.B_CRITICAL, 21, 19),
+@pytest.mark.parametrize("n, B, size, draw_nodes", [(6, 1.2, 3, 8), (9, 1.9, 120, 16),
+                                                     (8, H.B_CRITICAL, 21, 24),
                                                      (5, 1.2, 37, 1 << 16)])
 def test_gw_overlap_samples_packing_edges(monkeypatch, n, B, size, draw_nodes):
     # realization boundaries and generation ends that fall mid-byte, and
-    # uniforms drawn 8k + 3 at a time, so draw blocks end mid-byte and
-    # only each pack of 8 staged blocks fills whole bytes
+    # uniforms drawn a few bytes' worth at a time, so a generation spans
+    # several draw blocks, each packed from a byte boundary
     monkeypatch.setattr(H, "_DRAW_NODES", draw_nodes)
     rng_o, rng_f = np.random.default_rng(23), np.random.default_rng(23)
     sid, leaf = oracles.gw_cascade_leaves(n, B, rng_o, size)
@@ -295,8 +295,8 @@ def test_gw_overlap_samples_packing_edges(monkeypatch, n, B, size, draw_nodes):
     starts = np.concatenate([np.cumsum(cnt)[:-1] for cnt in gens])
     assert np.any(starts % 8 != 0)
     assert any(cnt.sum() % 8 != 0 for cnt in gens)
-    if draw_nodes < 1 << 16:   # some generation spans several packs
-        assert max(cnt.sum() for cnt in gens) > 8 * draw_nodes
+    if draw_nodes < 1 << 16:   # some generation spans several blocks
+        assert max(cnt.sum() for cnt in gens) > 2 * draw_nodes
 
 
 def test_gw_overlap_samples_peak_memory():

@@ -7,7 +7,7 @@ import pytest
 from pinninglab import gaussian as G
 from pinninglab import hierarchy as H
 from pinninglab import hiermc as MC
-from pinninglab.errors import ResourceGuard
+from pinninglab.errors import InvalidParameter, ResourceGuard
 from pinninglab.hierarchy import B_CRITICAL, HierParams
 from pinninglab.numerics import MeanAccumulator, chunk_sizes
 
@@ -90,6 +90,14 @@ def test_pool_resource_guard():
                             np.random.default_rng(0))
 
 
+def test_pool_runs_at_two_samples_and_refuses_one():
+    params = HierParams(B=B_CRITICAL, beta=1.0, h=0.1)
+    est = MC.pool_free_energy(params, 4, 2, np.random.default_rng(6))
+    assert est.sample_count == 2 and math.isfinite(est.std_error)
+    with pytest.raises(InvalidParameter, match="at least 2 samples"):
+        MC.pool_free_energy(params, 4, 1, np.random.default_rng(6))
+
+
 def test_tilted_mean_trivial_point():
     params = HierParams(B=B_CRITICAL, beta=1.0, h=0.0)
     tm = MC.tilted_mean(params, 6, 0.0, 30_000, np.random.default_rng(5),
@@ -166,6 +174,28 @@ def test_certificate_tuned_pass_and_consistency():
                                           h=cert.h_certified / 2),
                                cert.n, 200, np.random.default_rng(9))
     assert pool.mean <= 4 * pool.std_error
+
+
+def test_certificate_paper_constants():
+    # the tilt is min(sqrt(2 g (1 - g) (-log(1 - zeta/4))), 0.999 (1 - g),
+    # 0.999 / lambda_max) at the certificate's own zeta and g: 0.999 (1 - g)
+    # binds in paper mode, the square root at the tuned zeta and g, whose
+    # condition (a) threshold is 1 - 0.08/4
+    paper = MC.certify_delocalization(1.0, None, None, None, None, samples=2,
+                                      rng=np.random.default_rng(5))
+    tuned = MC.certify_delocalization(1.0, zeta_override=0.08, n_override=8,
+                                      gamma_override=0.5, epsilon_override=None, samples=2,
+                                      rng=np.random.default_rng(5))
+    for cert in (paper, tuned):
+        g, z = cert.gamma, cert.zeta
+        lam = G.build_hier_coupling(cert.n).lam_max
+        eps = min(math.sqrt(2 * g * (1 - g) * -math.log(1 - z / 4)), 0.999 * (1 - g),
+                  0.999 / lam)
+        assert cert.epsilon == pytest.approx(eps, rel=1e-12)
+        assert cert.condition_a_threshold == pytest.approx(1 - z / 4, rel=1e-15)
+    assert paper.epsilon == pytest.approx(0.999 * (1 - paper.gamma), rel=1e-12)
+    assert tuned.epsilon == pytest.approx(math.sqrt(0.5 * -math.log(0.98)), rel=1e-12)
+    assert tuned.condition_a_threshold == 0.98
 
 
 def test_certification_draws_no_tilted_disorder(monkeypatch):

@@ -336,6 +336,15 @@ def test_lemma51_report(law):
     assert rep.c2_hat >= 2**1.5
 
 
+def test_lemma51_window_wider_than_a_finite_support():
+    # gaps of 1 or 2 only: P(gap > m) is 0 for m >= 2, so with k = 5 the
+    # long-gap sum reads U(3) P(gap > 1) + U(4) P(gap > 0)
+    law = R.law_from_mass([0.5, 0.5])
+    rep = Q.lemma51_conditions(1.0, 0.2, 0.75, law, 10, np.random.default_rng(0), c8=1.0)
+    u = Q.u_weight_table(1.0, 5, 0.75, law, 10, np.random.default_rng(0)).u_over_c8
+    assert rep.lhs2 == pytest.approx(0.5 * u[3] + u[4], rel=1e-15)
+
+
 def test_lemma51_requires_positive_reward():
     law = R.make_power_law(0.5, 128)
     with pytest.raises(InvalidParameter):

@@ -329,19 +329,22 @@ def test_bracketed_root_refuses_a_bracket_without_a_sign_change_and_caps_its_ste
         bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, atol=0.0, rtol=0.0)
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.125, 2.0])
+@pytest.mark.parametrize("alpha", [0.3, 0.499, 0.5, 0.501, 0.999, 1.0, 1.001, 1.125,
+                                   1.999, 2.0, 2.001])
 def test_tail_integral_matches_mpmath(alpha):
-    # both branches of the closed form, the recurrence below z = 1 and the
-    # continued fraction above, against 30-digit alpha z^alpha Gamma(-alpha, z)
+    # both branches of the closed form, the series and recurrence below
+    # z = 1 and the continued fraction above, against 40-digit
+    # alpha z^alpha Gamma(-alpha, z), on both sides of each integer alpha
     law = R.make_power_law(alpha, 1000)
     x0 = law.n_max + 0.5
-    for z in np.logspace(-10, math.log10(50), 40):
+    for z in np.r_[np.logspace(-10, math.log10(0.999), 30), np.logspace(0, math.log10(50), 10)]:
         rate = z / x0
-        with mpmath.workdps(30):
+        with mpmath.workdps(40):
             zz = mpmath.mpf(rate) * mpmath.mpf(x0)
             ref = alpha * zz**alpha * mpmath.gammainc(-mpmath.mpf(alpha), zz)
         got = R._tail_integral(law, rate) / law.tail_mass
-        assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0), (alpha, z)
+        rel = 1e-14 if z < 1.0 else 1e-12
+        assert got == pytest.approx(float(ref), rel=rel, abs=0.0), (alpha, z)
     assert R._tail_integral(law, 0.0) == law.tail_mass
 
 
@@ -544,7 +547,7 @@ def test_conditioning_ratio_marginalized(two_point):
     num = []
     den = []
     for n in (0, 1):
-        pn = u[n] * law.survival(N - n)
+        pn = u[n] * oracles.gap_survival(law, N - n)
         pc_raw = 0.0
         for g in range(N - n + 1, 2 * N - n + 1):
             pc_raw += law.mass[g] * u[2 * N - n - g]
