@@ -22,7 +22,7 @@ import numpy as np
 from . import gaussian, hierarchy, hiermc, quenched, renewal
 from .experiments import run as run_experiment
 from .hierarchy import B_CRITICAL
-from .numerics import derive_rng
+from .numerics import MeanAccumulator, derive_rng
 from .quenched import QuenchedConfig
 from .records import ExperimentConfig, RunRecord
 
@@ -131,10 +131,9 @@ def gaussian_machinery():
 
     spec = gaussian.factorize(gaussian.build_hier_coupling(4))  # dim 16
     om = derive_rng(MASTER_SEED, "crit08").standard_normal((100_000, 16))
-    vals = np.exp(gaussian.density_ratio(om, spec, 0.3))
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    norm_ok = abs(mean - 1.0) <= 3 * se
+    acc = MeanAccumulator()
+    acc.add(np.exp(gaussian.density_ratio(om, spec, 0.3)))
+    norm_ok = abs(acc.mean - 1.0) <= 3 * acc.std_error
 
     holder_ok = True
     spec8 = gaussian.factorize(gaussian.build_hier_coupling(8))
@@ -145,7 +144,7 @@ def gaussian_machinery():
         holder_ok = holder_ok and cost.value >= cost.bound
     return worst_eig <= 1e-8 and norm_ok and holder_ok, {
         "max_eig_gap": _fmt(worst_eig),
-        "density_norm": f"{mean:.4f}+-{se:.4f}",
+        "density_norm": f"{acc.mean:.4f}+-{acc.std_error:.4f}",
         "holder_exact_ge_bound": holder_ok,
     }
 
@@ -218,7 +217,7 @@ def lemma51_pipeline(rec):
         "eta_at_smallest_h": _fmt(eta),
         "h_hat_negative": rec.flags["h_hat_negative_at_smallest_h"],
         "eta_star": _fmt(eta_star),
-        "eta_over_frontier": _fmt(eta / eta_star),
+        "eta_over_frontier": _fmt(eta / eta_star if eta_star else math.inf),
     }
 
 

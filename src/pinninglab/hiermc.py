@@ -131,19 +131,18 @@ def paley_zygmund_check(n: int, samples: int, rng: np.random.Generator) -> Paley
     the bound, but it moves the moments.
     """
     hits = 0
-    acc, acc_sq = MeanAccumulator(), MeanAccumulator()
+    acc = MeanAccumulator()   # rows Y and Y^2 of the same draws
     for size in chunk_sizes(samples, _sparse_chunk(n)):
         y, _ = hierarchy.gw_overlap_samples(n, B_CRITICAL, rng, size)
         hits += int(np.count_nonzero(y >= 0.5))
-        acc.add(y)
-        acc_sq.add(y * y)
+        acc.add(np.stack([y, y * y]))
     p = hits / samples
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
     bound = 1.0 / (4.0 * hierarchy.y_second_moment(n))
+    (y_mean, y_sq), (y_se, y_sq_se) = acc.mean.tolist(), acc.std_error.tolist()
     return PaleyZygmundReport(
         prob=p, bound=bound, passed=p >= bound - 3.0 * se,
-        y_mean=acc.mean, y_mean_stderr=acc.std_error,
-        y_sq_mean=acc_sq.mean, y_sq_stderr=acc_sq.std_error,
+        y_mean=y_mean, y_mean_stderr=y_se, y_sq_mean=y_sq, y_sq_stderr=y_sq_se,
     )
 
 

@@ -2,6 +2,7 @@
 log-sum-exp, the zeta function and a bracketed root finder."""
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -31,27 +32,36 @@ class MeanAccumulator:
 
     Each chunk's own mean and centered sum of squares are folded in with
     the Chan-Golub-LeVeque update, so a large common offset does not
-    cancel the variance away.
+    cancel the variance away.  Samples lie along a chunk's last axis: 1-d
+    chunks keep one mean, as Python floats, and (..., n) chunks one per
+    row, each with the bits of a 1-d accumulator fed that row's chunks.
     """
 
     count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0         # sum of squared deviations from the mean
+    mean: float | np.ndarray = 0.0
+    m2: float | np.ndarray = 0.0   # sum of squared deviations from the mean
 
     def add(self, values: np.ndarray) -> None:
         v = np.asarray(values, dtype=float)
-        m = float(v.mean())
-        total = self.count + v.size
+        n = v.shape[-1]
+        m = v.mean(axis=-1)
+        total = self.count + n
         delta = m - self.mean
-        self.mean += delta * v.size / total
-        self.m2 += float(np.sum((v - m) ** 2)) + delta**2 * self.count * v.size / total
+        mean = self.mean + delta * n / total
+        # float_power calls pow, as a float's ** 2 does; an array's ** 2 multiplies
+        m2 = self.m2 + (np.sum((v - m[..., None]) ** 2, axis=-1)
+                        + np.float_power(delta, 2) * self.count * n / total)
+        self.mean, self.m2 = (mean, m2) if v.ndim > 1 else (float(mean), float(m2))
         self.count = total
 
     @property
-    def std_error(self) -> float:
+    def std_error(self) -> float | np.ndarray:
+        """The standard error of each mean; inf below two samples."""
         if self.count < 2:
-            return float("inf")
-        return float(np.sqrt(self.m2 / (self.count - 1) / self.count))
+            se = np.full(np.shape(self.mean), math.inf)
+        else:
+            se = np.sqrt(self.m2 / (self.count - 1) / self.count)
+        return se if np.ndim(se) else float(se)
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,7 @@ _EULER_MACLAURIN = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                     -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000)
 
 
+@functools.cache
 def zeta(s: float) -> float:
     """The Riemann zeta function at real s > 1, by Euler-Maclaurin summation
     from n = 10: the head sum_{n < 10} n^-s, the integral and half-term at 10,

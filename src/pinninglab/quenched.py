@@ -172,16 +172,14 @@ def quenched_free_energies(cfgs: list[QuenchedConfig], rngs: list[np.random.Gene
         raise InvalidParameter("the configs must share one law and one N")
     if samples < 1:
         raise InvalidParameter(f"need at least one sample, got {samples}")
-    accs = [MeanAccumulator() for _ in cfgs]
+    P, acc = len(cfgs), MeanAccumulator()
     pure = [_site_log_weights(replace(c, beta=0.0), np.zeros((1, N))) for c in cfgs]
-    for n in chunk_sizes(samples, max(1, _DP_CELLS // (len(cfgs) * (N + 1)))):
+    for n in chunk_sizes(samples, max(1, _DP_CELLS // (P * (N + 1)))):
         rows = [_site_log_weights(c, rng.standard_normal((n, N))) for c, rng in zip(cfgs, rngs)]
         end = _log_renewal_dp(np.concatenate(rows + pure), _log_K(law), law.n_max)[:, N] / N
-        for p, acc in enumerate(accs):
-            acc.add(end[p * n : (p + 1) * n])
-        annealed = end[len(cfgs) * n :]
-    return [PoolEstimate.from_accumulator(acc, annealed=float(a))
-            for acc, a in zip(accs, annealed)]
+        acc.add(end[: P * n].reshape(P, n))
+    return [PoolEstimate(float(m), float(se), acc.count, annealed=float(a))
+            for m, se, a in zip(acc.mean, acc.std_error, end[P * n :])]
 
 
 def pinned_rows(cfg: QuenchedConfig, k: int, *, logz: np.ndarray,
@@ -341,19 +339,12 @@ def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
     m_max = (k - 1) // 2
     table = green_function(law, max(k - 1, 2))
     hscale = (1.0 - gamma) / math.sqrt(_BLOCK_DENOM * k * math.log(k))
-    tot = np.zeros(m_max + 1)
-    totsq = np.zeros(m_max + 1)
-    if m_max == 0:
-        tot += samples
-        totsq += samples
-    else:
-        for prof in _pair_sum_profiles(sample_path(law, m_max, rng, size=samples), m_max):
-            vals = np.exp(-(beta**2) * hscale * prof)
-            tot += vals.sum(axis=0)
-            totsq += (vals * vals).sum(axis=0)
-    mean = tot / samples
-    var = np.maximum(totsq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
-    return UWeightTable(k=k, green=table, s_mean=mean, s_err=np.sqrt(var / samples))
+    profiles = (_pair_sum_profiles(sample_path(law, m_max, rng, size=samples), m_max)
+                if m_max else [np.zeros((samples, 1))])
+    acc = MeanAccumulator()
+    for prof in profiles:
+        acc.add(np.exp(-(beta**2) * hscale * prof.T))
+    return UWeightTable(k=k, green=table, s_mean=acc.mean, s_err=acc.std_error)
 
 
 def green_bound_constant(table: GreenTable) -> float:
@@ -567,9 +558,9 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     logz = _site_log_weights(cfg, rng.standard_normal((omega_samples, N)))
     v_direct = np.exp(gamma * _log_renewal_dp(logz, _log_K(law), law.n_max)[:, N])
     v_sum = np.array([np.exp(gamma * log_coarse_grain_term(cfg, k, z)).sum() for z in logz])
-    acc_d, acc_t = MeanAccumulator(), MeanAccumulator()
-    acc_d.add(v_direct)
-    acc_t.add(v_sum)
+    acc = MeanAccumulator()
+    acc.add(np.stack([v_direct, v_sum]))
+    est_d, est_t = map(PoolEstimate, acc.mean.tolist(), acc.std_error.tolist(), [acc.count] * 2)
 
     total3 = 0.0
     var3 = 0.0
@@ -580,17 +571,15 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
         cost = holder_cost(spec, 1.0, gamma)
         hratio = max(hratio, cost.value / cost.bound)
         rows = _site_log_weights(cfg, sample_tilted_batch(spec, 1.0, rng, omega_samples))
-        vals = np.exp([log_coarse_grain_term(cfg, k, z)[i] for z in rows])
-        m = float(vals.mean())
+        tilted = MeanAccumulator()
+        tilted.add(np.exp([log_coarse_grain_term(cfg, k, z)[i] for z in rows]))
+        m = tilted.mean
         if m == 0.0:   # every draw gave the set a zero term: it adds 0 and no error
             continue
-        se = float(vals.std(ddof=1) / math.sqrt(omega_samples))
         factor = math.exp(0.5 * len(M))
         total3 += factor * m**gamma
-        var3 += (factor * gamma * m ** (gamma - 1.0) * se) ** 2
+        var3 += (factor * gamma * m ** (gamma - 1.0) * tilted.std_error) ** 2
 
-    est_d = PoolEstimate.from_accumulator(acc_d)
-    est_t = PoolEstimate.from_accumulator(acc_t)
     sigma = math.sqrt(est_t.std_error**2 + var3)
     return FractionalSumBound(
         direct=est_d, termwise=est_t, tilted_bound=total3,

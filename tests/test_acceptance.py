@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from pinninglab import acceptance as acc, experiments, hierarchy, oracles, quenched
+from pinninglab import acceptance as acc, experiments, gaussian, hierarchy, oracles, quenched
 from pinninglab.experiments import EXPERIMENTS
 from pinninglab.records import ExperimentConfig, RunRecord, estimate
 
@@ -175,6 +175,75 @@ def test_w_limit_law_judge_fails_doctored_records():
     assert judge(_clt_record())[0]
     assert not judge(_clt_record(0.0849, 2 * 0.3415))[0]
     assert not judge(_clt_record(0.1, 0.3415))[0]
+
+
+def _green_record(ratio: float) -> RunRecord:
+    rec = _record(_row(5).configs[0])
+    rec.estimates["asymptotic_ratio_at_N"] = estimate(ratio)
+    return rec
+
+
+def test_green_asymptotics_judge_fails_doctored_records():
+    # negative control on doctored records: u(N) off its asymptote by 6 %
+    # either way must fail crit_05
+    judge = _row(5).judge
+    assert judge(_green_record(0.999992))[0]
+    assert not judge(_green_record(0.94))[0]
+    assert not judge(_green_record(1.06))[0]
+
+
+def _lemma51_record(eta_decreasing: bool = True, eta_star: float = 0.0053006) -> RunRecord:
+    """A hand-built lemma51-scan record at crit_14's measured values."""
+    rec = _record(_row(14).configs[0])
+    rec.estimates["eta_at_smallest_h"] = estimate(3.75088)
+    rec.estimates["eta_star"] = estimate(eta_star)
+    rec.flags["eta_decreasing"] = eta_decreasing
+    rec.flags["h_hat_negative_at_smallest_h"] = False
+    return rec
+
+
+def test_lemma51_pipeline_judge_fails_doctored_records():
+    # negative control on doctored records: an eta that stops decreasing
+    # in h, or a frontier eta* at 0 or nan, must fail crit_14
+    judge = _row(14).judge
+    assert judge(_lemma51_record())[0]
+    assert not judge(_lemma51_record(eta_decreasing=False))[0]
+    assert not judge(_lemma51_record(eta_star=0.0))[0]
+    assert not judge(_lemma51_record(eta_star=float("nan")))[0]
+
+
+@pytest.mark.parametrize("attr, fault", [
+    ("build_hier_coupling",
+     lambda exact: lambda *a: dataclasses.replace(exact(*a), eigs=exact(*a).eigs + 1e-6)),
+    ("density_ratio",
+     lambda exact: lambda om, spec, eps: exact(om, spec, eps) + gaussian.coupling_logdet(spec, eps)),
+    ("holder_cost",
+     lambda exact: lambda spec, eps, gamma: dataclasses.replace(
+         exact(spec, eps, gamma), value=exact(spec, eps, gamma).bound * (1.0 - 1e-9))),
+], ids=["eigenvalues-shifted-1e-6", "logdet-sign-flipped", "holder-below-bound"])
+def test_gaussian_machinery_detects_a_broken_kernel(monkeypatch, attr, fault):
+    # negative control: each fault breaks one of crit_08's three gates, the
+    # spectrum against the dense matrix, the density's normalization at
+    # 3 SE (the flipped -1/2 log det moves the mean by about 5 %), and
+    # the Hoelder value against its bound
+    monkeypatch.setattr(gaussian, attr, fault(getattr(gaussian, attr)))
+    [res] = acc.run_all({8}, echo=None)
+    print(res.line())
+    assert not res.passed
+
+
+@pytest.mark.parametrize("fault", [{"chain_margin_sigma": -3.01},
+                                   {"holder_max_ratio": 1.0 + 1e-8}],
+                         ids=["margin-below-3-sigma", "holder-ratio-above-1"])
+def test_fractional_chain_fails_a_doctored_margin_or_holder_ratio(monkeypatch, fault):
+    # negative control: crit_16's chain margin and Hoelder ratio gates, which
+    # a dropped target set does not reach, each fail a result just past them
+    real = quenched.fractional_sum_bound
+    monkeypatch.setattr(quenched, "fractional_sum_bound",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), **fault))
+    [res] = acc.run_all({16}, echo=None)
+    print(res.line())
+    assert not res.passed
 
 
 def test_gw_identities_detect_an_off_by_one_node_count(monkeypatch):

@@ -93,6 +93,20 @@ def test_dp_kernel_guards_extreme_site_weights(law):
             _assert_dp_matches_oracle(logz, logK, lw.n_max)
 
 
+def test_dp_guard_counts_a_tiny_first_mass():
+    # K(1) = 1e-30 makes each site's guard cost |log z| - log K(1) = 40 + 69,
+    # so a block spans at most 6 sites; a guard that added log K(1) would see
+    # -29 a site, run 64-site blocks and overflow.  Underflow is not raised:
+    # the window's exp underflows on correct code, harmlessly.
+    law = R.law_from_mass([1e-30] + [0.9 / 50] * 50)
+    cfg = QuenchedConfig(law=law, beta=0.0, h=40.0, N=200)
+    with np.errstate(over="raise", invalid="raise"):
+        fast = Q.log_partition_profile(cfg, np.zeros(cfg.N))
+        slow = oracles.log_renewal_dp_direct(Q._site_log_weights(cfg, np.zeros(cfg.N)),
+                                             Q._log_K(law), law.n_max)
+    assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
+
+
 def test_dp_rows_of_different_spread_share_the_guard(law):
     # one batch mixes rows whose blocks alone would end at different sites:
     # +30 per site (overflow unguarded), about -35 per site, the defaults'
@@ -289,6 +303,20 @@ def test_u_weight_sample_edges(law):
     tab = Q.u_weight_table(1.0, 2, 0.75, law, 50, rng)
     assert tab.s_mean.tolist() == [1.0] and tab.s_err.tolist() == [0.0]
     assert rng.random() == ref.random()
+
+
+def test_u_weight_errors_equal_the_two_pass_standard_error():
+    # lemma51-scan's law and sample count at k = 1 000 (m up to 499): the
+    # same draws' two-pass SE, which the raw-moment form missed by 4e-9
+    law, beta, k, gamma, samples = R.make_power_law(0.5, 4_096), 1.0, 1_000, 0.75, 4_000
+    tab = Q.u_weight_table(beta, k, gamma, law, samples, np.random.default_rng(401))
+    paths = R.sample_path(law, 499, np.random.default_rng(401), size=samples)
+    prof = np.vstack(list(Q._pair_sum_profiles(paths, 499)))
+    hscale = (1.0 - gamma) / math.sqrt(Q._BLOCK_DENOM * k * math.log(k))
+    vals = np.exp(-(beta**2) * hscale * prof)
+    assert np.allclose(tab.s_mean, vals.mean(axis=0), rtol=1e-13, atol=0.0)
+    assert np.allclose(tab.s_err, vals.std(axis=0, ddof=1) / math.sqrt(samples),
+                       rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("m_max", [4, 49, 499])

@@ -79,6 +79,26 @@ def test_mean_accumulator_large_offset():
     assert acc.mean == pytest.approx(float(x.mean()), abs=1e-6)
 
 
+def test_mean_accumulator_rows_equal_one_accumulator_per_row():
+    # an (R, n) chunk folds each row as a 1-d accumulator fed that row's
+    # chunks would, bit for bit, across unequal chunks at a large offset
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((7, 1000)) * rng.uniform(0.1, 10.0, (7, 1)) + 1e4
+    rows, singles = MeanAccumulator(), [MeanAccumulator() for _ in x]
+    for lo, hi in ((0, 1), (1, 8), (8, 300), (300, 1000)):
+        rows.add(x[:, lo:hi])
+        for acc, row in zip(singles, x):
+            acc.add(row[lo:hi])
+    assert rows.count == 1000
+    for name in ("mean", "m2", "std_error"):
+        values = [getattr(acc, name) for acc in singles]
+        assert all(type(v) is float for v in values)
+        assert np.array_equal(getattr(rows, name), values)
+    one = MeanAccumulator()
+    one.add(x[:, :1])
+    assert one.std_error.tolist() == [float("inf")] * 7
+
+
 def test_ks_distance_uniform():
     import numpy as np
 
