@@ -20,9 +20,10 @@ from typing import Callable
 import numpy as np
 
 from . import gaussian, hierarchy, hiermc, quenched, renewal
+from .errors import ConfigError
 from .experiments import run as run_experiment
 from .hierarchy import B_CRITICAL
-from .numerics import MeanAccumulator, derive_rng
+from .numerics import PoolEstimate, derive_rng
 from .quenched import QuenchedConfig
 from .records import ExperimentConfig, RunRecord
 
@@ -131,9 +132,8 @@ def gaussian_machinery():
 
     spec = gaussian.factorize(gaussian.build_hier_coupling(4))  # dim 16
     om = derive_rng(MASTER_SEED, "crit08").standard_normal((100_000, 16))
-    acc = MeanAccumulator()
-    acc.add(np.exp(gaussian.density_ratio(om, spec, 0.3)))
-    norm_ok = abs(acc.mean - 1.0) <= 3 * acc.std_error
+    norm = PoolEstimate.from_samples(np.exp(gaussian.density_ratio(om, spec, 0.3)))
+    norm_ok = abs(norm.mean - 1.0) <= 3 * norm.std_error
 
     holder_ok = True
     spec8 = gaussian.factorize(gaussian.build_hier_coupling(8))
@@ -144,7 +144,7 @@ def gaussian_machinery():
         holder_ok = holder_ok and cost.value >= cost.bound
     return worst_eig <= 1e-8 and norm_ok and holder_ok, {
         "max_eig_gap": _fmt(worst_eig),
-        "density_norm": f"{acc.mean:.4f}+-{acc.std_error:.4f}",
+        "density_norm": f"{norm.mean:.4f}+-{norm.std_error:.4f}",
         "holder_exact_ge_bound": holder_ok,
     }
 
@@ -307,6 +307,9 @@ CRITERIA = [
 
 def run_all(numbers=None, echo=print) -> list[CriterionResult]:
     """Judge the selected criteria, running each distinct config once."""
+    unknown = sorted(set(numbers or ()) - {crit.number for crit in CRITERIA})
+    if unknown:
+        raise ConfigError(f"unknown criteria {unknown}; known: 1..{len(CRITERIA)}")
     records: dict[str, RunRecord] = {}
     results = []
     for crit in CRITERIA:

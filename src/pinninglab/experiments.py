@@ -27,7 +27,7 @@ import numpy as np
 from . import hierarchy, hiermc, oracles, quenched, renewal
 from .errors import ConfigError, InvalidParameter
 from .hierarchy import B_CRITICAL, HierParams
-from .numerics import MeanAccumulator, derive_rng, ks_distance, least_squares_slope
+from .numerics import PoolEstimate, derive_rng, ks_distance, least_squares_slope
 from .quenched import QuenchedConfig
 from .records import ExperimentConfig, RunRecord, csv_meta, estimate, write_csv
 
@@ -382,9 +382,8 @@ def clt_check(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 20_000,
     c = quenched.w_limit_scale(law_w)
     dist = ks_distance(w, lambda x: _erf(np.maximum(x, 0.0) / (c * math.sqrt(2))))
     rec.estimates["ks_distance"] = estimate(dist)
-    acc = MeanAccumulator()
-    acc.add(w)
-    rec.estimates["w_mean"] = estimate(acc.mean, acc.std_error)
+    w_mean = PoolEstimate.from_samples(w)
+    rec.estimates["w_mean"] = estimate(w_mean.mean, w_mean.std_error)
     rec.baselines["w_mean_limit"] = c * math.sqrt(2.0 / math.pi)
     rec.flags["ks_below_0.1"] = dist < 0.1
     rows = [(L_exact, mean_hi / math.log(L_exact), target,

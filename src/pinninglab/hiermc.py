@@ -14,20 +14,21 @@ import numpy as np
 from . import gaussian, hierarchy
 from .errors import InvalidParameter, ResourceGuard
 from .hierarchy import B_CRITICAL, HierParams
-from .numerics import MeanAccumulator, PoolEstimate, chunk_sizes
+from .numerics import PoolEstimate
 
 MAX_GENERATION = 20
 _POOL_LEAVES = 1 << 16   # leaves per block of rows in the pool's draw and fold (512 KB)
 
 
 def _chunk_for(n: int) -> int:
-    # rows per accumulator chunk: fixes how the pool's estimates are summed,
-    # and sizes the tilted arm's disorder batches (up to 2^22 leaves, 32 MB)
+    # rows per disorder batch of the tilted mean (up to 2^22 leaves, 32 MB);
+    # it bounds memory only: each arm's estimate is one add over all its rows
     return max(8, min(4096, (1 << 22) // max(1, 2**n)))
 
 
 def _sparse_chunk(n: int) -> int:
-    # alive-node count scales like 2^(n/2) per realization at critical B
+    # realizations per cascade batch: the alive-node count scales like
+    # 2^(n/2) per realization at critical B
     return max(256, min(65536, (1 << 22) // max(1, 2 ** (n // 2))))
 
 
@@ -48,10 +49,10 @@ def pool_free_energy(params: HierParams, n: int, samples: int,
     estimator has exactly the law of the full-leaf draw.  The disorder is
     drawn and folded one block of about `_POOL_LEAVES` leaves at a time,
     into one reused buffer whose right leaves are zeroed once.  Filling the
-    rows in order consumes the generator stream as one whole-chunk draw of
-    (size, 2^(n-1)) normals would, and the fold treats each row alone, so
-    the estimates are those of the whole draw bit for bit; each
-    `_chunk_for` chunk is one accumulator add.
+    rows in order consumes the generator stream as one whole draw of
+    (samples, 2^(n-1)) normals would, and the fold treats each row alone,
+    so every row's value is that of the whole draw bit for bit; the
+    estimate is one accumulator add over all of them.
     """
     if n > MAX_GENERATION:
         raise ResourceGuard(f"generation {n} beyond the direct-sampling guard {MAX_GENERATION}")
@@ -62,15 +63,12 @@ def pool_free_energy(params: HierParams, n: int, samples: int,
     left = buf[:, 0::2]
     z = np.empty(left.shape)
     scale = math.sqrt(2.0) if n else 1.0
-    acc = MeanAccumulator()
-    for size in chunk_sizes(samples, _chunk_for(n)):
-        vals = np.empty(size)
-        for i in range(0, size, rows):
-            m = min(rows, size - i)
-            np.multiply(rng.standard_normal(out=z[:m]), scale, out=left[:m])
-            vals[i : i + m] = hierarchy.hier_log_partition_batch(params, n, buf[:m])
-        acc.add(vals / 2.0**n)
-    return PoolEstimate.from_accumulator(acc, annealed=annealed_value(params, n))
+    vals = np.empty(samples)
+    for i in range(0, samples, rows):
+        m = min(rows, samples - i)
+        np.multiply(rng.standard_normal(out=z[:m]), scale, out=left[:m])
+        vals[i : i + m] = hierarchy.hier_log_partition_batch(params, n, buf[:m])
+    return PoolEstimate.from_samples(vals / 2.0**n, annealed=annealed_value(params, n))
 
 
 @dataclass(frozen=True)
@@ -95,20 +93,20 @@ def tilted_mean(params: HierParams, n: int, epsilon: float, samples: int,
     overlap_root = math.sqrt(hierarchy.pair_overlap_sum(n, params.B))
     coeff = 0.5 * params.beta**2 * epsilon * n / overlap_root
 
-    acc_d = MeanAccumulator()
+    est_d = PoolEstimate(math.nan, math.nan, 0)
     if disorder_samples > 0:
         spec = gaussian.factorize(gaussian.build_hier_coupling(n, params.B))
-        for size in chunk_sizes(disorder_samples, _chunk_for(n)):
-            om = gaussian.sample_tilted_batch(spec, epsilon, rng, size)
-            acc_d.add(np.exp(hierarchy.hier_log_partition_batch(params, n, om)))
+        step = _chunk_for(n)
+        oms = (gaussian.sample_tilted_batch(spec, epsilon, rng, min(step, disorder_samples - i))
+               for i in range(0, disorder_samples, step))
+        est_d = PoolEstimate.from_samples(np.concatenate(
+            [np.exp(hierarchy.hier_log_partition_batch(params, n, om)) for om in oms]))
 
-    acc_r = MeanAccumulator()
-    for size in chunk_sizes(samples, _sparse_chunk(n)):
-        y, count = hierarchy.gw_overlap_samples(n, params.B, rng, size)
-        acc_r.add(np.exp(-coeff * y + params.h * count))
-    est_d = (PoolEstimate.from_accumulator(acc_d) if acc_d.count
-             else PoolEstimate(math.nan, math.nan, 0))
-    est_r = PoolEstimate.from_accumulator(acc_r)
+    step = _sparse_chunk(n)
+    draws = (hierarchy.gw_overlap_samples(n, params.B, rng, min(step, samples - i))
+             for i in range(0, samples, step))
+    est_r = PoolEstimate.from_samples(np.concatenate(
+        [np.exp(-coeff * y + params.h * count) for y, count in draws]))
     return TiltedMean(disorder_mc=est_d, renewal_mc=est_r)
 
 
@@ -130,19 +128,17 @@ def paley_zygmund_check(n: int, samples: int, rng: np.random.Generator) -> Paley
     `hierarchy.y_second_moment(n)` check: a wrong fold can keep P above
     the bound, but it moves the moments.
     """
-    hits = 0
-    acc = MeanAccumulator()   # rows Y and Y^2 of the same draws
-    for size in chunk_sizes(samples, _sparse_chunk(n)):
-        y, _ = hierarchy.gw_overlap_samples(n, B_CRITICAL, rng, size)
-        hits += int(np.count_nonzero(y >= 0.5))
-        acc.add(np.stack([y, y * y]))
-    p = hits / samples
+    step = _sparse_chunk(n)
+    y = np.concatenate([hierarchy.gw_overlap_samples(n, B_CRITICAL, rng,
+                                                     min(step, samples - i))[0]
+                        for i in range(0, samples, step)])
+    ey, ey2 = PoolEstimate.from_samples(y), PoolEstimate.from_samples(y * y)
+    p = int(np.count_nonzero(y >= 0.5)) / samples
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / samples)
     bound = 1.0 / (4.0 * hierarchy.y_second_moment(n))
-    (y_mean, y_sq), (y_se, y_sq_se) = acc.mean.tolist(), acc.std_error.tolist()
     return PaleyZygmundReport(
-        prob=p, bound=bound, passed=p >= bound - 3.0 * se,
-        y_mean=y_mean, y_mean_stderr=y_se, y_sq_mean=y_sq, y_sq_stderr=y_sq_se,
+        prob=p, bound=bound, passed=p >= bound - 3.0 * se, y_mean=ey.mean,
+        y_mean_stderr=ey.std_error, y_sq_mean=ey2.mean, y_sq_stderr=ey2.std_error,
     )
 
 

@@ -78,17 +78,12 @@ class PoolEstimate:
             raise ValueError("std_error must be nonnegative")
 
     @classmethod
-    def from_accumulator(cls, acc: MeanAccumulator,
-                         annealed: float | None = None) -> "PoolEstimate":
+    def from_samples(cls, values: np.ndarray,
+                     annealed: float | None = None) -> "PoolEstimate":
+        """The estimate over a whole 1-d sample vector, by one accumulator add."""
+        acc = MeanAccumulator()
+        acc.add(values)
         return cls(acc.mean, acc.std_error, acc.count, annealed)
-
-
-def chunk_sizes(total: int, chunk: int):
-    done = 0
-    while done < total:
-        size = min(chunk, total - done)
-        yield size
-        done += size
 
 
 def logsumexp_1d(x: np.ndarray):

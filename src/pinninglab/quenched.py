@@ -19,8 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, ResourceGuard
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
-from .numerics import (EXP_RANGE, MeanAccumulator, PoolEstimate, chunk_sizes, logsumexp_1d,
-                       zeta)
+from .numerics import EXP_RANGE, MeanAccumulator, PoolEstimate, logsumexp_1d, zeta
 from .renewal import (GreenTable, RenewalLaw, RenewalPaths, _convolve, green_function,
                       sample_path)
 
@@ -161,7 +160,8 @@ def quenched_free_energies(cfgs: list[QuenchedConfig], rngs: list[np.random.Gene
 
     The configs share one law and one N; config p draws its rows from
     rngs[p], as many at a time as `_DP_CELLS` allows for all configs
-    together, which equals one `standard_normal((samples, N))` draw.  The
+    together, which equals one `standard_normal((samples, N))` draw; the
+    estimates are one accumulator add over all the (P, samples) ends.  The
     annealed baseline attached to each estimate is the exact finite-N value
     (the zero-disorder DP at the same size, one more row per config in each
     call), so the Jensen ordering holds sample by sample in expectation at
@@ -172,12 +172,16 @@ def quenched_free_energies(cfgs: list[QuenchedConfig], rngs: list[np.random.Gene
         raise InvalidParameter("the configs must share one law and one N")
     if samples < 1:
         raise InvalidParameter(f"need at least one sample, got {samples}")
-    P, acc = len(cfgs), MeanAccumulator()
+    P, ends = len(cfgs), []
     pure = [_site_log_weights(replace(c, beta=0.0), np.zeros((1, N))) for c in cfgs]
-    for n in chunk_sizes(samples, max(1, _DP_CELLS // (P * (N + 1)))):
+    step = max(1, _DP_CELLS // (P * (N + 1)))
+    for lo in range(0, samples, step):
+        n = min(step, samples - lo)
         rows = [_site_log_weights(c, rng.standard_normal((n, N))) for c, rng in zip(cfgs, rngs)]
         end = _log_renewal_dp(np.concatenate(rows + pure), _log_K(law), law.n_max)[:, N] / N
-        acc.add(end[: P * n].reshape(P, n))
+        ends.append(end[: P * n].reshape(P, n))
+    acc = MeanAccumulator()
+    acc.add(np.concatenate(ends, axis=1))
     return [PoolEstimate(float(m), float(se), acc.count, annealed=float(a))
             for m, se, a in zip(acc.mean, acc.std_error, end[P * n :])]
 
@@ -331,6 +335,9 @@ def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
     by `_pair_sum_profiles`, so each path serves every m.  The window k = 2
     has an empty half-window: it draws nothing, and s = 1.  The Green table
     runs to max(k - 1, 2), which is also the horizon of Lemma 5.1's c9.
+    This is the one Monte Carlo estimate that streams: all samples x
+    half-window values (16 MB at k 1 000) are what `_PROFILE_ROWS` bounds,
+    so each block of profiles is its own accumulator add.
     """
     if k < 2:
         raise InvalidParameter("window must be at least 2")
@@ -558,9 +565,7 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     logz = _site_log_weights(cfg, rng.standard_normal((omega_samples, N)))
     v_direct = np.exp(gamma * _log_renewal_dp(logz, _log_K(law), law.n_max)[:, N])
     v_sum = np.array([np.exp(gamma * log_coarse_grain_term(cfg, k, z)).sum() for z in logz])
-    acc = MeanAccumulator()
-    acc.add(np.stack([v_direct, v_sum]))
-    est_d, est_t = map(PoolEstimate, acc.mean.tolist(), acc.std_error.tolist(), [acc.count] * 2)
+    est_d, est_t = PoolEstimate.from_samples(v_direct), PoolEstimate.from_samples(v_sum)
 
     total3 = 0.0
     var3 = 0.0
@@ -571,8 +576,8 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
         cost = holder_cost(spec, 1.0, gamma)
         hratio = max(hratio, cost.value / cost.bound)
         rows = _site_log_weights(cfg, sample_tilted_batch(spec, 1.0, rng, omega_samples))
-        tilted = MeanAccumulator()
-        tilted.add(np.exp([log_coarse_grain_term(cfg, k, z)[i] for z in rows]))
+        tilted = PoolEstimate.from_samples(
+            np.exp([log_coarse_grain_term(cfg, k, z)[i] for z in rows]))
         m = tilted.mean
         if m == 0.0:   # every draw gave the set a zero term: it adds 0 and no error
             continue

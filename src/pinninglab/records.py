@@ -7,6 +7,7 @@ to CSV files with `#`-prefixed provenance headers, and identical
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import numbers
@@ -35,8 +36,8 @@ class ExperimentConfig:
         if "seed" not in raw:
             raise ConfigError("config must carry an explicit seed")
         seed = raw["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
         params = {k: v for k, v in raw.items() if k not in ("experiment", "seed")}
         return cls(experiment=str(raw["experiment"]), seed=int(seed), params=params)
 
@@ -104,11 +105,12 @@ def _cell(v) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows, meta: dict) -> None:
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """`# key=value` lines, then the header and rows, quoted as RFC 4180 asks."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"# {k}={v}\n" for k, v in meta.items())
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows([_cell(v) for v in row] for row in rows)
 
 
 def csv_meta(cfg: ExperimentConfig) -> dict:

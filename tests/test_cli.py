@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import functools
 import inspect
 import io
@@ -167,7 +168,7 @@ def _configs(draw):
                                   st.one_of(_SCALARS, st.just([]),
                                             st.lists(_SCALARS, max_size=3)),
                                   max_size=4))
-    seed = draw(st.one_of(st.integers(0, 2**32), _SCALARS))
+    seed = draw(st.one_of(st.integers(-2**32, 2**32), _SCALARS))
     return {"experiment": name, "seed": seed, **params}
 
 
@@ -219,6 +220,31 @@ def test_acceptance_subset_and_summary(tmp_path):
     summary = (out / "acceptance.summary.csv").read_text().splitlines()
     assert any("overlap-identity" in line for line in summary)
     assert (out / "acceptance.summary.json").exists()
+
+
+def test_acceptance_summary_csv_has_the_header_fields(tmp_path):
+    # the details JSON holds commas and quotes: each row is still 5 fields
+    assert cli.main(["acceptance", "--criteria", "2", "4", "--dir", str(tmp_path)]) == 0
+    text = (tmp_path / "acceptance.summary.csv").read_text()
+    header, *rows = csv.reader(line for line in text.splitlines() if not line.startswith("#"))
+    assert [row[0] for row in rows] == ["2", "4"]
+    for row in rows:
+        assert len(row) == len(header) == 5
+        assert isinstance(json.loads(row[header.index("details")]), dict)
+
+
+def test_acceptance_unknown_criterion_exits_2(capsys):
+    assert cli.main(["acceptance", "--criteria", "99", "3", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: unknown criteria [0, 99]; known: 1..16\n"
+    assert "criteria passed" not in captured.out
+
+
+@pytest.mark.parametrize("seed, argv", [(-1, []), (1, ["--seed", "-3"])])
+def test_run_negative_seed_exits_2(tmp_path, capsys, seed, argv):
+    cfg = write_config(tmp_path, "gw-check", seed=seed, mc_n=3, mc_samples=10)
+    assert cli.main(["run", "--config", cfg, *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed must be a nonnegative")
 
 
 def test_acceptance_summary_holds_json_booleans(monkeypatch, tmp_path):

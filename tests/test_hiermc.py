@@ -9,7 +9,7 @@ from pinninglab import hierarchy as H
 from pinninglab import hiermc as MC
 from pinninglab.errors import InvalidParameter, ResourceGuard
 from pinninglab.hierarchy import B_CRITICAL, HierParams
-from pinninglab.numerics import MeanAccumulator, chunk_sizes
+from pinninglab.numerics import MeanAccumulator
 
 
 def test_pool_zero_disorder_is_exact():
@@ -31,19 +31,26 @@ def test_pool_jensen():
     assert est.mean <= est.annealed + 3 * est.std_error
 
 
-def _whole_draw_pool(params, n, samples, rng):
-    """The pool as one draw of (size, 2^(n-1)) sibling normals per
-    accumulator chunk: sqrt(2) z in each left leaf, 0 in each right one."""
+def _one_add(values):
     acc = MeanAccumulator()
-    for size in chunk_sizes(samples, MC._chunk_for(n)):
-        om = np.zeros((size, 2**n))
-        om[:, 0::2] = math.sqrt(2.0) * rng.standard_normal((size, 2 ** (n - 1)))
-        acc.add(H.hier_log_partition_batch(params, n, om) / 2.0**n)
+    acc.add(np.concatenate(values))
     return acc
 
 
+def _sizes(total, chunk):
+    return [min(chunk, total - i) for i in range(0, total, chunk)]
+
+
+def _whole_draw_pool(params, n, samples, rng):
+    """The pool as one draw of (samples, 2^(n-1)) sibling normals and one
+    accumulator add: sqrt(2) z in each left leaf, 0 in each right one."""
+    om = np.zeros((samples, 2**n))
+    om[:, 0::2] = math.sqrt(2.0) * rng.standard_normal((samples, 2 ** (n - 1)))
+    return _one_add([H.hier_log_partition_batch(params, n, om) / 2.0**n])
+
+
 # sample counts off the block rows (300 in blocks of 16; 5, 37 and 22 in
-# blocks of 3), and 14 x 400, which spans two accumulator chunks of 256 rows
+# blocks of 3), and 14 x 400 in 100 blocks of 4 rows
 @pytest.mark.parametrize("n, samples, rows, beta, h", [
     (1, 5, None, 0.5, -0.2), (1, 5, 3, 1.5, 0.6), (6, 37, None, 1.5, 0.6),
     (6, 37, 3, 0.5, -0.2), (12, 300, None, 0.5, -0.2), (12, 300, 3, 1.5, 0.6),
@@ -98,6 +105,29 @@ def test_pool_runs_at_two_samples_and_refuses_one():
         MC.pool_free_energy(params, 4, 1, np.random.default_rng(6))
 
 
+@pytest.mark.parametrize("n, samples, disorder_samples, chunk, sparse", [
+    (4, 700, 45, 8, 256), (6, 1000, 300, 64, 300), (8, 600, 20, 20, 600)])
+def test_tilted_arms_are_one_add_over_their_chunks(monkeypatch, n, samples,
+                                                   disorder_samples, chunk, sparse):
+    # each arm draws in chunks, disorder first, and sums all of them at once
+    monkeypatch.setattr(MC, "_chunk_for", lambda n: chunk)
+    monkeypatch.setattr(MC, "_sparse_chunk", lambda n: sparse)
+    beta, eps, h = 1.0, 0.2, 0.05 * 2.0**-n
+    params = HierParams(B=B_CRITICAL, beta=beta, h=h)
+    tm = MC.tilted_mean(params, n, eps, samples, np.random.default_rng(n), disorder_samples)
+
+    rng = np.random.default_rng(n)
+    spec = G.factorize(G.build_hier_coupling(n))
+    disorder = _one_add([np.exp(H.hier_log_partition_batch(
+        params, n, G.sample_tilted_batch(spec, eps, rng, size)))
+        for size in _sizes(disorder_samples, chunk)])
+    coeff = 0.5 * beta**2 * eps * n / math.sqrt(H.pair_overlap_sum(n, B_CRITICAL))
+    draws = [H.gw_overlap_samples(n, B_CRITICAL, rng, size) for size in _sizes(samples, sparse)]
+    renewal = _one_add([np.exp(-coeff * y + h * count) for y, count in draws])
+    for est, acc in ((tm.disorder_mc, disorder), (tm.renewal_mc, renewal)):
+        assert (est.mean, est.std_error, est.sample_count) == (acc.mean, acc.std_error, acc.count)
+
+
 def test_tilted_mean_trivial_point():
     params = HierParams(B=B_CRITICAL, beta=1.0, h=0.0)
     tm = MC.tilted_mean(params, 6, 0.0, 30_000, np.random.default_rng(5),
@@ -148,6 +178,20 @@ def test_paley_zygmund():
     rep = MC.paley_zygmund_check(6, 100_000, np.random.default_rng(8))
     assert rep.passed
     assert rep.bound <= 0.25
+
+
+@pytest.mark.parametrize("n, samples", [(6, 100_000), (10, 70_000)])
+def test_paley_zygmund_is_one_add_over_its_chunks(n, samples):
+    # both counts span two cascade chunks of 65 536 realizations
+    rep = MC.paley_zygmund_check(n, samples, np.random.default_rng(n))
+    rng = np.random.default_rng(n)
+    y = np.concatenate([H.gw_overlap_samples(n, B_CRITICAL, rng, size)[0]
+                        for size in _sizes(samples, MC._sparse_chunk(n))])
+    acc = MeanAccumulator()
+    acc.add(np.stack([y, y * y]))
+    assert (rep.y_mean, rep.y_sq_mean) == tuple(acc.mean.tolist())
+    assert (rep.y_mean_stderr, rep.y_sq_stderr) == tuple(acc.std_error.tolist())
+    assert rep.prob == np.count_nonzero(y >= 0.5) / samples
 
 
 def test_certificate_paper_mode_infeasible():

@@ -188,18 +188,17 @@ def test_quenched_free_energies_need_one_law_and_size_and_a_sample(law, law_smal
 
 def test_quenched_free_energies_in_several_calls_equal_one(law, monkeypatch):
     # a cell budget of 3 rows per config per call splits 8 samples into
-    # calls of 3, 3 and 2 rows; each stream is drawn in the same order, so
-    # only the accumulation and the shared block ends move, at roundoff
+    # calls of 3, 3 and 2 rows; each stream is drawn in the same order, the
+    # DP guard that shares block ends across a call's rows does not fire at
+    # these sizes, and the estimates are one add over all the ends, so the
+    # split moves no bit
     cfgs = [QuenchedConfig(law=law, beta=b, h=h, N=200) for b, h in ((0.5, -0.3), (1.2, 0.4))]
     def run():
         return Q.quenched_free_energies(cfgs, [derive_rng(9, "q", i) for i in range(2)], 8)
     whole = run()
     monkeypatch.setattr(Q, "_DP_CELLS", 3 * 2 * 201)
     for a, b in zip(run(), whole):
-        assert a.mean == pytest.approx(b.mean, rel=1e-12)
-        assert a.std_error == pytest.approx(b.std_error, rel=1e-9)
-        assert a.annealed == pytest.approx(b.annealed, rel=1e-12)
-        assert a.sample_count == b.sample_count == 8
+        assert a == b and a.sample_count == 8
 
 
 def test_plan_block_set():
