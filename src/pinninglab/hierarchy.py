@@ -169,40 +169,53 @@ def _bits_before(bits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return whole[byte] + _POPCOUNT[bits[byte] & (0xFF00 >> (offsets & 7))]
 
 
+def _sparse_chunk(n: int) -> int:
+    # realizations per cascade chunk: each keeps ~2^(n/2) nodes at critical B
+    return max(256, min(65536, (1 << 22) // max(1, 2 ** (n // 2))))
+
+
 def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
                        size: int) -> tuple[np.ndarray, np.ndarray]:
     """(overlap statistic, alive count) over `size` realizations.
 
-    The cascade is drawn top-down keeping one bit per drawn node, set when
-    the node is kept, packed 8 to a byte (`_kept_bits`), from uniforms drawn
-    `_DRAW_NODES` at a time into one reused buffer: the children of the kept
-    nodes, in order, are the next generation.  Realization r owns the
-    contiguous node range at[g][r] : at[g][r + 1] of every generation g, an
-    int32 offset counted from the bits (`_bits_before`).  Y depends on the
-    tree's shape alone, so it is folded bottom-up over sibling pairs, one
-    slice of realizations (about `_FOLD_LEAVES` leaves) at a time, each
-    slice unpacking its own bits: a kept node at level a above the leaves
-    has leaf count c_L + c_R and adds 2 B^-(n+a-1) c_L c_R, the pairs that
-    join there.  The fold starts at level 1, where every kept node has
-    c = 2 and y = 2 B^-n.  Every term is positive, so Y agrees with
-    `oracles.y_statistic` to rounding; the draws match
-    `oracles.gw_cascade_leaves` exactly.
+    The realizations are drawn and folded `_sparse_chunk(n)` at a time, in
+    order, so memory is bounded at any size.  A chunk's cascade is drawn
+    top-down keeping one bit per drawn node, set when the node is kept,
+    packed 8 to a byte (`_kept_bits`), from uniforms drawn `_DRAW_NODES` at
+    a time into one reused buffer: the children of the kept nodes, in order,
+    are the next generation.  Realization r owns the contiguous node range
+    at[g][r] : at[g][r + 1] of every generation g, an int32 offset counted
+    from the bits (`_bits_before`).  Y depends on the tree's shape alone, so
+    it is folded bottom-up over sibling pairs, one slice of realizations
+    (about `_FOLD_LEAVES` leaves) at a time, each slice unpacking its own
+    bits: a kept node at level a above the leaves has leaf count c_L + c_R
+    and adds 2 B^-(n+a-1) c_L c_R, the pairs that join there.  The fold
+    starts at level 1, where every kept node has c = 2 and y = 2 B^-n.  Y
+    agrees with `oracles.y_statistic` to rounding; a one-chunk call draws
+    exactly as `oracles.gw_cascade_leaves` does.
     """
     if n < 1:
         raise InvalidParameter("need generation >= 1")
+    y, c = np.empty(size), np.empty(size)
+    step = _sparse_chunk(n)
+    for r in range(0, size, step):
+        _overlap_chunk(n, B, rng, y[r : r + step], c[r : r + step])
+    return y, c
 
-    def guard(m: int) -> int:
-        if m > _INT32_MAX:
-            raise ResourceGuard(f"a generation of {m} nodes overflows int32 indices")
-        return m
 
+def _overlap_chunk(n: int, B: float, rng: np.random.Generator,
+                   y: np.ndarray, c: np.ndarray) -> None:
+    """Draw y.size realizations, at most `_sparse_chunk(n)`, and write their
+    Y and alive counts into y and c."""
     p = 1.0 / B
     buf = np.empty(_DRAW_NODES)
-    bits, at = [], [np.arange(guard(size) + 1, dtype=np.int32)]
+    bits, at = [], [np.arange(y.size + 1, dtype=np.int32)]
     for _ in range(n):
         bits.append(_kept_bits(rng, int(at[-1][-1]), p, buf))
         kept = _bits_before(bits[-1], at[-1])
-        guard(2 * int(kept[-1]))
+        m = 2 * int(kept[-1])
+        if m > _INT32_MAX:
+            raise ResourceGuard(f"a generation of {m} nodes overflows int32 indices")
         at.append(2 * kept)
 
     def nodes(g: int, r0: int, r1: int) -> tuple[np.ndarray, int]:
@@ -212,9 +225,8 @@ def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
         keep = np.unpackbits(bits[g][b : (o1 + 7) >> 3]).view(bool)
         return np.flatnonzero(keep[o0 - 8 * b : o1 - 8 * b]), o1 - o0
 
-    y, c = np.empty(size), np.empty(size)
     cuts = np.unique(np.r_[0, at[n].searchsorted(np.arange(0, at[n][-1], _FOLD_LEAVES)),
-                           size])
+                           y.size])
     for r0, r1 in zip(cuts[:-1], cuts[1:]):
         k, m = nodes(n - 1, r0, r1)
         cs, ys = np.zeros(m), np.zeros(m)
@@ -227,7 +239,6 @@ def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
             cs[k] = cl + cr
             ys[k] = yl + yr + 2.0 * float(B) ** -(n + a - 1.0) * cl * cr
         c[r0:r1], y[r0:r1] = cs, ys / n
-    return y, c
 
 
 def hier_log_partition_batch(params: HierParams, n: int,

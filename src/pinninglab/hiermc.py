@@ -2,7 +2,8 @@
 
 Free-energy pools, tilted-measure means (two independent estimators),
 the concentration check on the overlap statistic, and the
-delocalization certification pipeline.
+delocalization certification pipeline.  Each cascade estimate is one
+`hierarchy.gw_overlap_samples` call, which chunks its own realizations.
 """
 from __future__ import annotations
 
@@ -24,12 +25,6 @@ def _chunk_for(n: int) -> int:
     # rows per disorder batch of the tilted mean (up to 2^22 leaves, 32 MB);
     # it bounds memory only: each arm's estimate is one add over all its rows
     return max(8, min(4096, (1 << 22) // max(1, 2**n)))
-
-
-def _sparse_chunk(n: int) -> int:
-    # realizations per cascade batch: the alive-node count scales like
-    # 2^(n/2) per realization at critical B
-    return max(256, min(65536, (1 << 22) // max(1, 2 ** (n // 2))))
 
 
 def annealed_value(params: HierParams, n: int) -> float:
@@ -102,11 +97,8 @@ def tilted_mean(params: HierParams, n: int, epsilon: float, samples: int,
         est_d = PoolEstimate.from_samples(np.concatenate(
             [np.exp(hierarchy.hier_log_partition_batch(params, n, om)) for om in oms]))
 
-    step = _sparse_chunk(n)
-    draws = (hierarchy.gw_overlap_samples(n, params.B, rng, min(step, samples - i))
-             for i in range(0, samples, step))
-    est_r = PoolEstimate.from_samples(np.concatenate(
-        [np.exp(-coeff * y + params.h * count) for y, count in draws]))
+    y, count = hierarchy.gw_overlap_samples(n, params.B, rng, samples)
+    est_r = PoolEstimate.from_samples(np.exp(-coeff * y + params.h * count))
     return TiltedMean(disorder_mc=est_d, renewal_mc=est_r)
 
 
@@ -128,10 +120,7 @@ def paley_zygmund_check(n: int, samples: int, rng: np.random.Generator) -> Paley
     `hierarchy.y_second_moment(n)` check: a wrong fold can keep P above
     the bound, but it moves the moments.
     """
-    step = _sparse_chunk(n)
-    y = np.concatenate([hierarchy.gw_overlap_samples(n, B_CRITICAL, rng,
-                                                     min(step, samples - i))[0]
-                        for i in range(0, samples, step)])
+    y, _ = hierarchy.gw_overlap_samples(n, B_CRITICAL, rng, samples)
     ey, ey2 = PoolEstimate.from_samples(y), PoolEstimate.from_samples(y * y)
     p = int(np.count_nonzero(y >= 0.5)) / samples
     se = math.sqrt(max(p * (1.0 - p), 1e-12) / samples)

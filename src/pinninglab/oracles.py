@@ -48,11 +48,13 @@ def gw_cascade_leaves(n: int, B: float, rng: np.random.Generator,
                       size: int) -> tuple[np.ndarray, np.ndarray]:
     """Alive leaves of `size` branching realizations as (sample, leaf) pairs.
 
-    The leaf-index replay of the cascade: it consumes the generator exactly
-    as `hierarchy.gw_overlap_samples` does, but tracks an explicit sample id
-    and 0-based leaf index for every alive node, so each realization's leaf
-    set can be handed to `y_statistic`.  Rows come out sorted by
-    (sample, leaf).
+    The leaf-index replay of the cascade, in a single pass: it replays a
+    `hierarchy.gw_overlap_samples` call of at most one chunk
+    (`hierarchy._sparse_chunk`) draw for draw, consuming the generator
+    exactly as that call does, but tracks an explicit sample id and 0-based
+    leaf index for every alive node, so each realization's leaf set can be
+    handed to `y_statistic`.  Rows come out sorted by (sample, leaf).  A
+    longer call draws chunk by chunk, so its draws differ from this pass.
     """
     sid = np.arange(size, dtype=np.int64)
     nid = np.zeros(size, dtype=np.int64)

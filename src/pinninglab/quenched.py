@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, ResourceGuard
+from .errors import DimensionMismatch, HorizonExceeded, InvalidParameter, ResourceGuard
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
 from .numerics import EXP_RANGE, MeanAccumulator, PoolEstimate, logsumexp_1d, zeta
@@ -46,6 +46,9 @@ class QuenchedConfig:
             raise InvalidParameter("system size must be at least 1")
         if self.N > MAX_DP_SIZE:  # checked before any disorder is drawn
             raise ResourceGuard(f"N={self.N} beyond the desk-scale guard {MAX_DP_SIZE}")
+        if self.N > self.law.n_max and self.law.tail_mass > 0.0:
+            # the banded DP would treat every gap past n_max as impossible
+            raise HorizonExceeded(f"N={self.N} exceeds the stored law horizon {self.law.n_max}")
         if self.beta < 0.0:
             raise InvalidParameter("disorder strength must be nonnegative")
 

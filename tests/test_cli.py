@@ -136,6 +136,9 @@ def test_run_bad_window(tmp_path):
     # past the coarse-grained terms' block-count guard: exit 2, but only once
     # a trial drew 7 blocks, after the trials before it had run
     ("decomposition-check", {"max_blocks": 7}),
+    # a tailed law stored short of N: the DP would drop the gaps past n_max
+    ("quenched-scan", {"n_max": 1000}),
+    ("decomposition-check", {"n_max": 2}),
 ])
 def test_run_bad_parameter_exits_2(tmp_path, capsys, name, bad):
     cfg = write_config(tmp_path, name, seed=1, **bad)

@@ -299,10 +299,31 @@ def test_gw_overlap_samples_packing_edges(monkeypatch, n, B, size, draw_nodes):
         assert max(cnt.sum() for cnt in gens) > 2 * draw_nodes
 
 
+@pytest.mark.parametrize("n, B, size, chunk", [(5, H.B_CRITICAL, 23, 4), (7, 1.2, 40, 16),
+                                                (4, 1.9, 300, 7), (6, H.B_CRITICAL, 8, 8)])
+def test_gw_overlap_samples_chunks_are_whole_calls(monkeypatch, n, B, size, chunk):
+    # a call spanning several chunks is one call per chunk, in order: the
+    # same Y, the same counts and the same generator end state
+    monkeypatch.setattr(H, "_sparse_chunk", lambda n: chunk)
+    rng_c, rng_w = np.random.default_rng(41), np.random.default_rng(41)
+    y, counts = H.gw_overlap_samples(n, B, rng_c, size)
+    monkeypatch.setattr(H, "_sparse_chunk", lambda n: size)
+    parts = [H.gw_overlap_samples(n, B, rng_w, min(chunk, size - i))
+             for i in range(0, size, chunk)]
+    assert np.array_equal(y, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(counts, np.concatenate([p[1] for p in parts]))
+    assert rng_c.random() == rng_w.random()
+    if size > chunk:   # chunks draw otherwise than one whole call
+        whole = H.gw_overlap_samples(n, B, np.random.default_rng(41), size)[1]
+        assert not np.array_equal(counts, whole)
+
+
 def test_gw_overlap_samples_peak_memory():
-    # one packed bit per drawn node and the sliced fold keep the cascades of
-    # certify-tuned (n 16) and certify-paper (n 20) small
-    for n, size in ((16, 10_000), (hiermc.MAX_GENERATION, 4000)):
+    # one packed bit per drawn node, the sliced fold and the chunked draw
+    # keep the cascades of certify-tuned (n 16) and certify-paper (n 20)
+    # small, at hier-certify's default paper-mode count of 40 000 too
+    for n, size in ((16, 10_000), (hiermc.MAX_GENERATION, 4000),
+                    (hiermc.MAX_GENERATION, 40_000)):
         tracemalloc.start()
         try:
             H.gw_overlap_samples(n, H.B_CRITICAL, np.random.default_rng(2), size)

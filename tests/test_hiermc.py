@@ -111,7 +111,7 @@ def test_tilted_arms_are_one_add_over_their_chunks(monkeypatch, n, samples,
                                                    disorder_samples, chunk, sparse):
     # each arm draws in chunks, disorder first, and sums all of them at once
     monkeypatch.setattr(MC, "_chunk_for", lambda n: chunk)
-    monkeypatch.setattr(MC, "_sparse_chunk", lambda n: sparse)
+    monkeypatch.setattr(H, "_sparse_chunk", lambda n: sparse)
     beta, eps, h = 1.0, 0.2, 0.05 * 2.0**-n
     params = HierParams(B=B_CRITICAL, beta=beta, h=h)
     tm = MC.tilted_mean(params, n, eps, samples, np.random.default_rng(n), disorder_samples)
@@ -182,11 +182,10 @@ def test_paley_zygmund():
 
 @pytest.mark.parametrize("n, samples", [(6, 100_000), (10, 70_000)])
 def test_paley_zygmund_is_one_add_over_its_chunks(n, samples):
-    # both counts span two cascade chunks of 65 536 realizations
+    # both counts span two cascade chunks of 65 536 realizations, which
+    # one cascade call draws
     rep = MC.paley_zygmund_check(n, samples, np.random.default_rng(n))
-    rng = np.random.default_rng(n)
-    y = np.concatenate([H.gw_overlap_samples(n, B_CRITICAL, rng, size)[0]
-                        for size in _sizes(samples, MC._sparse_chunk(n))])
+    y, _ = H.gw_overlap_samples(n, B_CRITICAL, np.random.default_rng(n), samples)
     acc = MeanAccumulator()
     acc.add(np.stack([y, y * y]))
     assert (rep.y_mean, rep.y_sq_mean) == tuple(acc.mean.tolist())

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pinninglab import oracles
 from pinninglab import quenched as Q
 from pinninglab import renewal as R
-from pinninglab.errors import InvalidParameter, ResourceGuard
+from pinninglab.errors import HorizonExceeded, InvalidParameter, ResourceGuard
 from pinninglab.experiments import run
 from pinninglab.numerics import MeanAccumulator, derive_rng
 from pinninglab.quenched import QuenchedConfig
@@ -64,9 +64,11 @@ def _assert_dp_matches_oracle(logz, logK, band):
 
 def test_dp_kernel_matches_log_domain_oracle(law):
     # band >= N (n_max 2 000) and band < N (n_max 40); rows shorter than,
-    # equal to and just past one 64-site block; pinned rows of 1 to 5 sites
+    # equal to and just past one 64-site block; pinned rows of 1 to 5 sites.
+    # The n_max 40 law is the power law's K(1..40) with no tail, since a
+    # tailed law refuses N past its horizon
     rng = np.random.default_rng(11)
-    for lw in (law, R.make_power_law(0.5, 40)):
+    for lw in (law, R.law_from_mass(R.make_power_law(0.5, 40).mass[1:])):
         with np.errstate(divide="ignore"):
             logK = np.log(lw.mass)
         for beta in (0.0, 0.5, 1.5):
@@ -131,6 +133,22 @@ def test_dp_guard(law):
     with pytest.raises(ResourceGuard):
         Q.log_partition_profile(QuenchedConfig(law=law, beta=0.0, h=0.0, N=200_000),
                                 np.zeros(200_000))
+
+
+def test_config_refuses_a_tailed_law_short_of_n():
+    # the banded DP would treat every gap past n_max as impossible: at
+    # beta 0, h 0.1, N 30 log Z read -2.9464 with n_max 10 against -1.8439
+    short = R.make_power_law(0.5, 10)
+    with pytest.raises(HorizonExceeded, match="N=30 exceeds the stored law horizon 10"):
+        QuenchedConfig(law=short, beta=0.0, h=0.1, N=30)
+    with pytest.raises(ResourceGuard):   # the size guard is checked first
+        QuenchedConfig(law=short, beta=0.0, h=0.1, N=200_000)
+    QuenchedConfig(law=short, beta=0.0, h=0.1, N=10)
+    QuenchedConfig(law=R.law_from_mass(short.mass[1:]), beta=0.0, h=0.1, N=30)
+    log_z = [Q.log_partition_profile(QuenchedConfig(law=R.make_power_law(0.5, m), beta=0.0,
+                                                    h=0.1, N=30), np.zeros(30))[30]
+             for m in (30, 1000)]
+    assert log_z == pytest.approx([-1.8439] * 2, abs=1e-4)
 
 
 def test_quenched_free_energy_pure_limit():
