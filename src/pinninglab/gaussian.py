@@ -13,11 +13,17 @@ Each class supplies only its orthonormal change of basis (`energies`,
 `synthesize`) and the paper's Hoelder bound for it (`holder`).  The
 positive-definiteness window, the log-determinant, the sampling
 deviations and the density ratio are written once against the spectrum.
+
+A coupling is immutable, so what depends on it alone is built once per
+instance: each class's index layout, and per tilt the density weights
+and the log-determinant (`_tilt_constants`).  `dataclasses.replace`
+makes a new instance, which starts with none of them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -39,6 +45,11 @@ class _Coupling:
     @property
     def lam_max(self) -> float:
         return float(self.eigs.max())
+
+    @cached_property
+    def _tilts(self) -> dict[float, tuple[np.ndarray, float]]:
+        """Memo of `_tilt_constants`, keyed by the tilt."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -72,8 +83,13 @@ class HierCoupling(_Coupling):
             np.subtract(a, b, out=coef[..., 2 ** (j - 1) : 2**j])
             cur = a + b
         coef[..., 0] = cur[..., 0]
-        starts = self.mult.cumsum() - self.mult
-        return np.add.reduceat(coef * coef, starts, axis=-1) * (0.5**self.n * self.mult)
+        starts, scales = self._layout
+        return np.add.reduceat(coef * coef, starts, axis=-1) * scales
+
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """First Haar coefficient of each block of eigs, and its energy scale."""
+        return self.mult.cumsum() - self.mult, 0.5**self.n * self.mult
 
     def synthesize(self, std: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
         """size rows whose Haar coefficients in block j have deviation std[j];
@@ -114,7 +130,7 @@ class BlockCoupling(_Coupling):
 
     def energies(self, om: np.ndarray) -> np.ndarray:
         """Eigen-coefficient energy summed over the blocks of M: (..., dim) -> (..., k)."""
-        segs = om.reshape(om.shape[:-1] + (-1, self.k))[..., [b - 1 for b in self.blocks], :]
+        segs = om.reshape(om.shape[:-1] + (-1, self.k))[..., self._rows, :]
         coeff = segs @ self.vectors
         return (coeff * coeff).sum(axis=-2)
 
@@ -126,8 +142,13 @@ class BlockCoupling(_Coupling):
         draw = rng.standard_normal((size, self.dim + self.k * len(self.blocks)))
         out = draw[:, : self.dim].reshape(size, -1, self.k)
         coeff = draw[:, self.dim :].reshape(size, -1, self.k) * std
-        out[:, [b - 1 for b in self.blocks]] = coeff @ self.vectors.T
+        out[:, self._rows] = coeff @ self.vectors.T
         return out.reshape(size, self.dim)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """0-based index of each block of M among the k-site blocks."""
+        return np.array([b - 1 for b in self.blocks])
 
     def holder(self, epsilon: float, gamma: float) -> HolderCost:
         """The per-block determinant ratio raised to |M|/2, with the crude
@@ -234,6 +255,7 @@ def haar_synthesis(details: list[np.ndarray], smooth: np.ndarray) -> np.ndarray:
 def sample_tilted_batch(spec: Coupling, epsilon: float,
                         rng: np.random.Generator, size: int) -> np.ndarray:
     """size x dim Gaussian rows with covariance I - epsilon * coupling."""
+    _check_finite(epsilon)
     if epsilon < 0.0:
         raise InvalidParameter("tilt must be nonnegative")
     lam_max = spec.lam_max
@@ -244,12 +266,33 @@ def sample_tilted_batch(spec: Coupling, epsilon: float,
     return spec.synthesize(np.sqrt(1.0 - epsilon * spec.eigs), rng, size)
 
 
+def _check_finite(t: float) -> None:
+    if not math.isfinite(t):
+        raise InvalidParameter(f"tilt must be finite, got {t}")
+
+
+def _tilt_constants(spec: Coupling, t: float) -> tuple[np.ndarray, float]:
+    """The density weights 1/(1 - t * eigs) - 1 and log det(I - t * coupling),
+    built from the checked spectrum 1 - t * eigs and memoized on spec.
+
+    A non-finite t raises InvalidParameter and a singular I - t * coupling
+    NotPositiveDefinite; neither is memoized, so each call raises again.
+    """
+    memo = spec._tilts
+    const = memo.get(t)
+    if const is None:
+        _check_finite(t)
+        vals = 1.0 - t * spec.eigs
+        if vals.min() <= 0.0:
+            raise NotPositiveDefinite(f"I - {t} * coupling is singular")
+        const = memo[t] = 1.0 / vals - 1.0, float(np.dot(spec.mult, np.log(vals)))
+    return const
+
+
 def coupling_logdet(spec: Coupling, t: float) -> float:
-    """log det(I - t * coupling) = sum of mult * log(1 - t * eigs)."""
-    vals = 1.0 - t * spec.eigs
-    if vals.min() <= 0.0:
-        raise NotPositiveDefinite(f"I - {t} * coupling is singular")
-    return float(np.dot(spec.mult, np.log(vals)))
+    """log det(I - t * coupling) = sum of mult * log(1 - t * eigs), built
+    once per (spec, t); raises as `_tilt_constants` does."""
+    return _tilt_constants(spec, t)[1]
 
 
 @dataclass(frozen=True)
@@ -272,10 +315,11 @@ def density_ratio(omega: np.ndarray, spec: Coupling, epsilon: float) -> np.ndarr
     omega has shape (..., dim) and the result shape (...):
     -1/2 sum_j (1/(1 - eps lambda_j) - 1) E_j - 1/2 log det(I - eps V),
     with E_j the coefficient energy of the row on the eigenspace of lambda_j.
+    The shape is checked on every call; the weights and the log det are
+    built once per (spec, epsilon) and raise as `_tilt_constants` does.
     """
     om = np.asarray(omega, dtype=float)
     if om.shape[-1:] != (spec.dim,):
         raise DimensionMismatch(f"omega must have shape (..., {spec.dim})")
-    logdet = coupling_logdet(spec, epsilon)
-    weights = 1.0 / (1.0 - epsilon * spec.eigs) - 1.0
+    weights, logdet = _tilt_constants(spec, epsilon)
     return -0.5 * (spec.energies(om) * weights).sum(axis=-1) - 0.5 * logdet

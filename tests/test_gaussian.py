@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -236,3 +237,71 @@ def test_density_ratio_matches_dense_formula():
         assert batch.shape == (5,)
         np.testing.assert_allclose(batch, _dense_log_density(om, v, eps), rtol=1e-12, atol=0)
         assert G.density_ratio(om[2], spec, eps) == batch[2]
+
+
+@pytest.mark.parametrize("spec", [G.build_hier_coupling(n) for n in (1, 2, 3, 4, 5, 6, 16)]
+                         + [G.build_block_coupling(3, 0.75, (1, 2)),
+                            G.build_block_coupling(8, 0.75, (1, 2, 4))],
+                         ids=[f"hier{n}" for n in (1, 2, 3, 4, 5, 6, 16)]
+                         + ["block3", "block8"])
+def test_one_row_calls_equal_the_batch_after_the_memo_fills(spec):
+    # the tilt constants built on the first call at each epsilon serve the
+    # later ones: alternating two tilts, every one-row value is its batch row
+    rng = np.random.default_rng(40)
+    om = rng.standard_normal((6, spec.dim))
+    eps_pair = (0.3, 0.15) if isinstance(spec, G.HierCoupling) else (1.0, 0.5)
+    batches = {eps: G.density_ratio(om, spec, eps) for eps in eps_pair}
+    for _ in range(2):
+        for eps in eps_pair:
+            for i in range(om.shape[0]):
+                assert G.density_ratio(om[i], spec, eps) == batches[eps][i]
+            assert np.array_equal(G.density_ratio(om, spec, eps), batches[eps])
+
+
+def test_a_replaced_spectrum_gets_its_own_tilt_constants():
+    # the memo lives on the instance: a spectrum shifted by 1e-6 at the same
+    # (n, B) and epsilon reads its own density and log det, not the memo's
+    spec = G.build_hier_coupling(4)
+    om = np.random.default_rng(41).standard_normal(spec.dim)
+    first = G.density_ratio(om, spec, 0.3)
+    logdet = G.coupling_logdet(spec, 0.3)
+    shifted = dataclasses.replace(spec, eigs=spec.eigs + 1e-6)
+    assert G.density_ratio(om, shifted, 0.3) != first
+    assert G.coupling_logdet(shifted, 0.3) != logdet
+    fresh = G.build_hier_coupling(4, spec.B)
+    fresh_shifted = dataclasses.replace(fresh, eigs=fresh.eigs + 1e-6)
+    assert G.density_ratio(om, shifted, 0.3) == G.density_ratio(om, fresh_shifted, 0.3)
+    assert G.density_ratio(om, spec, 0.3) == first
+
+
+@pytest.mark.parametrize("spec", [G.build_hier_coupling(4),
+                                  G.build_block_coupling(3, 0.75, (1, 2))],
+                         ids=["hier4", "block3"])
+def test_a_singular_tilt_raises_on_every_call(spec):
+    # past 1 / lam_max, I - t * coupling has a negative eigenvalue
+    om = np.zeros(spec.dim)
+    t = 2.0 / spec.lam_max
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite):
+            G.density_ratio(om, spec, t)
+        with pytest.raises(NotPositiveDefinite):
+            G.coupling_logdet(spec, t)
+    assert spec._tilts == {}
+
+
+@pytest.mark.parametrize("spec", [G.build_hier_coupling(4),
+                                  G.build_block_coupling(3, 0.75, (1, 2))],
+                         ids=["hier4", "block3"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_tilt_is_an_invalid_parameter(spec, t):
+    om = np.zeros(spec.dim)
+    for _ in range(2):
+        with pytest.raises(InvalidParameter):
+            G.coupling_logdet(spec, t)
+        with pytest.raises(InvalidParameter):
+            G.density_ratio(om, spec, t)
+        with pytest.raises(InvalidParameter):
+            G.holder_cost(spec, t, 0.5)
+        with pytest.raises(InvalidParameter):
+            G.sample_tilted_batch(spec, t, np.random.default_rng(0), 2)
+    assert spec._tilts == {}
