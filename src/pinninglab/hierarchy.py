@@ -16,14 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter, ResourceGuard
+from .errors import InvalidParameter
 from .numerics import EXP_RANGE, bracketed_root
 
 B_CRITICAL = math.sqrt(2.0)
-_FOLD_LEAVES = 1 << 17   # leaves per slice of realizations in the cascade's fold
-_DRAW_NODES = 1 << 16    # uniforms per draw block (512 KB): a multiple of 8, see _kept_bits
-_INT32_MAX = np.iinfo(np.int32).max
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], np.uint8)  # set bits per byte
 _ANNEALED_REL_TOL = 1e-12   # the growth rate stops once a generation moves it less
 _ANNEALED_MAX_GEN = 400
 _K_HAT_N_CAP = 30           # the last generation of k_hat's running max
@@ -147,31 +143,13 @@ def pair_overlap_sum(n: int, B: float) -> float:
     return float(val)
 
 
-def _kept_bits(rng: np.random.Generator, m: int, p: float, buf: np.ndarray) -> np.ndarray:
-    """The flags u_i < p of m uniforms, packed 8 to a byte in `np.packbits`
-    order, with one zero byte past the end.  The uniforms are drawn into buf,
-    one block at a time in order, so they are the stream of rng.random(m);
-    buf.size is a multiple of 8, so each block's flags pack from a byte."""
-    out = np.zeros(-(-m // 8) + 1, np.uint8)
-    for t in range(0, m, buf.size):
-        u = rng.random(out=buf[: min(buf.size, m - t)])
-        out[t // 8 : t // 8 + -(-u.size // 8)] = np.packbits(u < p)
-    return out
-
-
-def _bits_before(bits: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """int32 count of the set bits of `_kept_bits`'s output before each bit
-    offset: the whole bytes by a running sum, the partial byte's high bits
-    by the table."""
-    whole = np.zeros(bits.size, np.int32)
-    np.cumsum(_POPCOUNT[bits[:-1]], dtype=np.int32, out=whole[1:])
-    byte = offsets >> 3
-    return whole[byte] + _POPCOUNT[bits[byte] & (0xFF00 >> (offsets & 7))]
-
-
 def _sparse_chunk(n: int) -> int:
-    # realizations per cascade chunk: each keeps ~2^(n/2) nodes at critical B
-    return max(256, min(65536, (1 << 22) // max(1, 2 ** (n // 2))))
+    """Realizations per cascade chunk: about 2^16 leaves at critical B, where
+    each realization keeps ~2^(n/2).  This is the cascade's draw unit and
+    part of its sampling contract, as `renewal._DRAW` is: a chunk draws its
+    generations in turn, so the chunk size decides which uniform falls to
+    which realization."""
+    return max(1, (1 << 16) >> (n // 2))
 
 
 def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
@@ -180,19 +158,15 @@ def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
 
     The realizations are drawn and folded `_sparse_chunk(n)` at a time, in
     order, so memory is bounded at any size.  A chunk's cascade is drawn
-    top-down keeping one bit per drawn node, set when the node is kept,
-    packed 8 to a byte (`_kept_bits`), from uniforms drawn `_DRAW_NODES` at
-    a time into one reused buffer: the children of the kept nodes, in order,
-    are the next generation.  Realization r owns the contiguous node range
-    at[g][r] : at[g][r + 1] of every generation g, an int32 offset counted
-    from the bits (`_bits_before`).  Y depends on the tree's shape alone, so
-    it is folded bottom-up over sibling pairs, one slice of realizations
-    (about `_FOLD_LEAVES` leaves) at a time, each slice unpacking its own
-    bits: a kept node at level a above the leaves has leaf count c_L + c_R
-    and adds 2 B^-(n+a-1) c_L c_R, the pairs that join there.  The fold
-    starts at level 1, where every kept node has c = 2 and y = 2 B^-n.  Y
-    agrees with `oracles.y_statistic` to rounding; a one-chunk call draws
-    exactly as `oracles.gw_cascade_leaves` does.
+    top-down, one `rng.random` call per generation, keeping the indices of
+    the kept nodes: the children of the kept nodes, in order, are the next
+    generation, so realization r owns a contiguous node range of each.  Y
+    depends on the tree's shape alone, so it is folded bottom-up over
+    sibling pairs: a kept node at level a above the leaves has leaf count
+    c_L + c_R and adds 2 B^-(n+a-1) c_L c_R, the pairs that join there.
+    The fold starts at level 1, where every kept node has c = 2 and
+    y = 2 B^-n.  Y agrees with `oracles.y_statistic` to rounding, and each
+    chunk draws exactly as a call of `oracles.gw_cascade_leaves` does.
     """
     if n < 1:
         raise InvalidParameter("need generation >= 1")
@@ -205,40 +179,23 @@ def gw_overlap_samples(n: int, B: float, rng: np.random.Generator,
 
 def _overlap_chunk(n: int, B: float, rng: np.random.Generator,
                    y: np.ndarray, c: np.ndarray) -> None:
-    """Draw y.size realizations, at most `_sparse_chunk(n)`, and write their
-    Y and alive counts into y and c."""
+    """Draw y.size realizations and write their Y and alive counts into y
+    and c."""
     p = 1.0 / B
-    buf = np.empty(_DRAW_NODES)
-    bits, at = [], [np.arange(y.size + 1, dtype=np.int32)]
+    kept, m = [], [y.size]
     for _ in range(n):
-        bits.append(_kept_bits(rng, int(at[-1][-1]), p, buf))
-        kept = _bits_before(bits[-1], at[-1])
-        m = 2 * int(kept[-1])
-        if m > _INT32_MAX:
-            raise ResourceGuard(f"a generation of {m} nodes overflows int32 indices")
-        at.append(2 * kept)
-
-    def nodes(g: int, r0: int, r1: int) -> tuple[np.ndarray, int]:
-        """Slice-local kept indices and node count of generation g."""
-        o0, o1 = int(at[g][r0]), int(at[g][r1])
-        b = o0 >> 3
-        keep = np.unpackbits(bits[g][b : (o1 + 7) >> 3]).view(bool)
-        return np.flatnonzero(keep[o0 - 8 * b : o1 - 8 * b]), o1 - o0
-
-    cuts = np.unique(np.r_[0, at[n].searchsorted(np.arange(0, at[n][-1], _FOLD_LEAVES)),
-                           y.size])
-    for r0, r1 in zip(cuts[:-1], cuts[1:]):
-        k, m = nodes(n - 1, r0, r1)
-        cs, ys = np.zeros(m), np.zeros(m)
-        cs[k] = 2.0
-        ys[k] = 2.0 * float(B) ** -float(n)
-        for a in range(2, n + 1):
-            cl, cr, yl, yr = cs[0::2], cs[1::2], ys[0::2], ys[1::2]
-            k, m = nodes(n - a, r0, r1)
-            cs, ys = np.zeros(m), np.zeros(m)
-            cs[k] = cl + cr
-            ys[k] = yl + yr + 2.0 * float(B) ** -(n + a - 1.0) * cl * cr
-        c[r0:r1], y[r0:r1] = cs, ys / n
+        kept.append(np.flatnonzero(rng.random(m[-1]) < p))
+        m.append(2 * kept[-1].size)
+    cs, ys = np.zeros(m[n - 1]), np.zeros(m[n - 1])
+    cs[kept[n - 1]] = 2.0
+    ys[kept[n - 1]] = 2.0 * float(B) ** -float(n)
+    for a in range(2, n + 1):
+        cl, cr, yl, yr = cs[0::2], cs[1::2], ys[0::2], ys[1::2]
+        k = kept[n - a]
+        cs, ys = np.zeros(m[n - a]), np.zeros(m[n - a])
+        cs[k] = cl + cr
+        ys[k] = yl + yr + 2.0 * float(B) ** -(n + a - 1.0) * cl * cr
+    c[:], y[:] = cs, ys / n
 
 
 def hier_log_partition_batch(params: HierParams, n: int,

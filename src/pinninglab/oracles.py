@@ -54,7 +54,8 @@ def gw_cascade_leaves(n: int, B: float, rng: np.random.Generator,
     exactly as that call does, but tracks an explicit sample id and 0-based
     leaf index for every alive node, so each realization's leaf set can be
     handed to `y_statistic`.  Rows come out sorted by (sample, leaf).  A
-    longer call draws chunk by chunk, so its draws differ from this pass.
+    longer call draws chunk by chunk, so its draws differ from this pass,
+    but this pass run one chunk at a time on one generator replays it.
     """
     sid = np.arange(size, dtype=np.int64)
     nid = np.zeros(size, dtype=np.int64)

@@ -142,6 +142,41 @@ def test_spelled_out_defaults_change_nothing(tmp_path):
     assert (tmp_path / "0" / csv).read_bytes() == (tmp_path / "1" / csv).read_bytes()
 
 
+def test_green_ratio_at_N_reads_N_not_the_last_checkpoint():
+    # the checkpoints only choose the CSV rows; the ratio at N is read at N
+    base = {"experiment": "renewal-green", "seed": 1, "N": 2_000, "n_max": 2_000}
+    ratios = {run(ExperimentConfig.from_dict({**base, "checkpoints": cps}))
+              .estimates["asymptotic_ratio_at_N"]["value"]
+              for cps in ([100, 2_000], [2_000, 100], [100])}
+    assert len(ratios) == 1
+
+
+# Memory constants that also fix a summation order, so that moving one moves
+# last bits; they are left out of the byte-for-byte check below on purpose.
+SUMMATION_ORDER = {
+    "quenched._PROFILE_ROWS": "u_weight_table adds one block of profiles at a time",
+    "quenched._W_ROWS": "each lag block of _padded_pair_sums adds its own partial sum",
+}
+
+
+@pytest.mark.parametrize("constant, value", [("experiments._W_BATCH", 37),
+                                             ("quenched._W_GROUP", 3)])
+def test_w_memory_constants_decide_no_number(monkeypatch, tmp_path, constant, value):
+    # the W paths drawn per batch and summed per padded group bound memory
+    # only: a small clt-check writes the same record and CSV bytes either way
+    raw = {"experiment": "clt-check", "seed": 3, "n_max": 2_000, "L_exact": 200,
+           "L_w": 5_000, "w_samples": 300}
+    run(ExperimentConfig.from_dict(raw), tmp_path / "base")
+    monkeypatch.setattr(f"pinninglab.{constant}", value)
+    run(ExperimentConfig.from_dict(raw), tmp_path / "patched")
+    files = sorted(f.name for f in (tmp_path / "base").iterdir())
+    assert files == sorted(f.name for f in (tmp_path / "patched").iterdir())
+    assert any(f.endswith(".csv") for f in files)
+    for f in files:
+        assert (acceptance._artifact(tmp_path / "base" / f)
+                == acceptance._artifact(tmp_path / "patched" / f)), f
+
+
 def test_certify_drops_the_inert_disorder_samples_key():
     # the certify jobs of the benchmark still send it
     raw = {"experiment": "hier-certify", "seed": 5, **QUICK["hier-certify"], "samples": 2_000}

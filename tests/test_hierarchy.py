@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pinninglab import hierarchy as H
 from pinninglab import hiermc
 from pinninglab import oracles
-from pinninglab.errors import InvalidParameter, ResourceGuard
+from pinninglab.errors import InvalidParameter
 
 B_GRID = [1.2, 1.3, H.B_CRITICAL, 1.6, 1.9]
 
@@ -212,91 +212,69 @@ def test_y_statistic_empty_and_exact_mean():
     assert mean2 == pytest.approx(1.0, abs=1e-12)
 
 
+def _fold_matches_replay(n, B, size, seed):
+    """Check one call against the leaf-index replay run one `_sparse_chunk(n)`
+    at a time and the O(p^2) oracle, realization by realization, and the
+    generator's end state; return the alive counts."""
+    rng_o, rng_f = np.random.default_rng(seed), np.random.default_rng(seed)
+    y, counts = H.gw_overlap_samples(n, B, rng_f, size)
+    assert y.shape == counts.shape == (size,)
+    step = H._sparse_chunk(n)
+    for r in range(0, size, step):
+        m = min(step, size - r)
+        sid, leaf = oracles.gw_cascade_leaves(n, B, rng_o, m)
+        assert np.array_equal(counts[r : r + m], np.bincount(sid, minlength=m))
+        for i in range(m):
+            assert y[r + i] == pytest.approx(oracles.y_statistic(n, leaf[sid == i], B),
+                                             abs=1e-12)
+    assert rng_f.random() == rng_o.random()
+    return counts
+
+
 def test_gw_overlap_samples_match_y_statistic():
-    # the bottom-up fold against the O(p^2) oracle on the leaf-index replay,
-    # realization by realization
-    size = 200
+    # the bottom-up fold against the O(p^2) oracle on the leaf-index replay
     for B, n in itertools.product((1.2, H.B_CRITICAL, 1.9), (1, 2, 4, 7)):
-        sid, leaf = oracles.gw_cascade_leaves(n, B, np.random.default_rng(9), size)
-        y, counts = H.gw_overlap_samples(n, B, np.random.default_rng(9), size)
-        assert np.count_nonzero(counts >= 2) > 10
-        for i in range(size):
-            assert counts[i] == np.count_nonzero(sid == i)
-            assert y[i] == pytest.approx(oracles.y_statistic(n, leaf[sid == i], B), abs=1e-12)
+        assert np.count_nonzero(_fold_matches_replay(n, B, 200, 9) >= 2) > 10
+
+
+@pytest.mark.parametrize("n, B, size", [(5, H.B_CRITICAL, 0), (1, H.B_CRITICAL, 60),
+                                        (7, 1.2, 40), (4, 1.9, 300)])
+def test_gw_overlap_samples_sliced_fold(monkeypatch, n, B, size):
+    # chunks of 7 realizations: every call but the empty one folds several
+    # chunks, the last one short, and each chunk must give the replay's
+    # counts and the oracle's Y
+    monkeypatch.setattr(H, "_sparse_chunk", lambda n: 7)
+    counts = _fold_matches_replay(n, B, size, 17)
+    if n == 7:   # a realization that keeps most of the tree's 128 leaves
+        assert counts.max() > 64
+    if B == 1.9:   # two dead realizations in a row, away from the ends
+        assert np.any(counts[1:-2] + counts[2:-1] == 0)
 
 
 @pytest.mark.parametrize("n, B, size", [(10, H.B_CRITICAL, 4000), (16, H.B_CRITICAL, 300),
                                         (6, 1.2, 2000), (9, 1.9, 3000),
                                         (hiermc.MAX_GENERATION, H.B_CRITICAL, 5)])
 def test_gw_overlap_samples_draw_identity(n, B, size):
-    # the fold consumes the generator exactly as the leaf-index replay does;
-    # at n 20, four of the five realizations keep 1 162-2 482 leaves
+    # the fold consumes the generator exactly as the leaf-index replay run one
+    # `_sparse_chunk(n)` at a time does; the first two cases span two chunks,
+    # and at n 20 four of the five realizations keep 1 162-2 482 leaves
     rng_o, rng_f = np.random.default_rng(31), np.random.default_rng(31)
-    sid, _ = oracles.gw_cascade_leaves(n, B, rng_o, size)
+    step = H._sparse_chunk(n)
+    replay = [np.bincount(oracles.gw_cascade_leaves(n, B, rng_o, m)[0], minlength=m)
+              for m in (min(step, size - r) for r in range(0, size, step))]
     _, counts = H.gw_overlap_samples(n, B, rng_f, size)
-    assert np.array_equal(counts, np.bincount(sid, minlength=size).astype(float))
+    assert np.array_equal(counts, np.concatenate(replay))
     assert rng_f.random() == rng_o.random()
 
 
-def test_gw_overlap_samples_edge_sizes(monkeypatch):
+def test_gw_overlap_samples_edge_sizes():
     with pytest.raises(InvalidParameter, match="generation >= 1"):
         H.gw_overlap_samples(0, H.B_CRITICAL, np.random.default_rng(0), 10)
-    with monkeypatch.context() as mp:   # a generation past the int32 index range
-        mp.setattr(H, "_INT32_MAX", 100)
-        with pytest.raises(ResourceGuard, match="overflows int32"):
-            H.gw_overlap_samples(8, H.B_CRITICAL, np.random.default_rng(0), 60)
     y, counts = H.gw_overlap_samples(5, H.B_CRITICAL, np.random.default_rng(0), 0)
     assert y.shape == counts.shape == (0,)
-    # seed 7 kills all three roots: one slice with no leaves at all
+    # seed 7 kills all three roots: a chunk with no leaves at all
     y, counts = H.gw_overlap_samples(4, 1.9, np.random.default_rng(7), 3)
     assert np.array_equal(y, np.zeros(3)) and np.array_equal(counts, np.zeros(3))
-
-
-@pytest.mark.parametrize("n, B, size", [(5, H.B_CRITICAL, 0), (1, H.B_CRITICAL, 60),
-                                        (7, 1.2, 40), (4, 1.9, 300)])
-def test_gw_overlap_samples_sliced_fold(monkeypatch, n, B, size):
-    # slices of a few leaves and uniforms drawn 8 at a time: every call
-    # crosses many slice and block edges, and must give the one-slice,
-    # one-draw doubles and the oracle's Y
-    whole = H.gw_overlap_samples(n, B, np.random.default_rng(17), size)
-    monkeypatch.setattr(H, "_FOLD_LEAVES", 4)
-    monkeypatch.setattr(H, "_DRAW_NODES", 8)
-    y, counts = H.gw_overlap_samples(n, B, np.random.default_rng(17), size)
-    assert np.array_equal(y, whole[0]) and np.array_equal(counts, whole[1])
-    sid, leaf = oracles.gw_cascade_leaves(n, B, np.random.default_rng(17), size)
-    assert np.array_equal(counts, np.bincount(sid, minlength=size))
-    for i in range(size):
-        assert y[i] == pytest.approx(oracles.y_statistic(n, leaf[sid == i], B), abs=1e-12)
-    if n == 7:   # a realization wider than a slice
-        assert counts.max() > 4 * H._FOLD_LEAVES
-    if B == 1.9:   # two dead realizations in a row, away from the ends
-        assert np.any(counts[1:-2] + counts[2:-1] == 0)
-
-
-@pytest.mark.parametrize("n, B, size, draw_nodes", [(6, 1.2, 3, 8), (9, 1.9, 120, 16),
-                                                     (8, H.B_CRITICAL, 21, 24),
-                                                     (5, 1.2, 37, 1 << 16)])
-def test_gw_overlap_samples_packing_edges(monkeypatch, n, B, size, draw_nodes):
-    # realization boundaries and generation ends that fall mid-byte, and
-    # uniforms drawn a few bytes' worth at a time, so a generation spans
-    # several draw blocks, each packed from a byte boundary
-    monkeypatch.setattr(H, "_DRAW_NODES", draw_nodes)
-    rng_o, rng_f = np.random.default_rng(23), np.random.default_rng(23)
-    sid, leaf = oracles.gw_cascade_leaves(n, B, rng_o, size)
-    y, counts = H.gw_overlap_samples(n, B, rng_f, size)
-    assert rng_f.random() == rng_o.random()
-    assert np.array_equal(counts, np.bincount(sid, minlength=size))
-    for i in range(size):
-        assert y[i] == pytest.approx(oracles.y_statistic(n, leaf[sid == i], B), abs=1e-12)
-    # the replay cut after g generations gives generation g's nodes: some
-    # realization starts and some generation ends must sit inside a byte
-    gens = [np.bincount(oracles.gw_cascade_leaves(g, B, np.random.default_rng(23), size)[0],
-                        minlength=size) for g in range(n)]
-    starts = np.concatenate([np.cumsum(cnt)[:-1] for cnt in gens])
-    assert np.any(starts % 8 != 0)
-    assert any(cnt.sum() % 8 != 0 for cnt in gens)
-    if draw_nodes < 1 << 16:   # some generation spans several blocks
-        assert max(cnt.sum() for cnt in gens) > 2 * draw_nodes
 
 
 @pytest.mark.parametrize("n, B, size, chunk", [(5, H.B_CRITICAL, 23, 4), (7, 1.2, 40, 16),
@@ -319,9 +297,9 @@ def test_gw_overlap_samples_chunks_are_whole_calls(monkeypatch, n, B, size, chun
 
 
 def test_gw_overlap_samples_peak_memory():
-    # one packed bit per drawn node, the sliced fold and the chunked draw
-    # keep the cascades of certify-tuned (n 16) and certify-paper (n 20)
-    # small, at hier-certify's default paper-mode count of 40 000 too
+    # chunks of about 2^16 leaves keep the cascades of certify-tuned (n 16)
+    # and certify-paper (n 20) small, at hier-certify's default paper-mode
+    # count of 40 000 too; a whole-call draw at n 20 peaks near 49 MB
     for n, size in ((16, 10_000), (hiermc.MAX_GENERATION, 4000),
                     (hiermc.MAX_GENERATION, 40_000)):
         tracemalloc.start()
@@ -330,7 +308,7 @@ def test_gw_overlap_samples_peak_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6, (n, size, peak)
+        assert peak < 8e6, (n, size, peak)
 
 
 def test_gw_overlap_samples_match_dense_moments():
