@@ -30,8 +30,8 @@ MAX_W_PAIRS = 1e9     # point pairs one w_statistic call may sum
 _LONG_JUMP_D_MAX = 512   # the largest gap, in windows, long_jump_constant scans
 _BLOCK = 64           # sites per block of the renewal DP
 _DP_CELLS = 1 << 20   # rows x sites per quenched_free_energies DP call: 8 MB an array
-_W_GROUP = 8          # paths per padded group of the pair kernel
-_W_ROWS = 16          # rows per lag block: each scratch is _W_GROUP * _W_ROWS * P
+_W_GAPS = 1 << 16     # gaps per lag block of the pair kernel; it sets the groups and pads
+_W_ROWS = 16          # rows per lag block; both fix the order of the pair kernel's sums
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def decomposition_residual(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> fl
     return abs(math.expm1(total - ref))
 
 
-_PROFILE_ROWS = 128   # paths per occupancy chunk, which bounds the working memory
+_PROFILE_ROWS = 128   # profile rows per block, which bounds the working memory
 
 
 def _inv_sqrt_table(n: int) -> np.ndarray:
@@ -276,29 +276,76 @@ def _inv_sqrt_table(n: int) -> np.ndarray:
     return tab
 
 
+def _window_counts(paths: RenewalPaths, L: int) -> np.ndarray:
+    """Each path's number of points in [1, L], the ones right after its first, 0."""
+    below = np.concatenate([[0], np.cumsum(paths.points <= L)])
+    return below[paths.offsets[1:]] - below[paths.offsets[:-1]] - 1
+
+
+def _pair_increments(paths: RenewalPaths, counts: np.ndarray):
+    """Each point's pair sum with the earlier points of its path in [1, L],
+    1/sqrt(y - y') summed over y' < y, a group of paths at a time.
+
+    `counts` = `_window_counts(paths, L)`.  The paths with two points or
+    more are sorted by count and cut into groups of g paths of at most P
+    points with g * _W_ROWS * P <= _W_GAPS, or of one path.  A group is
+    reflected into Y (g, 2P): row i holds D + 1 - y over its path's points,
+    last first, padded with 0, D being the batch's largest point in [1, L],
+    so a later column holds an earlier point.  U[:, a, j] = Y[:, a + j + 1];
+    each lag block of rows a..a+r-1 reads the columns of its first row, and
+    a gap to a pad or past the triangle is <= 0, which the clipped take maps
+    onto tab[0] = +0.0.  The gaps are below D: the table has D entries.
+
+    Yields (grp, at, inc): inc[i, a] belongs to the point points[at[i, a]]
+    of path grp[i]; a pad has at = points.size and inc 0.
+    """
+    offsets, pts = paths.offsets, paths.points
+    D = int(pts[offsets[:-1] + counts].max(initial=0))
+    tab = _inv_sqrt_table(D)
+    order = np.argsort(counts, kind="stable")
+    c, s = counts[order].tolist(), int(np.sum(counts < 2))
+    while s < len(c):
+        e = s + 1
+        while e < len(c) and (e + 1 - s) * _W_ROWS * c[e] <= _W_GAPS:
+            e += 1
+        grp, cg, g, P = order[s:e], counts[order[s:e], None], e - s, c[e - 1]
+        col = np.arange(P)
+        at = np.where(col < cg, offsets[grp, None] + cg - col, pts.size)
+        Y = np.zeros((g, 2 * P), dtype=np.int64)
+        Y[:, :P] = np.where(col < cg, D + 1 - pts.take(at, mode="clip"), 0)
+        U = np.lib.stride_tricks.sliding_window_view(Y[:, 1:], P - 1, axis=1)
+        size = g * min(_W_ROWS, P - 1) * (P - 1)
+        gaps, vals, inc = np.empty(size, dtype=np.int64), np.empty(size), np.zeros((g, P))
+        for a in range(0, P - 1, _W_ROWS):
+            r, n = min(_W_ROWS, P - 1 - a), P - 1 - a
+            d = gaps[: g * r * n].reshape(g, r, n)
+            v = vals[: g * r * n].reshape(g, r, n)
+            np.subtract(U[:, a : a + r, :n], Y[:, a : a + r, None], out=d)
+            np.take(tab, d, mode="clip", out=v)
+            v.sum(axis=2, out=inc[:, a : a + r])
+        yield grp, at, inc
+        s = e
+
+
 def _pair_sum_profiles(paths: RenewalPaths, horizon: int):
     """The pair-sum profiles of `paths`, `_PROFILE_ROWS` rows at a time.
 
     Row r, column m is S[m] = sum over pairs i < j <= m of path r of
-    1/sqrt(j - i), as `oracles.pair_sum_profile` gives it path by path.
-    With occ the 0/1 occupancy of sites 1..horizon and T[i, j] =
-    (j - i)^-1/2 for j > i, (occ @ T)[r, j] sums over the points of path
-    r before j, so the profiles are cumsum(occ * (occ @ T)) along the sites.
+    1/sqrt(j - i), as `oracles.pair_sum_profile` gives it path by path: the
+    cumulative sum over the sites of one `_pair_increments` pass's sums.
     """
-    # T[i, j] = ext[horizon - 1 + j - i]: the table at j - i >= 0, zero below
-    ext = np.concatenate([np.zeros(horizon - 1), _inv_sqrt_table(horizon)])
-    T = np.lib.stride_tricks.sliding_window_view(ext, horizon)[::-1].copy()
+    pts, off = paths.points, paths.offsets
+    inc = np.zeros(pts.size + 1)   # the last entry takes the pads
+    for _, at, sums in _pair_increments(paths, _window_counts(paths, horizon)):
+        inc[at] = sums
     for lo in range(0, len(paths), _PROFILE_ROWS):
         hi = min(lo + _PROFILE_ROWS, len(paths))
-        a, b = paths.offsets[lo], paths.offsets[hi]
-        pts = paths.points[a:b]
-        row = np.repeat(np.arange(hi - lo), np.diff(paths.offsets[lo : hi + 1]))
-        inside = (pts >= 1) & (pts <= horizon)
-        occ = np.zeros((hi - lo, horizon))
-        occ[row[inside], pts[inside] - 1] = 1.0
+        span = slice(off[lo], off[hi])
+        row = np.repeat(np.arange(hi - lo), np.diff(off[lo : hi + 1]))
+        keep = pts[span] <= horizon
         prof = np.zeros((hi - lo, horizon + 1))
-        np.cumsum(occ * (occ @ T), axis=1, out=prof[:, 1:])
-        yield prof
+        prof[row[keep], pts[span][keep]] = inc[span][keep]
+        yield np.cumsum(prof, axis=1, out=prof)
 
 
 @dataclass(frozen=True)
@@ -441,70 +488,23 @@ def lemma51_conditions(beta: float, h: float, gamma: float, law: RenewalLaw,
     )
 
 
-def _padded_pair_sums(Y: np.ndarray, tab: np.ndarray, gaps: np.ndarray,
-                      vals: np.ndarray) -> np.ndarray:
-    """sum over i < j of tab[Y[:, j] - Y[:, i]] for each row of a padded group.
-
-    Y (g, 2P) holds increasing int64 points from 1 to tab.size, padded
-    with 0, so a pair that touches a pad has a gap <= 0, which the clip
-    maps onto tab[0] = +0.0.  U[:, a, k] = Y[:, a + k + 1] is the point
-    at lag k + 1 from point a; each block of rows a..a+r-1 reads the
-    columns of its first row, and the r x r corner past the triangle
-    lands on pads.  `gaps` (int64) and `vals` (float) are scratch of the
-    same size.
-    """
-    g, P = Y.shape[0], Y.shape[1] // 2
-    U = np.lib.stride_tricks.sliding_window_view(Y[:, 1:], P - 1, axis=1)
-    total = np.zeros(g)
-    for a in range(0, P - 1, _W_ROWS):
-        r, n = min(_W_ROWS, P - 1 - a), P - 1 - a
-        d = gaps[: g * r * n].reshape(g, r, n)
-        v = vals[: g * r * n].reshape(g, r, n)
-        np.subtract(U[:, a : a + r, :n], Y[:, a : a + r, None], out=d)
-        np.take(tab, d, mode="clip", out=v)
-        total += v.sum(axis=(1, 2))
-    return total
-
-
 def w_statistic(paths: RenewalPaths, L: int) -> np.ndarray:
     """Normalized pair sum of inverse square-root gaps over each path in [1, L].
 
-    One W per path, in input order.  The paths are sorted by their point
-    count in [1, L] and cut into groups of `_W_GROUP`, each padded with 0
-    to its longest path and summed by lag blocks (`_padded_pair_sums`) in
-    scratch sized to the longest group.  The gaps are integers below the
-    largest point D in [1, L], so each 1/sqrt(gap) is read from one table
-    of D entries (`_inv_sqrt_table`), sized by D and not by L.  A call
-    refuses more than `MAX_W_PAIRS` point pairs before it sums any.
+    One W per path, in input order: the sum of its `_pair_increments`, whose
+    table of 1/sqrt(gap) is sized by the largest point in [1, L], not by L.
+    A call refuses more than `MAX_W_PAIRS` point pairs before it sums any.
     """
     if L < 3:
         raise InvalidParameter("need L >= 3")
-    offsets, pts = paths.offsets, paths.points
-    # every path starts at 0 <= L and increases, so its points in [1, L]
-    # are the `counts` points after its first
-    inside = pts <= L
-    below = np.concatenate([[0], np.cumsum(inside)])
-    counts = below[offsets[1:]] - below[offsets[:-1]] - 1
+    counts = _window_counts(paths, L)
     pairs = float(np.sum(counts * (counts - 1) // 2))
     if pairs > MAX_W_PAIRS:
         raise ResourceGuard(f"{pairs:.3g} point pairs beyond the desk-scale guard "
                             f"{MAX_W_PAIRS:.3g}")
-    tab = _inv_sqrt_table(int(pts[inside].max(initial=0)))
-    order = np.argsort(counts, kind="stable")
     w = np.zeros(counts.size)
-    size = _W_GROUP * _W_ROWS * int(counts.max(initial=0))
-    gaps, vals = np.empty(size, dtype=np.int64), np.empty(size)
-    for lo in range(0, order.size, _W_GROUP):
-        grp = order[lo : lo + _W_GROUP]
-        c = counts[grp]
-        P = int(c[-1])
-        if P < 2:
-            continue
-        col = np.arange(P)
-        take = np.minimum(offsets[grp, None] + 1 + col, pts.size - 1)
-        Y = np.zeros((grp.size, 2 * P), dtype=np.int64)
-        Y[:, :P] = np.where(col < c[:, None], pts[take], 0)
-        w[grp] = _padded_pair_sums(Y, tab, gaps, vals)
+    for grp, _, inc in _pair_increments(paths, counts):
+        w[grp] = inc.sum(axis=1)
     w /= math.sqrt(L) * math.log(L)
     return w
 

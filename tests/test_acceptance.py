@@ -375,9 +375,10 @@ def test_jensen_detects_a_dropped_normalization(monkeypatch, owner, attr):
 
 
 # The experiments whose kernels reach BLAS at sizes where a second thread
-# engages: the renewal DP's far product and in-block solve (crit_07, crit_09),
-# and _pair_sum_profiles' occ @ T (crit_14); crit_16's chain is run through
-# its judge, and its result saved whole.
+# engages: the renewal DP's far product and in-block solve (crit_07, crit_09).
+# lemma51-scan (crit_14) stays as the guard that the pair kernel behind its
+# profiles stays BLAS-free; crit_16's chain is run through its judge, and its
+# result saved whole.
 _BLAS_EXPERIMENTS = {"decomposition-check", "quenched-scan", "lemma51-scan"}
 _BLAS_SCRIPT = """
 import dataclasses, json, sys

@@ -152,29 +152,39 @@ def test_green_ratio_at_N_reads_N_not_the_last_checkpoint():
 
 
 # Memory constants that also fix a summation order, so that moving one moves
-# last bits; they are left out of the byte-for-byte check below on purpose.
+# last bits: each with the small value the test below patches in, and why
 SUMMATION_ORDER = {
-    "quenched._PROFILE_ROWS": "u_weight_table adds one block of profiles at a time",
-    "quenched._W_ROWS": "each lag block of _padded_pair_sums adds its own partial sum",
+    "experiments._W_BATCH": (37, "W's paths are grouped within each batch drawn"),
+    "quenched._W_GAPS": (100, "the gap budget groups and pads the paths of the "
+                              "pair kernel, and padding reshapes numpy's pairwise sums"),
+    "quenched._W_ROWS": (5, "each lag block of the pair kernel adds its own row sums"),
+    "quenched._PROFILE_ROWS": (7, "u_weight_table adds one block of profiles at a time"),
 }
+SMALL_PAIR_CONFIGS = [
+    {"experiment": "clt-check", "seed": 3, "n_max": 2_000, "L_exact": 200, "L_w": 5_000,
+     "w_samples": 300},
+    {"experiment": "lemma51-scan", "seed": 3, **QUICK["lemma51-scan"]},
+]
 
 
-@pytest.mark.parametrize("constant, value", [("experiments._W_BATCH", 37),
-                                             ("quenched._W_GROUP", 3)])
-def test_w_memory_constants_decide_no_number(monkeypatch, tmp_path, constant, value):
-    # the W paths drawn per batch and summed per padded group bound memory
-    # only: a small clt-check writes the same record and CSV bytes either way
-    raw = {"experiment": "clt-check", "seed": 3, "n_max": 2_000, "L_exact": 200,
-           "L_w": 5_000, "w_samples": 300}
-    run(ExperimentConfig.from_dict(raw), tmp_path / "base")
-    monkeypatch.setattr(f"pinninglab.{constant}", value)
-    run(ExperimentConfig.from_dict(raw), tmp_path / "patched")
-    files = sorted(f.name for f in (tmp_path / "base").iterdir())
-    assert files == sorted(f.name for f in (tmp_path / "patched").iterdir())
-    assert any(f.endswith(".csv") for f in files)
-    for f in files:
-        assert (acceptance._artifact(tmp_path / "base" / f)
-                == acceptance._artifact(tmp_path / "patched" / f)), f
+@pytest.fixture(scope="module")
+def small_pair_estimates():
+    return [run(ExperimentConfig.from_dict(raw)).estimates for raw in SMALL_PAIR_CONFIGS]
+
+
+@pytest.mark.parametrize("constant", SUMMATION_ORDER)
+def test_summation_order_constants_move_last_bits_only(monkeypatch, small_pair_estimates,
+                                                       constant):
+    # the draws stay; only the order of the sums moves, by a few ulps at most
+    monkeypatch.setattr(f"pinninglab.{constant}", SUMMATION_ORDER[constant][0])
+    for raw, base in zip(SMALL_PAIR_CONFIGS, small_pair_estimates, strict=True):
+        estimates = run(ExperimentConfig.from_dict(raw)).estimates
+        assert estimates.keys() == base.keys()
+        for key, est in estimates.items():
+            assert est.keys() == base[key].keys()
+            for part in est.keys() - {"exact"}:
+                assert est[part] == pytest.approx(base[key][part], rel=1e-14, abs=0.0), \
+                    (key, part)
 
 
 def test_certify_drops_the_inert_disorder_samples_key():

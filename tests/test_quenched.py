@@ -338,8 +338,8 @@ def test_u_weight_errors_equal_the_two_pass_standard_error():
 
 @pytest.mark.parametrize("m_max", [4, 49, 499])
 def test_batched_pair_sum_profiles_match_oracle(m_max):
-    # occupancy x Toeplitz rows against the p x p profile, path by path,
-    # across more than one chunk of rows
+    # the pair kernel's rows against the p x p profile, path by path,
+    # across more than one block of rows
     law = R.make_power_law(0.5, 1000)
     paths = R.sample_path(law, m_max, np.random.default_rng(m_max), size=300)
     rows = np.vstack(list(Q._pair_sum_profiles(paths, m_max)))
@@ -461,8 +461,8 @@ def test_w_statistic_batch_matches_pair_sum_profile(law):
     # cannot see a permutation of the batch or a group summed twice
     L = 2000
     sampled = R.sample_path(law, L, np.random.default_rng(12), size=47)
-    # 7..9 and 15..17 points in [1, L] straddle the group size and its double,
-    # and L + 5 or L + 9 sit past the horizon
+    # paths of 7..9 and 15..17 points in [1, L], and L + 5 or L + 9 past the
+    # horizon
     sized = [[0, *range(3, 3 * p + 1, 3)] + [L + 5] * (p % 2) for p in (7, 8, 9, 15, 16, 17)]
     split = np.split(sampled.points, sampled.offsets[1:-1])
     point_lists = split[:30]
@@ -471,11 +471,43 @@ def test_w_statistic_batch_matches_pair_sum_profile(law):
     batch = _batch(point_lists)
     w = Q.w_statistic(batch, L)
     assert w.shape == (len(point_lists),)
-    assert len(point_lists) % Q._W_GROUP != 0
+    # the last group, of the longest paths, had room for one more
+    *_, (grp, _, inc) = Q._pair_increments(batch, Q._window_counts(batch, L))
+    assert (grp.size + 1) * Q._W_ROWS * inc.shape[1] <= Q._W_GAPS
     norm = math.sqrt(L) * math.log(L)
     ref = [oracles.pair_sum_profile(np.asarray(p), L)[L] / norm for p in point_lists]
     np.testing.assert_allclose(w, ref, rtol=1e-12, atol=0.0)
     assert w[30] == 0.0 and w[31] == 0.0
+
+
+def test_w_statistic_is_the_last_profile_column(law):
+    # one pair kernel: W is the profile at L, up to the two summation orders
+    L = 2000
+    paths = R.sample_path(law, L, np.random.default_rng(13), size=300)
+    prof = np.vstack(list(Q._pair_sum_profiles(paths, L)))
+    w = Q.w_statistic(paths, L) * (math.sqrt(L) * math.log(L))
+    np.testing.assert_allclose(w, prof[:, L], rtol=1e-13, atol=0.0)
+    assert np.count_nonzero(w) > 250
+
+
+def test_pair_kernel_groups_by_the_gap_budget(monkeypatch):
+    # at 2^13 gaps a lag block, 300 two-point paths fill a group of 256 and
+    # one of 44, and a path of 600 points (16 rows x 600 > 2^13) is a group alone
+    monkeypatch.setattr(Q, "_W_GAPS", 1 << 13)
+    L = 2000
+    rng = np.random.default_rng(14)
+    first = rng.integers(1, L, 300)
+    point_lists = [[0, a, b] for a, b in zip(first, rng.integers(first + 1, L + 1))]
+    point_lists.insert(150, [0, *range(3, 1801, 3)])
+    batch = _batch(point_lists)
+    groups = [grp for grp, _, _ in Q._pair_increments(batch, Q._window_counts(batch, L))]
+    assert [g.size for g in groups] == [256, 44, 1] and groups[2].tolist() == [150]
+    rows = np.vstack(list(Q._pair_sum_profiles(batch, L)))
+    w = Q.w_statistic(batch, L) * (math.sqrt(L) * math.log(L))
+    for p, row, value in zip(point_lists, rows, w, strict=True):
+        ref = oracles.pair_sum_profile(np.asarray(p), L)
+        np.testing.assert_allclose(row, ref, rtol=1e-12, atol=0.0)
+        assert value == pytest.approx(ref[L], rel=1e-12)
 
 
 def test_w_statistic_batch_below_the_horizon():
