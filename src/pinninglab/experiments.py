@@ -25,7 +25,7 @@ from typing import Annotated
 import numpy as np
 
 from . import hierarchy, hiermc, oracles, quenched, renewal
-from .errors import ConfigError, InvalidParameter
+from .errors import ConfigError, InvalidParameter, ResourceGuard
 from .hierarchy import B_CRITICAL, HierParams
 from .numerics import PoolEstimate, derive_rng, ks_distance, least_squares_slope
 from .quenched import QuenchedConfig
@@ -105,6 +105,14 @@ def run(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunRecord:
     return record
 
 
+def _distinct(keys: list[str]) -> list[str]:
+    """`keys`, refused when two grid points would share one record key."""
+    shared = [k for i, k in enumerate(keys) if k in keys[:i]]
+    if shared:
+        raise ConfigError(f"two grid points share the record key {shared[0]!r}")
+    return keys
+
+
 @experiment("annealed-scan")
 def annealed_scan(rec: RunRecord, *,
                   B_list: list[Annotated[float, Window(1, 2, open=True)]] = [1.3, B_CRITICAL, 1.7],
@@ -117,10 +125,11 @@ def annealed_scan(rec: RunRecord, *,
     if np.count_nonzero(low_mask) < 2:
         raise InvalidParameter(f"the low-h slope fit needs 2 grid points h <= fit_h_max "
                                f"= {fit_h_max}, got {np.count_nonzero(low_mask)}")
+    keys = _distinct([f"B={B:.4g}" for B in B_list])
     law = renewal.make_power_law(alpha, n_max)
     # (model, B or alpha, key suffix, free energy at h, 1/alpha of the model)
-    models = [("hierarchical", B, f"B={B:.4g}", partial(hierarchy.annealed_free_energy, B),
-               1.0 / hierarchy.alpha_of_B(B)) for B in B_list]
+    models = [("hierarchical", B, key, partial(hierarchy.annealed_free_energy, B),
+               1.0 / hierarchy.alpha_of_B(B)) for B, key in zip(B_list, keys)]
     models.append(("renewal", law.alpha, "renewal",
                    partial(renewal.homogeneous_free_energy, law), max(1.0, 1.0 / law.alpha)))
     rows = []
@@ -137,11 +146,18 @@ def annealed_scan(rec: RunRecord, *,
     return {"grid": (["model", "B_or_alpha", "h", "free_energy", "local_slope"], rows)}
 
 
+MAX_REPLAY_LEAVES = 1e7   # expected alive leaves of gw-check's replay, ~26 B each at peak
+
+
 @experiment("gw-check")
 def gw_check(rec: RunRecord, *, B: Annotated[float, Window(1, 2, open=True)] = B_CRITICAL,
              # outcome enumeration stops at depth 4, and the pair holds leaves 1 and 3
              n_exact: Annotated[int, Window(1, 4)] = 3, mc_n: Annotated[int, Window(2)] = 6,
              mc_samples: Annotated[int, Window(1)] = 100_000):
+    leaves = mc_samples * (2.0 / B) ** mc_n
+    if leaves > MAX_REPLAY_LEAVES:
+        raise ResourceGuard(f"mc_samples (2/B)^mc_n = {leaves:.3g} expected leaves beyond "
+                            f"the desk-scale guard {MAX_REPLAY_LEAVES:.3g}")
     rows = []
     worst = 0.0
     for n in range(1, n_exact + 1):
@@ -218,11 +234,11 @@ def hier_free_energy(rec: RunRecord, *, B: float = B_CRITICAL, beta: float = 1.0
                      n: Annotated[int, Window(0)] = 14, samples: int = 400,
                      h_grid: Annotated[list[float], Window(1)] = [-0.2, 0.0, 0.2, 0.4, 0.6]):
     rows = []
-    for i, h in enumerate(h_grid):
+    for i, (h, key) in enumerate(zip(h_grid, _distinct([f"h={h!r}" for h in h_grid]))):
         rng = derive_rng(rec.seed, "hier-free-energy", repr(B), repr(beta), n, i)
         est = hiermc.pool_free_energy(HierParams(B=B, beta=beta, h=h), n, samples, rng)
-        rec.estimates[f"free_energy_h={h!r}"] = estimate(est.mean, est.std_error)
-        rec.baselines[f"annealed_h={h!r}"] = est.annealed
+        rec.estimates[f"free_energy_{key}"] = estimate(est.mean, est.std_error)
+        rec.baselines[f"annealed_{key}"] = est.annealed
         rows.append((h, est.mean, est.std_error, est.annealed,
                      int(est.mean <= est.annealed + 3 * est.std_error)))
     rec.flags["jensen_ok"] = all(bool(r[-1]) for r in rows)
@@ -279,18 +295,18 @@ def quenched_scan(rec: RunRecord, *, alpha: float = 0.5, n_max: int = 2_000, N: 
                   samples: Annotated[int, Window(2)] = 32,
                   beta_list: Annotated[list[float], Window(1)] = [0.5, 1.0],
                   h_list: Annotated[list[float], Window(1)] = [-0.3, 0.0, 0.2, 0.5, 1.0, 2.0]):
-    law = renewal.make_power_law(alpha, n_max)
     grid = [(i, j, beta, h) for i, beta in enumerate(beta_list) for j, h in enumerate(h_list)]
+    keys = _distinct([f"beta={beta!r}_h={h!r}" for _, _, beta, h in grid])
+    law = renewal.make_power_law(alpha, n_max)
     ests = quenched.quenched_free_energies(
         [QuenchedConfig(law=law, beta=beta, h=h, N=N) for _, _, beta, h in grid],
         [derive_rng(rec.seed, "quenched-scan", i, j) for i, j, _, _ in grid], samples)
     rates = [renewal.homogeneous_free_energy(law, h) for h in h_list]
     rows = []
     ok = True
-    for (_, j, beta, h), est in zip(grid, ests):
-        rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"] = estimate(
-            est.mean, est.std_error)
-        rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] = est.annealed
+    for (_, j, beta, h), key, est in zip(grid, keys, ests):
+        rec.estimates[f"free_energy_{key}"] = estimate(est.mean, est.std_error)
+        rec.baselines[f"annealed_{key}"] = est.annealed
         jensen = est.mean <= est.annealed + 3 * est.std_error
         ok = ok and jensen
         rows.append((beta, h, est.mean, est.std_error, est.annealed, rates[j], int(jensen)))

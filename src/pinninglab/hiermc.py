@@ -22,8 +22,10 @@ _POOL_LEAVES = 1 << 16   # leaves per block of rows in the pool's draw and fold 
 
 
 def _chunk_for(n: int) -> int:
-    # rows per disorder batch of the tilted mean (up to 2^22 leaves, 32 MB);
-    # it bounds memory only: each arm's estimate is one add over all its rows
+    # rows per disorder batch of the tilted mean (up to 2^22 leaves, 32 MB),
+    # and the disorder arm's draw unit: `HierCoupling.synthesize` draws a
+    # batch scale by scale, so the batch size decides which normal feeds
+    # which row, as `hierarchy._sparse_chunk` and `renewal._DRAW` do
     return max(8, min(4096, (1 << 22) // max(1, 2**n)))
 
 
@@ -47,7 +49,7 @@ def pool_free_energy(params: HierParams, n: int, samples: int,
     rows in order consumes the generator stream as one whole draw of
     (samples, 2^(n-1)) normals would, and the fold treats each row alone,
     so every row's value is that of the whole draw bit for bit; the
-    estimate is one accumulator add over all of them.
+    estimate is one two-pass estimate over all of them.
     """
     if n > MAX_GENERATION:
         raise ResourceGuard(f"generation {n} beyond the direct-sampling guard {MAX_GENERATION}")

@@ -1,4 +1,4 @@
-"""Shared numerical plumbing: seeding, Monte Carlo accumulation, small stats,
+"""Shared numerical plumbing: seeding, Monte Carlo means, small stats,
 log-sum-exp, the zeta function and a bracketed root finder."""
 from __future__ import annotations
 
@@ -26,42 +26,19 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=spawn))
 
 
-@dataclass
-class MeanAccumulator:
-    """Streaming mean and standard error over sample chunks.
-
-    Each chunk's own mean and centered sum of squares are folded in with
-    the Chan-Golub-LeVeque update, so a large common offset does not
-    cancel the variance away.  Samples lie along a chunk's last axis: 1-d
-    chunks keep one mean, as Python floats, and (..., n) chunks one per
-    row, each with the bits of a 1-d accumulator fed that row's chunks.
-    """
-
-    count: int = 0
-    mean: float | np.ndarray = 0.0
-    m2: float | np.ndarray = 0.0   # sum of squared deviations from the mean
-
-    def add(self, values: np.ndarray) -> None:
-        v = np.asarray(values, dtype=float)
-        n = v.shape[-1]
-        m = v.mean(axis=-1)
-        total = self.count + n
-        delta = m - self.mean
-        mean = self.mean + delta * n / total
-        # float_power calls pow, as a float's ** 2 does; an array's ** 2 multiplies
-        m2 = self.m2 + (np.sum((v - m[..., None]) ** 2, axis=-1)
-                        + np.float_power(delta, 2) * self.count * n / total)
-        self.mean, self.m2 = (mean, m2) if v.ndim > 1 else (float(mean), float(m2))
-        self.count = total
-
-    @property
-    def std_error(self) -> float | np.ndarray:
-        """The standard error of each mean; inf below two samples."""
-        if self.count < 2:
-            se = np.full(np.shape(self.mean), math.inf)
-        else:
-            se = np.sqrt(self.m2 / (self.count - 1) / self.count)
-        return se if np.ndim(se) else float(se)
+def mean_and_error(values: np.ndarray):
+    """The mean along the last axis and its standard error, in two passes:
+    the mean, then the centered sum of squares, so that a large common
+    offset does not cancel the variance away.  Floats for 1-d values, one
+    of each per row otherwise; the error is inf below two samples."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[-1]
+    mean = v.mean(axis=-1)
+    if n < 2:
+        se = np.full(np.shape(mean), math.inf)
+    else:
+        se = np.sqrt(np.sum((v - mean[..., None]) ** 2, axis=-1) / (n - 1) / n)
+    return (mean, se) if v.ndim > 1 else (float(mean), float(se))
 
 
 @dataclass(frozen=True)
@@ -80,10 +57,8 @@ class PoolEstimate:
     @classmethod
     def from_samples(cls, values: np.ndarray,
                      annealed: float | None = None) -> "PoolEstimate":
-        """The estimate over a whole 1-d sample vector, by one accumulator add."""
-        acc = MeanAccumulator()
-        acc.add(values)
-        return cls(acc.mean, acc.std_error, acc.count, annealed)
+        """The estimate over a whole 1-d sample vector."""
+        return cls(*mean_and_error(values), len(values), annealed)
 
 
 def logsumexp_1d(x: np.ndarray):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, HorizonExceeded, InvalidParameter, ResourceGuard
 from .gaussian import (_BLOCK_DENOM, build_block_coupling, factorize, holder_cost,
                        sample_tilted_batch)
-from .numerics import EXP_RANGE, MeanAccumulator, PoolEstimate, logsumexp_1d, zeta
+from .numerics import EXP_RANGE, PoolEstimate, logsumexp_1d, mean_and_error, zeta
 from .renewal import (GreenTable, RenewalLaw, RenewalPaths, _convolve, green_function,
                       sample_path)
 
@@ -164,7 +164,7 @@ def quenched_free_energies(cfgs: list[QuenchedConfig], rngs: list[np.random.Gene
     The configs share one law and one N; config p draws its rows from
     rngs[p], as many at a time as `_DP_CELLS` allows for all configs
     together, which equals one `standard_normal((samples, N))` draw; the
-    estimates are one accumulator add over all the (P, samples) ends.  The
+    estimates are one two-pass estimate over each config's row of ends.  The
     annealed baseline attached to each estimate is the exact finite-N value
     (the zero-disorder DP at the same size, one more row per config in each
     call), so the Jensen ordering holds sample by sample in expectation at
@@ -183,10 +183,9 @@ def quenched_free_energies(cfgs: list[QuenchedConfig], rngs: list[np.random.Gene
         rows = [_site_log_weights(c, rng.standard_normal((n, N))) for c, rng in zip(cfgs, rngs)]
         end = _log_renewal_dp(np.concatenate(rows + pure), _log_K(law), law.n_max)[:, N] / N
         ends.append(end[: P * n].reshape(P, n))
-    acc = MeanAccumulator()
-    acc.add(np.concatenate(ends, axis=1))
-    return [PoolEstimate(float(m), float(se), acc.count, annealed=float(a))
-            for m, se, a in zip(acc.mean, acc.std_error, end[P * n :])]
+    means, errors = mean_and_error(np.concatenate(ends, axis=1))
+    return [PoolEstimate(float(m), float(se), samples, annealed=float(a))
+            for m, se, a in zip(means, errors, end[P * n :])]
 
 
 def pinned_rows(cfg: QuenchedConfig, k: int, *, logz: np.ndarray,
@@ -266,7 +265,7 @@ def decomposition_residual(cfg: QuenchedConfig, omega: np.ndarray, k: int) -> fl
     return abs(math.expm1(total - ref))
 
 
-_PROFILE_ROWS = 128   # profile rows per block, which bounds the working memory
+_PROFILE_CELLS = 1 << 16   # sites x paths per profile block; it bounds memory only
 
 
 def _inv_sqrt_table(n: int) -> np.ndarray:
@@ -328,24 +327,32 @@ def _pair_increments(paths: RenewalPaths, counts: np.ndarray):
 
 
 def _pair_sum_profiles(paths: RenewalPaths, horizon: int):
-    """The pair-sum profiles of `paths`, `_PROFILE_ROWS` rows at a time.
+    """The pair-sum profiles of `paths`, site-major, a block of sites at a time.
 
-    Row r, column m is S[m] = sum over pairs i < j <= m of path r of
-    1/sqrt(j - i), as `oracles.pair_sum_profile` gives it path by path: the
-    cumulative sum over the sites of one `_pair_increments` pass's sums.
+    Entry (m, r) of the stacked blocks is S[m] = sum over pairs i < j <= m
+    of path r of 1/sqrt(j - i), as `oracles.pair_sum_profile` gives it path
+    by path: the cumulative sum down the sites of one `_pair_increments`
+    pass's sums, carried from block to block, so the block size
+    (`_PROFILE_CELLS` // len(paths) sites) moves no bit.
     """
-    pts, off = paths.points, paths.offsets
+    pts, off, R = paths.points, paths.offsets, len(paths)
     inc = np.zeros(pts.size + 1)   # the last entry takes the pads
     for _, at, sums in _pair_increments(paths, _window_counts(paths, horizon)):
         inc[at] = sums
-    for lo in range(0, len(paths), _PROFILE_ROWS):
-        hi = min(lo + _PROFILE_ROWS, len(paths))
-        span = slice(off[lo], off[hi])
-        row = np.repeat(np.arange(hi - lo), np.diff(off[lo : hi + 1]))
-        keep = pts[span] <= horizon
-        prof = np.zeros((hi - lo, horizon + 1))
-        prof[row[keep], pts[span][keep]] = inc[span][keep]
-        yield np.cumsum(prof, axis=1, out=prof)
+    keep = pts <= horizon
+    cell = pts[keep] * R + np.repeat(np.arange(R), np.diff(off))[keep]
+    order = np.argsort(cell)
+    cell, inc = cell[order], inc[:-1][keep][order]
+    step = max(1, _PROFILE_CELLS // R)
+    carry = np.zeros(R)
+    for lo in range(0, horizon + 1, step):
+        hi = min(lo + step, horizon + 1)
+        a, b = np.searchsorted(cell, (lo * R, hi * R))
+        prof = np.zeros((hi - lo, R))
+        prof.flat[cell[a:b] - lo * R] = inc[a:b]
+        prof[0] += carry
+        carry = np.cumsum(prof, axis=0, out=prof)[-1]
+        yield prof
 
 
 @dataclass(frozen=True)
@@ -382,12 +389,10 @@ def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
     (1 - gamma) / sqrt(c k log k) the paper's in-block coupling scale.  All
     `samples` paths come from one batched `sample_path` call on the
     half-window [0, (k - 1) // 2]; every profile on it is computed at once
-    by `_pair_sum_profiles`, so each path serves every m.  The window k = 2
-    has an empty half-window: it draws nothing, and s = 1.  The Green table
-    runs to max(k - 1, 2), which is also the horizon of Lemma 5.1's c9.
-    This is the one Monte Carlo estimate that streams: all samples x
-    half-window values (16 MB at k 1 000) are what `_PROFILE_ROWS` bounds,
-    so each block of profiles is its own accumulator add.
+    by `_pair_sum_profiles`, so each path serves every m, and each m is one
+    two-pass estimate over its samples.  The window k = 2 has an empty
+    half-window: it draws nothing, and s = 1.  The Green table runs to
+    max(k - 1, 2), which is also the horizon of Lemma 5.1's c9.
     """
     if k < 2:
         raise InvalidParameter("window must be at least 2")
@@ -397,11 +402,10 @@ def u_weight_table(beta: float, k: int, gamma: float, law: RenewalLaw,
     table = green_function(law, max(k - 1, 2))
     hscale = (1.0 - gamma) / math.sqrt(_BLOCK_DENOM * k * math.log(k))
     profiles = (_pair_sum_profiles(sample_path(law, m_max, rng, size=samples), m_max)
-                if m_max else [np.zeros((samples, 1))])
-    acc = MeanAccumulator()
-    for prof in profiles:
-        acc.add(np.exp(-(beta**2) * hscale * prof.T))
-    return UWeightTable(k=k, green=table, s_mean=acc.mean, s_err=acc.std_error)
+                if m_max else [np.zeros((1, samples))])
+    est = [mean_and_error(np.exp(-(beta**2) * hscale * prof)) for prof in profiles]
+    s_mean, s_err = (np.concatenate(part) for part in zip(*est))
+    return UWeightTable(k=k, green=table, s_mean=s_mean, s_err=s_err)
 
 
 def green_bound_constant(table: GreenTable) -> float:

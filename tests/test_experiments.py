@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinninglab import acceptance, cli, hiermc
+from pinninglab import acceptance, cli, hiermc, oracles, quenched
 from pinninglab.experiments import EXPERIMENTS, resolve, run
 from pinninglab.records import ExperimentConfig
 
@@ -74,6 +74,32 @@ def test_run_window_edge_exits_0(tmp_path, name, edge):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"experiment": name, "seed": 1, **QUICK[name], **edge}))
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("name, grid, key", [
+    ("hier-free-energy", {"h_grid": [0.1, 0.1, 0.2]}, "h=0.1"),
+    ("quenched-scan", {"beta_list": [0.5, 0.5]}, "beta=0.5_h=-0.2"),
+    ("annealed-scan", {"B_list": [1.4142, 1.4143]}, "B=1.414"),
+])
+def test_grid_points_sharing_a_record_key_exit_2(tmp_path, capsys, name, grid, key):
+    # one record entry per grid point: a shared key would drop an estimate
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"experiment": name, "seed": 1, **QUICK[name], **grid}))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gw_check_guards_the_replay_before_any_draw(monkeypatch, tmp_path, capsys):
+    # 100 000 samples at mc_n 24 expect 4e8 leaves, about 11 GB of replay
+    def drew(*args):
+        raise AssertionError("the replay ran")
+
+    monkeypatch.setattr(oracles, "gw_cascade_leaves", drew)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"experiment": "gw-check", "seed": 1, "mc_n": 24}))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "desk-scale guard" in capsys.readouterr().err
 
 
 def test_annealed_scan_slope_column(tmp_path):
@@ -158,7 +184,6 @@ SUMMATION_ORDER = {
     "quenched._W_GAPS": (100, "the gap budget groups and pads the paths of the "
                               "pair kernel, and padding reshapes numpy's pairwise sums"),
     "quenched._W_ROWS": (5, "each lag block of the pair kernel adds its own row sums"),
-    "quenched._PROFILE_ROWS": (7, "u_weight_table adds one block of profiles at a time"),
 }
 SMALL_PAIR_CONFIGS = [
     {"experiment": "clt-check", "seed": 3, "n_max": 2_000, "L_exact": 200, "L_w": 5_000,
@@ -185,6 +210,19 @@ def test_summation_order_constants_move_last_bits_only(monkeypatch, small_pair_e
             for part in est.keys() - {"exact"}:
                 assert est[part] == pytest.approx(base[key][part], rel=1e-14, abs=0.0), \
                     (key, part)
+
+
+def test_profile_budget_bounds_memory_only(monkeypatch, tmp_path):
+    # one site per profile block: the record and the CSV keep every byte
+    raw = {"experiment": "lemma51-scan", "seed": 3, **QUICK["lemma51-scan"]}
+    run(ExperimentConfig.from_dict(raw), tmp_path / "whole")
+    monkeypatch.setattr(quenched, "_PROFILE_CELLS", 1)
+    run(ExperimentConfig.from_dict(raw), tmp_path / "sites")
+    for name in ("lemma51-scan.record.json", "lemma51-scan.scan.csv"):
+        whole, sites = ((tmp_path / d / name).read_text() for d in ("whole", "sites"))
+        if name.endswith(".json"):
+            whole, sites = ({**json.loads(t), "wall_time_s": 0} for t in (whole, sites))
+        assert whole == sites, name
 
 
 def test_certify_drops_the_inert_disorder_samples_key():

@@ -9,7 +9,7 @@ from pinninglab import hierarchy as H
 from pinninglab import hiermc as MC
 from pinninglab.errors import InvalidParameter, ResourceGuard
 from pinninglab.hierarchy import B_CRITICAL, HierParams
-from pinninglab.numerics import MeanAccumulator
+from pinninglab.numerics import mean_and_error
 
 
 def test_pool_zero_disorder_is_exact():
@@ -31,10 +31,10 @@ def test_pool_jensen():
     assert est.mean <= est.annealed + 3 * est.std_error
 
 
-def _one_add(values):
-    acc = MeanAccumulator()
-    acc.add(np.concatenate(values))
-    return acc
+def _one_estimate(values):
+    """Mean, standard error and count over the chunks joined."""
+    v = np.concatenate(values)
+    return (*mean_and_error(v), v.size)
 
 
 def _sizes(total, chunk):
@@ -43,10 +43,10 @@ def _sizes(total, chunk):
 
 def _whole_draw_pool(params, n, samples, rng):
     """The pool as one draw of (samples, 2^(n-1)) sibling normals and one
-    accumulator add: sqrt(2) z in each left leaf, 0 in each right one."""
+    estimate: sqrt(2) z in each left leaf, 0 in each right one."""
     om = np.zeros((samples, 2**n))
     om[:, 0::2] = math.sqrt(2.0) * rng.standard_normal((samples, 2 ** (n - 1)))
-    return _one_add([H.hier_log_partition_batch(params, n, om) / 2.0**n])
+    return _one_estimate([H.hier_log_partition_batch(params, n, om) / 2.0**n])
 
 
 # sample counts off the block rows (300 in blocks of 16; 5, 37 and 22 in
@@ -61,8 +61,8 @@ def test_pool_blocks_match_the_whole_draw(monkeypatch, n, samples, rows, beta, h
     params = HierParams(B=B_CRITICAL, beta=beta, h=h)
     rng, rng_whole = np.random.default_rng(n + samples), np.random.default_rng(n + samples)
     est = MC.pool_free_energy(params, n, samples, rng)
-    acc = _whole_draw_pool(params, n, samples, rng_whole)
-    assert (est.mean, est.std_error, est.sample_count) == (acc.mean, acc.std_error, acc.count)
+    whole = _whole_draw_pool(params, n, samples, rng_whole)
+    assert (est.mean, est.std_error, est.sample_count) == whole
     assert rng.bit_generator.state == rng_whole.bit_generator.state
 
 
@@ -118,14 +118,14 @@ def test_tilted_arms_are_one_add_over_their_chunks(monkeypatch, n, samples,
 
     rng = np.random.default_rng(n)
     spec = G.factorize(G.build_hier_coupling(n))
-    disorder = _one_add([np.exp(H.hier_log_partition_batch(
+    disorder = _one_estimate([np.exp(H.hier_log_partition_batch(
         params, n, G.sample_tilted_batch(spec, eps, rng, size)))
         for size in _sizes(disorder_samples, chunk)])
     coeff = 0.5 * beta**2 * eps * n / math.sqrt(H.pair_overlap_sum(n, B_CRITICAL))
     draws = [H.gw_overlap_samples(n, B_CRITICAL, rng, size) for size in _sizes(samples, sparse)]
-    renewal = _one_add([np.exp(-coeff * y + h * count) for y, count in draws])
-    for est, acc in ((tm.disorder_mc, disorder), (tm.renewal_mc, renewal)):
-        assert (est.mean, est.std_error, est.sample_count) == (acc.mean, acc.std_error, acc.count)
+    renewal = _one_estimate([np.exp(-coeff * y + h * count) for y, count in draws])
+    for est, want in ((tm.disorder_mc, disorder), (tm.renewal_mc, renewal)):
+        assert (est.mean, est.std_error, est.sample_count) == want
 
 
 def test_tilted_mean_trivial_point():
@@ -186,10 +186,9 @@ def test_paley_zygmund_is_one_add_over_its_chunks(n, samples):
     # one cascade call draws
     rep = MC.paley_zygmund_check(n, samples, np.random.default_rng(n))
     y, _ = H.gw_overlap_samples(n, B_CRITICAL, np.random.default_rng(n), samples)
-    acc = MeanAccumulator()
-    acc.add(np.stack([y, y * y]))
-    assert (rep.y_mean, rep.y_sq_mean) == tuple(acc.mean.tolist())
-    assert (rep.y_mean_stderr, rep.y_sq_stderr) == tuple(acc.std_error.tolist())
+    means, errors = mean_and_error(np.stack([y, y * y]))
+    assert (rep.y_mean, rep.y_sq_mean) == tuple(means.tolist())
+    assert (rep.y_mean_stderr, rep.y_sq_stderr) == tuple(errors.tolist())
     assert rep.prob == np.count_nonzero(y >= 0.5) / samples
 
 

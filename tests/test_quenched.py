@@ -11,7 +11,7 @@ from pinninglab import quenched as Q
 from pinninglab import renewal as R
 from pinninglab.errors import HorizonExceeded, InvalidParameter, ResourceGuard
 from pinninglab.experiments import run
-from pinninglab.numerics import MeanAccumulator, derive_rng
+from pinninglab.numerics import derive_rng, mean_and_error
 from pinninglab.quenched import QuenchedConfig
 from pinninglab.records import ExperimentConfig
 
@@ -182,12 +182,11 @@ def test_quenched_scan_equals_a_loop_over_points_and_samples():
         for j, h in enumerate(raw["h_list"]):
             cfg = QuenchedConfig(law=law, beta=beta, h=h, N=300)
             rng = derive_rng(5, "quenched-scan", i, j)
-            acc = MeanAccumulator()
-            for _ in range(6):
-                acc.add(Q.log_partition_profile(cfg, rng.standard_normal(300))[300:] / 300)
+            mean, se = mean_and_error([Q.log_partition_profile(cfg, rng.standard_normal(300))[300]
+                                       / 300 for _ in range(6)])
             got = rec.estimates[f"free_energy_beta={beta!r}_h={h!r}"]
-            assert got["value"] == pytest.approx(acc.mean, rel=1e-13, abs=1e-15)
-            assert got["std_error"] == pytest.approx(acc.std_error, rel=1e-9)
+            assert got["value"] == pytest.approx(mean, rel=1e-13, abs=1e-15)
+            assert got["std_error"] == pytest.approx(se, rel=1e-9)
             pure = QuenchedConfig(law=law, beta=0.0, h=h, N=300)
             assert rec.baselines[f"annealed_beta={beta!r}_h={h!r}"] == pytest.approx(
                 Q.log_partition_profile(pure, np.zeros(300))[300] / 300, rel=1e-13, abs=1e-15)
@@ -208,7 +207,7 @@ def test_quenched_free_energies_in_several_calls_equal_one(law, monkeypatch):
     # a cell budget of 3 rows per config per call splits 8 samples into
     # calls of 3, 3 and 2 rows; each stream is drawn in the same order, the
     # DP guard that shares block ends across a call's rows does not fire at
-    # these sizes, and the estimates are one add over all the ends, so the
+    # these sizes, and the estimates are one call over all the ends, so the
     # split moves no bit
     cfgs = [QuenchedConfig(law=law, beta=b, h=h, N=200) for b, h in ((0.5, -0.3), (1.2, 0.4))]
     def run():
@@ -331,18 +330,18 @@ def test_u_weight_errors_equal_the_two_pass_standard_error():
     prof = np.vstack(list(Q._pair_sum_profiles(paths, 499)))
     hscale = (1.0 - gamma) / math.sqrt(Q._BLOCK_DENOM * k * math.log(k))
     vals = np.exp(-(beta**2) * hscale * prof)
-    assert np.allclose(tab.s_mean, vals.mean(axis=0), rtol=1e-13, atol=0.0)
-    assert np.allclose(tab.s_err, vals.std(axis=0, ddof=1) / math.sqrt(samples),
-                       rtol=1e-12, atol=0.0)
+    assert vals.shape == (500, samples)
+    for m, row in enumerate(vals):
+        assert (tab.s_mean[m], tab.s_err[m]) == mean_and_error(row), m
 
 
 @pytest.mark.parametrize("m_max", [4, 49, 499])
 def test_batched_pair_sum_profiles_match_oracle(m_max):
     # the pair kernel's rows against the p x p profile, path by path,
-    # across more than one block of rows
+    # across more than one block of sites
     law = R.make_power_law(0.5, 1000)
     paths = R.sample_path(law, m_max, np.random.default_rng(m_max), size=300)
-    rows = np.vstack(list(Q._pair_sum_profiles(paths, m_max)))
+    rows = np.vstack(list(Q._pair_sum_profiles(paths, m_max))).T
     assert rows.shape == (300, m_max + 1)
     for row, points in zip(rows, np.split(paths.points, paths.offsets[1:-1])):
         ref = oracles.pair_sum_profile(points, m_max)
@@ -486,7 +485,7 @@ def test_w_statistic_is_the_last_profile_column(law):
     paths = R.sample_path(law, L, np.random.default_rng(13), size=300)
     prof = np.vstack(list(Q._pair_sum_profiles(paths, L)))
     w = Q.w_statistic(paths, L) * (math.sqrt(L) * math.log(L))
-    np.testing.assert_allclose(w, prof[:, L], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(w, prof[L], rtol=1e-13, atol=0.0)
     assert np.count_nonzero(w) > 250
 
 
@@ -502,7 +501,7 @@ def test_pair_kernel_groups_by_the_gap_budget(monkeypatch):
     batch = _batch(point_lists)
     groups = [grp for grp, _, _ in Q._pair_increments(batch, Q._window_counts(batch, L))]
     assert [g.size for g in groups] == [256, 44, 1] and groups[2].tolist() == [150]
-    rows = np.vstack(list(Q._pair_sum_profiles(batch, L)))
+    rows = np.vstack(list(Q._pair_sum_profiles(batch, L))).T
     w = Q.w_statistic(batch, L) * (math.sqrt(L) * math.log(L))
     for p, row, value in zip(point_lists, rows, w, strict=True):
         ref = oracles.pair_sum_profile(np.asarray(p), L)

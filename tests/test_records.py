@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pinninglab.errors import ConfigError
-from pinninglab.numerics import MeanAccumulator, derive_rng, ks_distance
+from pinninglab.numerics import derive_rng, ks_distance, mean_and_error
 from pinninglab.records import ExperimentConfig, RunRecord, estimate, write_csv
 
 
@@ -50,53 +50,27 @@ def test_derive_rng_stable_and_keyed():
     assert not (a == c).all()
 
 
-def test_mean_accumulator_merges():
-    import numpy as np
-
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(1000)
-    one = MeanAccumulator()
-    one.add(x)
-    two = MeanAccumulator()
-    two.add(x[:300])
-    two.add(x[300:])
-    assert one.mean == pytest.approx(two.mean)
-    assert one.std_error == pytest.approx(two.std_error)
-    assert one.mean == pytest.approx(float(x.mean()))
-    assert one.std_error == pytest.approx(float(x.std(ddof=1) / np.sqrt(x.size)))
-
-
-def test_mean_accumulator_large_offset():
-    # at this offset a sum-of-squares accumulator loses the variance to cancellation
-    import numpy as np
-
+def test_mean_and_error_large_offset():
+    # at this offset a sum-of-squares estimator loses the variance to cancellation
     x = np.random.default_rng(1).standard_normal(10_000) + 1e8
-    acc = MeanAccumulator()
-    for chunk in np.split(x, 10):
-        acc.add(chunk)
+    mean, se = mean_and_error(x)
     want = float(x.std(ddof=1) / np.sqrt(x.size))
-    assert acc.std_error == pytest.approx(want, rel=0.01)
-    assert acc.mean == pytest.approx(float(x.mean()), abs=1e-6)
+    assert se == pytest.approx(want, rel=0.01)
+    assert mean == pytest.approx(float(x.mean()), abs=1e-6)
 
 
-def test_mean_accumulator_rows_equal_one_accumulator_per_row():
-    # an (R, n) chunk folds each row as a 1-d accumulator fed that row's
-    # chunks would, bit for bit, across unequal chunks at a large offset
+def test_mean_and_error_rows_equal_one_call_per_row():
+    # an (R, n) array gives each row the bits of a 1-d call on that row,
+    # at a large offset; below two samples the error is inf
     rng = np.random.default_rng(2)
     x = rng.standard_normal((7, 1000)) * rng.uniform(0.1, 10.0, (7, 1)) + 1e4
-    rows, singles = MeanAccumulator(), [MeanAccumulator() for _ in x]
-    for lo, hi in ((0, 1), (1, 8), (8, 300), (300, 1000)):
-        rows.add(x[:, lo:hi])
-        for acc, row in zip(singles, x):
-            acc.add(row[lo:hi])
-    assert rows.count == 1000
-    for name in ("mean", "m2", "std_error"):
-        values = [getattr(acc, name) for acc in singles]
-        assert all(type(v) is float for v in values)
-        assert np.array_equal(getattr(rows, name), values)
-    one = MeanAccumulator()
-    one.add(x[:, :1])
-    assert one.std_error.tolist() == [float("inf")] * 7
+    means, errors = mean_and_error(x)
+    singles = [mean_and_error(row) for row in x]
+    assert all(type(m) is float and type(e) is float for m, e in singles)
+    assert np.array_equal(means, [m for m, _ in singles])
+    assert np.array_equal(errors, [e for _, e in singles])
+    assert mean_and_error(x[:, :1])[1].tolist() == [float("inf")] * 7
+    assert mean_and_error(x[0, :1]) == (x[0, 0], float("inf"))
 
 
 def test_ks_distance_uniform():

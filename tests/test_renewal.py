@@ -304,9 +304,11 @@ _SHAPES = {"line": lambda d: d, "atan": math.atan, "expm1": math.expm1,
        right=st.floats(1e-3, 4.0), scale=st.floats(0.05, 30.0),
        shape=st.sampled_from(sorted(_SHAPES)), sign=st.sampled_from([-1.0, 1.0]),
        relative=st.booleans())
+@example(root=2.2250738585072014e-308, left=1.0, right=1.0, scale=0.05, shape="line",
+         sign=-1.0, relative=False)
 def test_bracketed_root_holds_a_known_root(root, left, right, scale, shape, sign, relative):
-    # sign * shape(scale (x - root)) is monotone with the sign of x - root,
-    # exactly in floating point; the relative rule needs a root away from 0
+    # sign * shape(scale (x - root)) has the sign of x - root, or is 0, in
+    # floating point; the relative rule needs a root away from 0
     if relative and abs(root) < 1e-3:
         root = 1e-3
     atol, rtol = (0.0, 1e-10) if relative else (1e-12, 0.0)
@@ -316,7 +318,12 @@ def test_bracketed_root_holds_a_known_root(root, left, right, scale, shape, sign
         return sign * _SHAPES[shape](scale * (x - root))
 
     a, b = bracketed_root(f, lo, hi, atol=atol, rtol=rtol)
-    assert lo <= a <= root <= b <= hi
+    if a == b and f(a) == 0.0:
+        # an exact zero of the floating-point f: near the smallest normal,
+        # scale (x - root) underflows to 0 a few ulps off the root
+        assert lo <= a <= hi and abs(a - root) <= 1e-300
+    else:
+        assert lo <= a <= root <= b <= hi
     assert b - a <= atol + rtol * max(abs(a), abs(b))
     assert f(a) * f(lo) >= 0.0 and f(b) * f(hi) >= 0.0
 
