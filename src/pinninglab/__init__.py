@@ -10,7 +10,7 @@ from .records import VERSION as __version__
 from .errors import (ConfigError, DimensionMismatch, HorizonExceeded,
                      InvalidParameter, NotPositiveDefinite,
                      PinningLabError, ResourceGuard)
-from .hierarchy import B_CRITICAL, HierParams, TreeIndexSet
+from .hierarchy import B_CRITICAL, HierParams
 from .renewal import (GreenTable, RenewalLaw, RenewalPaths, green_function,
                       homogeneous_free_energy, make_power_law, sample_path)
 from .gaussian import BlockCoupling, HierCoupling, build_block_coupling, \
@@ -25,7 +25,7 @@ __all__ = [
     "NotPositiveDefinite", "ResourceGuard", "ConfigError",
     "RenewalLaw", "GreenTable", "RenewalPaths", "make_power_law",
     "green_function", "sample_path", "homogeneous_free_energy",
-    "HierParams", "TreeIndexSet",
+    "HierParams",
     "HierCoupling", "BlockCoupling", "build_hier_coupling", "build_block_coupling",
     "factorize", "holder_cost",
     "PoolEstimate", "Certificate", "pool_free_energy", "tilted_mean",

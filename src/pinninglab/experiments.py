@@ -163,8 +163,7 @@ def gw_check(rec: RunRecord, *, B: Annotated[float, Window(1, 2, open=True)] = B
     for n in range(1, n_exact + 1):
         for r in range(1, 2**n + 1):
             for leaves in itertools.combinations(range(1, 2**n + 1), r):
-                idx = hierarchy.TreeIndexSet(n=n, leaves=leaves)
-                closed = hierarchy.gw_product_expectation(idx, B)
+                closed = hierarchy.gw_product_expectation(n, leaves, B)
                 brute = oracles.gw_enumeration_expectation(n, leaves, B)
                 err = abs(closed - brute)
                 worst = max(worst, err)
@@ -180,7 +179,7 @@ def gw_check(rec: RunRecord, *, B: Annotated[float, Window(1, 2, open=True)] = B
     pair = np.intersect1d(sid[leaf == 0], sid[leaf == 2], assume_unique=True).size / mc_samples
     se2 = math.sqrt(max(pair * (1 - pair), 1e-12) / mc_samples)
     t1 = B**-mc_n
-    t2 = hierarchy.gw_product_expectation(hierarchy.TreeIndexSet(n=mc_n, leaves=(1, 3)), B)
+    t2 = hierarchy.gw_product_expectation(mc_n, (1, 3), B)
     rec.estimates["mc_single_leaf"] = estimate(p1, se1)
     rec.estimates["mc_pair"] = estimate(pair, se2)
     rec.baselines["single_leaf"] = t1

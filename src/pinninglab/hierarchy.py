@@ -39,24 +39,6 @@ class HierParams:
             raise InvalidParameter("disorder strength must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TreeIndexSet:
-    """A nonempty set of leaves of the depth-n binary tree."""
-
-    n: int
-    leaves: tuple[int, ...]
-
-    def __post_init__(self):
-        ls = tuple(sorted(set(int(i) for i in self.leaves)))
-        if len(ls) != len(self.leaves):
-            raise InvalidParameter("duplicate leaves")
-        if not ls:
-            raise InvalidParameter("empty index set")
-        if ls[0] < 1 or ls[-1] > 2**self.n:
-            raise InvalidParameter("leaf indices out of range")
-        object.__setattr__(self, "leaves", ls)
-
-
 def annealed_map_step(x: float, B: float) -> float:
     """One step of the disorder-averaged recursion x -> (x^2 + B - 1)/B."""
     if x < 0.0:
@@ -81,10 +63,11 @@ def envelope_generation(B: float, tol: float) -> int:
     return n
 
 
-def _combine_pair(s: np.ndarray | float, logB: float, logC: float):
-    """log((e^s + C)/B) without overflow; s may be hugely positive or negative.
-    The exponent is capped at -EXP_RANGE, so nothing drops to a subnormal;
-    the cap moves no value, since e^-600 is far below an ulp of m."""
+def _combine_pair(s: np.ndarray | float, B: float):
+    """log((e^s + C)/B), C = B - 1, without overflow; s may be hugely positive
+    or negative.  The exponent is capped at -EXP_RANGE, so nothing drops to a
+    subnormal; the cap moves no value, since e^-600 is far below an ulp of m."""
+    logB, logC = math.log(B), math.log(B - 1.0)
     m = np.maximum(s, logC)
     return m + np.log1p(np.exp(-np.minimum(np.abs(s - logC), EXP_RANGE))) - logB
 
@@ -92,10 +75,9 @@ def _combine_pair(s: np.ndarray | float, logB: float, logC: float):
 def annealed_log_iterate(log_x0: float, n: int, B: float) -> float:
     """log of the n-fold annealed iterate from e^log_x0; log_x0 = -inf starts
     from 0, where the iterate climbs monotonically toward B - 1."""
-    logB, logC = math.log(B), math.log(B - 1.0)
     L = log_x0
     for _ in range(n):
-        L = float(_combine_pair(2.0 * L, logB, logC))
+        L = float(_combine_pair(2.0 * L, B))
     return L
 
 
@@ -103,11 +85,10 @@ def annealed_free_energy(B: float, h: float) -> float:
     """Growth rate 2^-n log(iterate from e^h); 0 for h <= 0."""
     if h <= 0.0:
         return 0.0
-    logB, logC = math.log(B), math.log(B - 1.0)
     L = h
     prev = h
     for n in range(1, _ANNEALED_MAX_GEN + 1):
-        L = float(_combine_pair(2.0 * L, logB, logC))
+        L = float(_combine_pair(2.0 * L, B))
         cur = L / 2.0**n
         if n > 8 and abs(cur - prev) <= _ANNEALED_REL_TOL * max(abs(cur), 1e-300):
             return cur
@@ -115,19 +96,20 @@ def annealed_free_energy(B: float, h: float) -> float:
     return prev
 
 
-def subtree_node_count(idx: TreeIndexSet) -> int:
+def subtree_node_count(n: int, leaves) -> int:
     """Internal nodes (levels 1..n, root included, leaves not) in the union
-    of root-to-leaf paths."""
+    of the root-to-leaf paths of the depth-n tree's leaves, 1-based."""
     total = 0
-    leaves = np.asarray(idx.leaves, dtype=np.int64) - 1
-    for level in range(1, idx.n + 1):
-        total += np.unique(leaves >> level).size
+    idx = np.fromiter(leaves, dtype=np.int64) - 1
+    for level in range(1, n + 1):
+        total += np.unique(idx >> level).size
     return total
 
 
-def gw_product_expectation(idx: TreeIndexSet, B: float) -> float:
-    """Mean of the product of leaf-survival indicators over the set."""
-    return float(B) ** -subtree_node_count(idx)
+def gw_product_expectation(n: int, leaves, B: float) -> float:
+    """Mean of the product of the survival indicators of the depth-n tree's
+    leaves, 1-based."""
+    return float(B) ** -subtree_node_count(n, leaves)
 
 
 def pair_overlap_sum(n: int, B: float) -> float:
@@ -234,13 +216,12 @@ def hier_log_partition_batch(params: HierParams, n: int,
     # every row is linear through level lo, and those levels are elementwise,
     # so they run on all rows at once; each row's own bound takes it on
     x = _linear_levels(sigma, 0, lo, params.B)
-    logB, logC = math.log(params.B), math.log(params.B - 1.0)
     for k in range(lo, hi + 1):
         rows = slice(None) if lo == hi else linear == k
         y = _linear_levels(x[rows], lo, k, params.B)
-        L = np.log(y) if k else _combine_pair(y, logB, logC)
+        L = np.log(y) if k else _combine_pair(y, params.B)
         for _ in range(n - max(k, 1)):
-            L = _combine_pair(L[:, 0::2] + L[:, 1::2], logB, logC)
+            L = _combine_pair(L[:, 0::2] + L[:, 1::2], params.B)
         out[rows] = L[:, 0]
     return out.reshape(om.shape[:-1])
 

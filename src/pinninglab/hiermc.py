@@ -216,9 +216,8 @@ def certify_delocalization(
             raise ResourceGuard(f"n={n} beyond the feasibility cap {MAX_GENERATION}")
 
     spec = gaussian.factorize(gaussian.build_hier_coupling(n, B))
-    pd_cap = 0.999 / spec.lam_max
     epsilon = (epsilon_override if epsilon_override is not None
-               else min(eps0, pd_cap))
+               else min(eps0, gaussian.PD_SAFETY / spec.lam_max))
     h = zeta * 2.0**-n
 
     cost = gaussian.holder_cost(spec, epsilon, gamma)

@@ -62,17 +62,14 @@ class PoolEstimate:
 
 
 def logsumexp_1d(x: np.ndarray):
-    """log sum exp(x), shifted by the maximum: a float for a 1-d x, one value
-    per row for a 2-d x.  An infinite maximum gives itself."""
-    if x.ndim == 1:
-        m = float(x.max())
-        if not math.isfinite(m):
-            return m
-        return m + float(np.log(np.exp(x - m).sum()))
-    m = x.max(axis=1, keepdims=True)
+    """log sum exp(x), shifted by the maximum: one value per row of a 2-d x,
+    a float for a 1-d x, which is one row.  An infinite maximum gives itself."""
+    rows = np.atleast_2d(x)
+    m = rows.max(axis=1, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return (m + np.log(np.exp(x - shift).sum(axis=1, keepdims=True)))[:, 0]
+    with np.errstate(divide="ignore", over="ignore"):
+        out = (m + np.log(np.exp(rows - shift).sum(axis=1, keepdims=True)))[:, 0]
+    return float(out[0]) if x.ndim == 1 else out
 
 
 # B_2k / (2k)! for k = 1..8

@@ -78,13 +78,13 @@ def _site_log_weights(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
     return w
 
 
-def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray:
+def _log_renewal_dp(logz: np.ndarray, law: RenewalLaw) -> np.ndarray:
     """The renewal DP pinned at site 0 on each row of logz (R, N + 1), one
     block of at most 64 sites at a time for all R rows together.
 
     L[0] = 0 and L[n] = logz[n] + log sum_{j <= min(n, band)} K(j) e^L[n-j]
-    per row; logz[:, 0] is never read; logK holds log K(0..band), and K sums
-    to at most 1.
+    per row, with K the law's masses and band its horizon n_max; logz[:, 0]
+    is never read, and K sums to at most 1.
 
     A block [s, e) runs in the linear domain against each row's log offset
     off = log sum e^L over the window [s - band, s) behind it.  With
@@ -104,6 +104,7 @@ def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray
     the exact step L[s] = logz[s] + log sum_d K(d) e^L[s-d].
     """
     R, N = logz.shape[0], logz.shape[1] - 1
+    logK, band = law.log_mass, law.n_max
     L = np.empty((R, N + 1))
     L[:, 0] = 0.0
     if N == 0:
@@ -140,20 +141,13 @@ def _log_renewal_dp(logz: np.ndarray, logK: np.ndarray, band: int) -> np.ndarray
     return L
 
 
-def _log_K(law: RenewalLaw) -> np.ndarray:
-    """log K(0..n_max) for the renewal DP."""
-    with np.errstate(divide="ignore"):
-        return np.log(law.mass)
-
-
 def log_partition_profile(cfg: QuenchedConfig, omega: np.ndarray) -> np.ndarray:
     """Endpoint-pinned log partition values at every size 0..N.
 
     O(N * min(N, n_max)): gaps beyond the stored law horizon carry no
     mass, so the recursion window is banded automatically.
     """
-    return _log_renewal_dp(_site_log_weights(cfg, omega)[None], _log_K(cfg.law),
-                           cfg.law.n_max)[0]
+    return _log_renewal_dp(_site_log_weights(cfg, omega)[None], cfg.law)[0]
 
 
 def quenched_free_energies(cfgs: list[QuenchedConfig], rngs: list[np.random.Generator],
@@ -181,27 +175,25 @@ def quenched_free_energies(cfgs: list[QuenchedConfig], rngs: list[np.random.Gene
     for lo in range(0, samples, step):
         n = min(step, samples - lo)
         rows = [_site_log_weights(c, rng.standard_normal((n, N))) for c, rng in zip(cfgs, rngs)]
-        end = _log_renewal_dp(np.concatenate(rows + pure), _log_K(law), law.n_max)[:, N] / N
+        end = _log_renewal_dp(np.concatenate(rows + pure), law)[:, N] / N
         ends.append(end[: P * n].reshape(P, n))
     means, errors = mean_and_error(np.concatenate(ends, axis=1))
     return [PoolEstimate(float(m), float(se), samples, annealed=float(a))
             for m, se, a in zip(means, errors, end[P * n :])]
 
 
-def pinned_rows(cfg: QuenchedConfig, k: int, *, logz: np.ndarray,
-                logK: np.ndarray) -> np.ndarray:
+def pinned_rows(cfg: QuenchedConfig, k: int, logz: np.ndarray) -> np.ndarray:
     """The log partition pinned at both ends, per start site a of 0..N:
     rows[a, b - a] for b in [a, min(a + k - 1, N)].
 
     One DP call takes every start site's window of k sites as a row; the
     windows past N are padded with log weight 0, and their entries are not
-    meant to be read.  `logz` = `_site_log_weights(cfg, omega)` and `logK`
-    = `_log_K(cfg.law)`.
+    meant to be read.  `logz` = `_site_log_weights(cfg, omega)`.
     """
     padded = np.zeros(cfg.N + k)
     padded[: cfg.N + 1] = logz
     windows = np.lib.stride_tricks.sliding_window_view(padded, k)
-    return _log_renewal_dp(windows, logK, cfg.law.n_max)
+    return _log_renewal_dp(windows, cfg.law)
 
 
 def log_coarse_grain_term(cfg: QuenchedConfig, k: int, logz: np.ndarray) -> np.ndarray:
@@ -225,11 +217,10 @@ def log_coarse_grain_term(cfg: QuenchedConfig, k: int, logz: np.ndarray) -> np.n
     n_blocks = cfg.N // k
     if n_blocks > MAX_BLOCK_COUNT:
         raise ResourceGuard(f"too many blocks ({n_blocks} > {MAX_BLOCK_COUNT})")
-    logK = _log_K(cfg.law)
-    rows = pinned_rows(cfg, k, logz=logz, logK=logK)
+    rows = pinned_rows(cfg, k, logz)
     # log K at every gap 0..N: -inf at 0 (K(0) = 0) and past the law's horizon
     lk = np.full(cfg.N + 1, -np.inf)
-    lk[: logK.size] = logK[: cfg.N + 1]
+    lk[: cfg.law.n_max + 1] = cfg.law.log_mass[: cfg.N + 1]
     a = np.arange(k)
     state, ends = np.empty((0, k, k)), np.empty(0, dtype=int)
     for b in range(1, n_blocks + 1):
@@ -570,7 +561,7 @@ def fractional_sum_bound(beta: float, h: float, gamma: float, law: RenewalLaw,
     k = window_size(h)
     cfg = QuenchedConfig(law=law, beta=beta, h=h, N=N)
     logz = _site_log_weights(cfg, rng.standard_normal((omega_samples, N)))
-    v_direct = np.exp(gamma * _log_renewal_dp(logz, _log_K(law), law.n_max)[:, N])
+    v_direct = np.exp(gamma * _log_renewal_dp(logz, law)[:, N])
     v_sum = np.array([np.exp(gamma * log_coarse_grain_term(cfg, k, z)).sum() for z in logz])
     est_d, est_t = PoolEstimate.from_samples(v_direct), PoolEstimate.from_samples(v_sum)
 

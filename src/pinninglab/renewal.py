@@ -13,10 +13,11 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import HorizonExceeded, InvalidParameter
+from .errors import HorizonExceeded, InvalidParameter, ResourceGuard
 from .numerics import bracketed_root, zeta
 
 RECURRENT_TOL = 1e-9
+MAX_HORIZON = 10_000_000   # largest n_max make_power_law stores: 80 MB an array
 _FREE_ENERGY_REL_TOL = 1e-10   # width of the free energy's final bracket, relative to its ends
 _GREEN_BLOCK = 512   # sites per base block of the Green table
 _EULER_GAMMA = 0.5772156649015329
@@ -73,6 +74,14 @@ class RenewalLaw:
         return np.cumsum(self.mass)
 
     @cached_property
+    def log_mass(self) -> np.ndarray:
+        """log K(0..n_max), -inf at the zero pad."""
+        with np.errstate(divide="ignore"):
+            lk = np.log(self.mass)
+        lk.setflags(write=False)
+        return lk
+
+    @cached_property
     def sites(self) -> np.ndarray:
         """The stored sites 1..n_max, as floats."""
         ns = np.arange(1, self.n_max + 1, dtype=float)
@@ -115,6 +124,8 @@ def make_power_law(alpha: float, n_max: int) -> RenewalLaw:
         raise InvalidParameter(f"tail exponent must be positive, got {alpha}")
     if n_max < 2:
         raise InvalidParameter(f"horizon must be at least 2, got {n_max}")
+    if n_max > MAX_HORIZON:   # checked before any array of the horizon's size
+        raise ResourceGuard(f"n_max={n_max} beyond the desk-scale guard {MAX_HORIZON}")
     ns = np.arange(n_max + 1, dtype=float)
     c = 1.0 / zeta(1.0 + alpha)
     mass = np.zeros(n_max + 1)

@@ -251,7 +251,7 @@ def test_gw_identities_detect_an_off_by_one_node_count(monkeypatch):
     # more leaves moves B^-v off the enumerated expectation; crit_01 must fail
     exact = hierarchy.subtree_node_count
     monkeypatch.setattr(hierarchy, "subtree_node_count",
-                        lambda idx: exact(idx) + (len(idx.leaves) >= 2))
+                        lambda n, leaves: exact(n, leaves) + (len(leaves) >= 2))
     [res] = acc.run_all({1}, echo=None)
     print(res.line())
     assert not res.passed

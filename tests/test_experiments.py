@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinninglab import acceptance, cli, hiermc, oracles, quenched
+from pinninglab import acceptance, cli, hiermc, oracles, quenched, renewal
 from pinninglab.experiments import EXPERIMENTS, resolve, run
 from pinninglab.records import ExperimentConfig
 
@@ -98,6 +98,33 @@ def test_gw_check_guards_the_replay_before_any_draw(monkeypatch, tmp_path, capsy
     monkeypatch.setattr(oracles, "gw_cascade_leaves", drew)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"experiment": "gw-check", "seed": 1, "mc_n": 24}))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert "desk-scale guard" in capsys.readouterr().err
+
+
+class _HugeArangeRaises:
+    """numpy, except that an arange of more than 1e8 entries raises."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def arange(*bounds, **kwargs):
+        if max(bounds) > 1e8:
+            raise AssertionError("a horizon-sized array was allocated")
+        return np.arange(*bounds, **kwargs)
+
+
+@pytest.mark.parametrize("name,key", [
+    *((name, "n_max") for name in ("annealed-scan", "renewal-green", "quenched-scan",
+                                   "decomposition-check", "lemma51-scan", "clt-check")),
+    ("clt-check", "L_w")])
+def test_law_horizon_guard_exits_2_before_any_allocation(monkeypatch, tmp_path, capsys,
+                                                         name, key):
+    # a horizon of 1e9 would ask for four arrays of 8 GB each
+    monkeypatch.setattr(renewal, "np", _HugeArangeRaises())
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"experiment": name, "seed": 1, **QUICK[name], key: 10**9}))
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert "desk-scale guard" in capsys.readouterr().err
 
@@ -212,17 +239,42 @@ def test_summation_order_constants_move_last_bits_only(monkeypatch, small_pair_e
                     (key, part)
 
 
-def test_profile_budget_bounds_memory_only(monkeypatch, tmp_path):
-    # one site per profile block: the record and the CSV keep every byte
-    raw = {"experiment": "lemma51-scan", "seed": 3, **QUICK["lemma51-scan"]}
-    run(ExperimentConfig.from_dict(raw), tmp_path / "whole")
-    monkeypatch.setattr(quenched, "_PROFILE_CELLS", 1)
-    run(ExperimentConfig.from_dict(raw), tmp_path / "sites")
-    for name in ("lemma51-scan.record.json", "lemma51-scan.scan.csv"):
-        whole, sites = ((tmp_path / d / name).read_text() for d in ("whole", "sites"))
-        if name.endswith(".json"):
-            whole, sites = ({**json.loads(t), "wall_time_s": 0} for t in (whole, sites))
-        assert whole == sites, name
+# Memory constants that bound memory only: each with the small value the test
+# below patches in.  Left out, besides SUMMATION_ORDER: the draw units
+# `hierarchy._sparse_chunk`, `hiermc._chunk_for` and `renewal._DRAW`, which
+# decide which random number feeds which realization and so belong to the
+# sampling contract
+MEMORY_ONLY = {
+    "hiermc._POOL_LEAVES": 1 << 8,
+    "quenched._DP_CELLS": 1 << 12,
+    "renewal._MAX_DRAWS": 3,
+    "quenched._PROFILE_CELLS": 1,
+}
+SMALL_MEMORY_CONFIGS = [
+    {"experiment": "hier-free-energy", "seed": 3, **QUICK["hier-free-energy"]},
+    {"experiment": "quenched-scan", "seed": 3, **QUICK["quenched-scan"]},
+    *SMALL_PAIR_CONFIGS,
+]
+
+
+def _artifacts(out_dir):
+    """Every file the small memory configs write, records less wall_time_s."""
+    for raw in SMALL_MEMORY_CONFIGS:
+        run(ExperimentConfig.from_dict(raw), out_dir)
+    return {p.name: {**json.loads(p.read_text()), "wall_time_s": 0}
+            if p.name.endswith(".json") else p.read_text() for p in out_dir.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def small_memory_artifacts(tmp_path_factory):
+    return _artifacts(tmp_path_factory.mktemp("memory"))
+
+
+@pytest.mark.parametrize("constant", MEMORY_ONLY)
+def test_memory_constants_move_no_byte(monkeypatch, tmp_path, small_memory_artifacts,
+                                       constant):
+    monkeypatch.setattr(f"pinninglab.{constant}", MEMORY_ONLY[constant])
+    assert _artifacts(tmp_path) == small_memory_artifacts
 
 
 def test_certify_drops_the_inert_disorder_samples_key():

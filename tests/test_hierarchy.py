@@ -50,19 +50,18 @@ def test_envelope_monotone():
 
 
 def test_subtree_node_count_examples():
-    assert H.subtree_node_count(H.TreeIndexSet(n=4, leaves=(4, 6, 13))) == 9
-    assert H.subtree_node_count(H.TreeIndexSet(n=1, leaves=(1, 2))) == 1
+    assert H.subtree_node_count(4, (4, 6, 13)) == 9
+    assert H.subtree_node_count(1, (1, 2)) == 1
     for n in (1, 3, 5):
         for leaf in (1, 2**n):
-            assert H.subtree_node_count(H.TreeIndexSet(n=n, leaves=(leaf,))) == n
+            assert H.subtree_node_count(n, (leaf,)) == n
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())
 @settings(max_examples=60, deadline=None)
 def test_subtree_node_count_vs_path_oracle(n, data):
     leaves = data.draw(st.sets(st.integers(1, 2**n), min_size=1, max_size=min(2**n, 8)))
-    idx = H.TreeIndexSet(n=n, leaves=tuple(leaves))
-    assert H.subtree_node_count(idx) == oracles.subtree_nodes_by_paths(n, leaves)
+    assert H.subtree_node_count(n, leaves) == oracles.subtree_nodes_by_paths(n, leaves)
 
 
 @pytest.mark.parametrize("B", [H.B_CRITICAL, 1.3])
@@ -71,15 +70,13 @@ def test_gw_expectation_vs_enumeration(n, B):
     import itertools
     for r in range(1, 2**n + 1):
         for leaves in itertools.combinations(range(1, 2**n + 1), r):
-            idx = H.TreeIndexSet(n=n, leaves=leaves)
-            assert H.gw_product_expectation(idx, B) == pytest.approx(
+            assert H.gw_product_expectation(n, leaves, B) == pytest.approx(
                 oracles.gw_enumeration_expectation(n, leaves, B), abs=1e-12)
 
 
 def test_gw_single_leaf_green():
     for n in (2, 5, 9):
-        idx = H.TreeIndexSet(n=n, leaves=(3 % 2**n + 1,))
-        assert H.gw_product_expectation(idx, H.B_CRITICAL) == pytest.approx(
+        assert H.gw_product_expectation(n, (3 % 2**n + 1,), H.B_CRITICAL) == pytest.approx(
             H.B_CRITICAL**-n)
 
 
@@ -122,7 +119,7 @@ def test_gw_cascade_leaves_statistics():
     assert abs(p_ext - t_ext) <= 3 * math.sqrt(t_ext * (1 - t_ext) / m)
     # pair frequency against the closed two-point form: leaves 1 and 6 are 0 and 5
     pair = np.intersect1d(sid[leaf == 0], sid[leaf == 5]).size / m
-    t2 = H.gw_product_expectation(H.TreeIndexSet(n=n, leaves=(1, 6)), B)
+    t2 = H.gw_product_expectation(n, (1, 6), B)
     assert abs(pair - t2) <= 3 * math.sqrt(t2 * (1 - t2) / m)
 
 

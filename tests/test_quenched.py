@@ -51,14 +51,16 @@ def test_dp_monotone_in_reward(seed):
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def _assert_dp_matches_oracle(logz, logK, band):
+def _assert_dp_matches_oracle(logz, law):
     # row by row: relative 1e-12 on log Z, or on Z itself (absolute on log Z)
     # near log Z = 0; a 1-d logz is one row
     logz = np.atleast_2d(logz)
-    fast = Q._log_renewal_dp(logz, logK, band)
+    fast = Q._log_renewal_dp(logz, law)
     assert fast.shape == logz.shape and np.all(np.isfinite(fast))
+    with np.errstate(divide="ignore"):
+        logK = np.log(law.mass)
     for row, f in zip(logz, fast):
-        slow = oracles.log_renewal_dp_direct(row, logK, band)
+        slow = oracles.log_renewal_dp_direct(row, logK, law.n_max)
         assert np.all(np.abs(f - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
 
 
@@ -69,17 +71,15 @@ def test_dp_kernel_matches_log_domain_oracle(law):
     # tailed law refuses N past its horizon
     rng = np.random.default_rng(11)
     for lw in (law, R.law_from_mass(R.make_power_law(0.5, 40).mass[1:])):
-        with np.errstate(divide="ignore"):
-            logK = np.log(lw.mass)
         for beta in (0.0, 0.5, 1.5):
             for h in (-0.3, 2.0):
                 for N in (1, 63, 64, 65, 1200):
                     cfg = QuenchedConfig(law=lw, beta=beta, h=h, N=N)
                     logz = Q._site_log_weights(cfg, rng.standard_normal(N))
-                    _assert_dp_matches_oracle(logz, logK, lw.n_max)
+                    _assert_dp_matches_oracle(logz, lw)
                 for k in range(1, 6):
                     a = int(rng.integers(1, 60))
-                    _assert_dp_matches_oracle(logz[a : a + k + 1], logK, lw.n_max)
+                    _assert_dp_matches_oracle(logz[a : a + k + 1], lw)
 
 
 def test_dp_kernel_guards_extreme_site_weights(law):
@@ -87,12 +87,10 @@ def test_dp_kernel_guards_extreme_site_weights(law):
     # with a band of 2 sites, 64 sites of log weight about -35 underflow it
     rng = np.random.default_rng(12)
     for lw in (law, R.law_from_mass([0.6, 0.4])):
-        with np.errstate(divide="ignore"):
-            logK = np.log(lw.mass)
         for beta, h in ((0.0, 30.0), (3.0, -30.0)):
             cfg = QuenchedConfig(law=lw, beta=beta, h=h, N=200)
             logz = Q._site_log_weights(cfg, rng.standard_normal(200))
-            _assert_dp_matches_oracle(logz, logK, lw.n_max)
+            _assert_dp_matches_oracle(logz, lw)
 
 
 def test_dp_guard_counts_a_tiny_first_mass():
@@ -105,7 +103,7 @@ def test_dp_guard_counts_a_tiny_first_mass():
     with np.errstate(over="raise", invalid="raise"):
         fast = Q.log_partition_profile(cfg, np.zeros(cfg.N))
         slow = oracles.log_renewal_dp_direct(Q._site_log_weights(cfg, np.zeros(cfg.N)),
-                                             Q._log_K(law), law.n_max)
+                                             law.log_mass, law.n_max)
     assert np.all(np.abs(fast - slow) <= 1e-12 * np.maximum(1.0, np.abs(slow)))
 
 
@@ -114,19 +112,18 @@ def test_dp_rows_of_different_spread_share_the_guard(law):
     # +30 per site (overflow unguarded), about -35 per site, the defaults'
     # mild rows and zero disorder, at N 1, 64 and 300
     rng = np.random.default_rng(13)
-    logK = Q._log_K(law)
     for N in (1, 64, 300):
         rows = [Q._site_log_weights(QuenchedConfig(law=law, beta=beta, h=h, N=N),
                                     rng.standard_normal((2, N)))
                 for beta, h in ((0.0, 30.0), (3.0, -30.0), (1.0, 2.0), (0.5, -0.3),
                                 (0.0, 0.0))]
-        _assert_dp_matches_oracle(np.concatenate(rows), logK, law.n_max)
+        _assert_dp_matches_oracle(np.concatenate(rows), law)
     # the band of a two-point law, shorter than a block, across rows
     two = R.law_from_mass([0.6, 0.4])
     logz = np.concatenate([Q._site_log_weights(QuenchedConfig(law=two, beta=b, h=h, N=150),
                                                rng.standard_normal((3, 150)))
                            for b, h in ((3.0, -30.0), (0.2, 0.1))])
-    _assert_dp_matches_oracle(logz, Q._log_K(two), two.n_max)
+    _assert_dp_matches_oracle(logz, two)
 
 
 def test_dp_guard(law):
@@ -281,15 +278,14 @@ def test_pinned_rows_equal_per_row_dp_calls(law_small):
     # min(a + k - 1, N), the short rows near N included; past N the batch
     # holds padding
     rng = np.random.default_rng(15)
-    logK = Q._log_K(law_small)
     for k, blocks in ((2, 1), (3, 4), (5, 6), (4, 2)):
         cfg = QuenchedConfig(law=law_small, beta=1.2, h=-0.3, N=k * blocks)
         logz = Q._site_log_weights(cfg, rng.standard_normal(cfg.N))
-        rows = Q.pinned_rows(cfg, k, logz=logz, logK=logK)
+        rows = Q.pinned_rows(cfg, k, logz)
         assert rows.shape == (cfg.N + 1, k)
         for a in range(1, cfg.N + 1):
             end = min(a + k - 1, cfg.N)
-            alone = Q._log_renewal_dp(logz[None, a : end + 1], logK, law_small.n_max)[0]
+            alone = Q._log_renewal_dp(logz[None, a : end + 1], law_small)[0]
             np.testing.assert_allclose(rows[a, : end - a + 1], alone, rtol=1e-14, atol=1e-14)
 
 

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from pinninglab.errors import ConfigError
-from pinninglab.numerics import derive_rng, ks_distance, mean_and_error
+from pinninglab.numerics import derive_rng, ks_distance, logsumexp_1d, mean_and_error
 from pinninglab.records import ExperimentConfig, RunRecord, estimate, write_csv
 
 
@@ -71,6 +72,28 @@ def test_mean_and_error_rows_equal_one_call_per_row():
     assert np.array_equal(errors, [e for _, e in singles])
     assert mean_and_error(x[:, :1])[1].tolist() == [float("inf")] * 7
     assert mean_and_error(x[0, :1]) == (x[0, 0], float("inf"))
+
+
+def test_logsumexp_1d_contract():
+    # a 1-d row gives a float with the bits of the same row in a 2-d call;
+    # an infinite maximum gives itself, -inf entries among finite ones drop
+    # out, and finite rows agree with numpy's logaddexp fold; no warning
+    rng = np.random.default_rng(4)
+    x = rng.normal(0.0, 30.0, (8, 40))
+    x[1, ::3] = -np.inf
+    x[2] = -np.inf
+    x[3, 7] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = logsumexp_1d(x)
+        singles = [logsumexp_1d(row) for row in x]
+    assert rows.shape == (8,)
+    for one, want in zip(singles, rows):
+        assert type(one) is float and np.float64(one).tobytes() == want.tobytes()
+    assert rows[2] == -np.inf and rows[3] == np.inf
+    finite = [0, 1, 4, 5, 6, 7]
+    want = np.logaddexp.reduce(x[finite], axis=1)
+    np.testing.assert_allclose(rows[finite], want, rtol=1e-15, atol=0.0)
 
 
 def test_ks_distance_uniform():
